@@ -22,6 +22,7 @@ from .errors import (
     WrongFamily,
     ZeroMass,
 )
+from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
 from .kernels import HypothesisFamily, KernelSet, _panel_rule, _graded_rule
 from .operators import FragTables, JoiningTables
@@ -29,6 +30,7 @@ from .operators import FragTables, JoiningTables
 __all__ = [
     "TestFunction",
     "builtin_test_functions",
+    "select_test_functions",
     "consistency_residual",
     "Snapshot",
     "RunResult",
@@ -114,6 +116,22 @@ def _cosine_taper(a: float, b: float):
         return out
 
     return taper, taper_slope
+
+
+def select_test_functions(grid: SizeGrid, k: KernelSet,
+                          names: Optional[Sequence[str]]
+                          ) -> Optional[Tuple[TestFunction, ...]]:
+    """The built-in test functions with the given names, in that order;
+    None (the accumulator's default, all of them) when names is None."""
+    if names is None:
+        return None
+    available = {tf.name: tf for tf in builtin_test_functions(grid, k)}
+    unknown = [name for name in names if name not in available]
+    if unknown:
+        raise ValueError(
+            f"unknown test functions {unknown}; "
+            f"choose from {sorted(available)}")
+    return tuple(available[name] for name in names)
 
 
 def builtin_test_functions(grid: SizeGrid, k: KernelSet) -> Tuple[TestFunction, ...]:
@@ -325,17 +343,15 @@ class LedgerAccumulator:
             sp = w0 * sp0 + (1.0 - w0) * sp1
             return sp * self._envelope_rhs(s)
 
-        s = self._envelope
-        k1 = f(0.0, s)
-        k2 = f(dt / 2, s + dt / 2 * k1)
-        k3 = f(dt / 2, s + dt / 2 * k2)
-        k4 = f(dt, s + dt * k3)
-        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        self._envelope = min(s, self.grid.ymax)
+        self._envelope = min(rk4_step(f, 0.0, self._envelope, dt), self.grid.ymax)
 
     # row production -------------------------------------------------------
 
-    def start(self, t: float, v: float, u: GridFunction) -> Mapping[str, float]:
+    def start(self, t: float, v: float, u: GridFunction,
+              envelope_start: Optional[float] = None) -> Mapping[str, float]:
+        """First row.  The support envelope starts at the numeric support
+        or the pair cutoff (infinite for uncut joining); envelope_start,
+        when given, raises that start (replacing an infinite one)."""
         if self._started:
             raise RuntimeError("accumulator already started")
         self._started = True
@@ -357,6 +373,9 @@ class LedgerAccumulator:
         else:
             s1 = self.k.join_zero_beyond or 0.0
             self._envelope = max(self._support_numeric(arr), s1)
+        if envelope_start is not None:
+            finite = self._envelope if np.isfinite(self._envelope) else 0.0
+            self._envelope = max(finite, envelope_start)
         row = self._row(t, v, arr)
         self.ledger.record(row)
         return row
@@ -421,6 +440,15 @@ class LedgerAccumulator:
         return row
 
 
+def _replay_join_tables(result: RunResult, k: KernelSet,
+                        grid: SizeGrid) -> Optional[JoiningTables]:
+    """Joining tables as the run used them: None when it skipped joining."""
+    cfg = result.ledger.meta.get("config")
+    if cfg is not None and cfg.skip_joining:
+        return None
+    return JoiningTables.build(k, grid)
+
+
 def recompute_ledger(
     result: RunResult,
     k: KernelSet,
@@ -430,15 +458,25 @@ def recompute_ledger(
 ) -> DiagnosticsLedger:
     """Rebuild a ledger from a snapshot trajectory.  Over every-step
     snapshots this reproduces the solver's ledger bit for bit, because
-    both paths drive the same accumulator with the same states."""
+    both paths drive the same accumulator with the same states.  The
+    solver options stored with the run (ledger.meta["config"]) decide
+    whether joining is on and fill in any ledger option left as None."""
     snaps = result.snapshots
     if len(snaps) < 1:
         raise InsufficientSnapshots("need at least one snapshot")
     grid = snaps[0].u.grid
+    cfg = result.ledger.meta.get("config")
+    if cfg is not None:
+        if test_functions is None:
+            test_functions = select_test_functions(grid, k, cfg.test_functions)
+        if extra_moment is None:
+            extra_moment = cfg.extra_moment
+        if integrability_weight is None and cfg.uniform_integrability:
+            integrability_weight = vallee_poussin_weight(snaps[0].u)
     acc = LedgerAccumulator(
         k, grid,
         FragTables.build(k, grid),
-        JoiningTables.build(k, grid),
+        _replay_join_tables(result, k, grid),
         test_functions=test_functions,
         extra_moment=extra_moment,
         integrability_weight=integrability_weight,
@@ -503,7 +541,7 @@ def support_bound(
     if len(snaps) < 2:
         raise InsufficientSnapshots("need at least two snapshots")
     grid = snaps[0].u.grid
-    join = JoiningTables.build(k, grid)
+    join = _replay_join_tables(result, k, grid)
     cutoff = S1 if S1 is not None else k.join_zero_beyond
     if _joining_active(join):
         if cutoff is None:
@@ -523,15 +561,9 @@ def support_bound(
         start = max(S0 if S0 is not None else 0.0, cutoff or 0.0)
     else:
         start = None
-    acc.start(snaps[0].t, snaps[0].v, snaps[0].u)
-    if start is not None:
-        acc._envelope = max(acc._envelope if np.isfinite(acc._envelope) else 0.0,
-                            start)
-    out = [acc._envelope]
-    for snap in snaps[1:]:
-        acc.advance(snap.t, snap.v, snap.u)
-        out.append(acc._envelope)
-    return np.asarray(out)
+    rows = [acc.start(snaps[0].t, snaps[0].v, snaps[0].u, envelope_start=start)]
+    rows += [acc.advance(snap.t, snap.v, snap.u) for snap in snaps[1:]]
+    return np.asarray([row["support_bound"] for row in rows])
 
 
 def m2_bound_check(result: RunResult, k: KernelSet,

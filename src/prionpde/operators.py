@@ -15,7 +15,24 @@ Discretization notes, load-bearing for the conservation tests:
 
 * The joining gain deposits each ordered pair's mass flux at the exact
   pair size with the same bracketing split, so the discrete first
-  moment of the joining operator vanishes identically.
+  moment of the joining operator vanishes identically.  On both
+  built-in grids the split is shift-invariant: on a geometric grid the
+  pair (m, m-d) lands at cell m + idx[d] with lower share frac[d], and
+  on a uniform grid the pair (i, j) lands at i + j + idx[0] with one
+  share.  The rates are kept in a sheared copy, with one row per
+  diagonal d (geometric) or per first partner i (uniform).  A
+  sliding-window view of the cell counts lines them up with that copy
+  without copying them.  One elementwise product then feeds small
+  GEMVs: one per run of diagonals with the same offset on the geometric
+  grid, and a single one over the anti-diagonals on the uniform grid.
+  Their sums are added at shifted positions.  ``build`` checks every
+  pair's deposit against the bracketing split of its exact size, and a
+  grid without the structure is refused there.  Pairs between the last
+  center and the domain end are clamped: their whole flux stays in the
+  last cell.  Pairs beyond the domain end are stray.  They have no
+  entry in the sheared rates, so their flux is dropped, and ``apply``
+  raises PairOutOfRange when the largest stray flux exceeds 1e-12 of
+  the largest pair flux.
 
 * The fragmentation gain is tabulated per source cell over destination
   sub-intervals; each sub-interval's deposit lands at its own centroid,
@@ -32,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
@@ -112,7 +130,9 @@ def theta_map(cm: CharacteristicMap, y) -> np.ndarray:
 
 def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
     """Inverse of theta_map on [0, theta_max], by bracketed Newton
-    iteration (the derivative of the map is the reciprocal growth)."""
+    iteration (the derivative of the map is the reciprocal growth).
+    Raises OutOfDomain if eight iterations leave a residual above
+    1e-14 * max(1, theta_max)."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     g = cm.grid
     slack = 1e-12 * max(1.0, cm.theta_max)
@@ -124,11 +144,18 @@ def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
     hi = g.edges[idx + 1]
     y = lo + (th - cm.theta_at_edges[idx]) * cm.growth_at_edges[idx]
     y = np.clip(y, lo, hi)
+    tol = 1e-14 * max(1.0, cm.theta_max)
     for _ in range(8):
         resid = theta_map(cm, y) - th
         y = np.clip(y - resid * np.asarray(cm.growth(y), dtype=float), lo, hi)
-        if np.max(np.abs(resid)) < 1e-14 * max(1.0, cm.theta_max):
+        if np.max(np.abs(resid)) < tol:
             break
+    else:
+        worst = float(np.max(np.abs(theta_map(cm, y) - th)))
+        if not worst < tol:
+            raise OutOfDomain(
+                f"characteristic inverse did not converge: Newton residual "
+                f"{worst:.3g} above the tolerance {tol:.3g}")
     return y if np.ndim(theta) else float(y[0])
 
 
@@ -286,61 +313,205 @@ def fragmentation_apply(
 
 # -- joining ---------------------------------------------------------------
 
+STRAY_FLUX_RTOL = 1e-12   # stray flux dropped, relative to the largest pair flux
+SHIFT_RTOL = 1e-13        # pair-size mismatch the shift structure may carry
+
+
+def _skew(x: np.ndarray, pad: float = 0.0) -> np.ndarray:
+    """Zero-copy view S[q, r] = x[r - q] for q <= r, and pad below the
+    diagonal."""
+    n = len(x)
+    return sliding_window_view(np.concatenate((np.full(n - 1, pad), x)), n)[::-1]
+
+
+def _sheared(a: np.ndarray, by_diagonal: bool) -> np.ndarray:
+    """A square table in sheared coordinates, as a view (of a
+    column-reversed copy for by_diagonal).  Entries below the diagonal
+    are unrelated values.
+
+    by_diagonal: out[d, m] = a[m, m - d], one row per diagonal.
+    otherwise:   out[i, s] = a[i, s - i], one column per anti-diagonal.
+    """
+    n = a.shape[0]
+    if by_diagonal:
+        flat, start, row_step, col_step = a[:, ::-1].ravel(), n - 1, 1, n - 1
+    else:
+        flat, start, row_step, col_step = a.ravel(), 0, n - 1, 1
+    view = sliding_window_view(flat[start:], (n - 1) * col_step + 1)
+    return view[::row_step, ::col_step][:n]
+
+
+def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
+                           pair: np.ndarray, drop: np.ndarray,
+                           beyond_domain: np.ndarray, geometric: bool) -> None:
+    """Compare the structured deposit of every pair inside the domain
+    with the bracketing split of its exact size, through the first
+    moment of the deposit (pair holds the sizes in table coordinates).
+    A pair whose structured target is the last cell only needs to reach
+    the last center, where the bracketing split clamps it.  Also checks
+    what apply relies on: geometric offsets fall by one cell from run
+    to run, and uniform pairs i + j >= n, which have no table entry,
+    are stray."""
+    c, n = grid.centers, grid.n
+    c_ext = np.concatenate((c, np.full(n, c[-1])))
+    gap_ext = np.append(np.diff(c_ext), 0.0)
+    if geometric:
+        layout_ok = np.all(np.isin(np.diff(idx), (-1, 0)))
+        # table coordinates (d, m): pair (m, m - d) lands at m + idx[d]
+        deposit = sliding_window_view(gap_ext, n)[idx]
+        deposit *= (1.0 - frac)[:, None]
+        deposit += sliding_window_view(c_ext, n)[idx]
+    else:
+        layout_ok = np.all(beyond_domain <= n - np.arange(n))
+        # table coordinates (i, s): pair (i, s - i) lands at s + idx[0]
+        deposit = (c_ext + (1.0 - frac[0]) * gap_ext)[idx[0]:idx[0] + n]
+    err = np.minimum(pair, c[-1])
+    err -= deposit
+    np.copyto(err, 0.0, where=drop)
+    err /= c[None, :]
+    if not (layout_ok and err.max() <= SHIFT_RTOL and err.min() >= -SHIFT_RTOL):
+        raise ValueError(
+            f"joining pair targets on this {grid.spacing} grid are not "
+            "shift-invariant; the structured joining operator needs the "
+            "centers of build_grid")
+
+
 @dataclass(frozen=True)
 class JoiningTables:
-    """Dense pairwise tables for the joining mechanism.
+    """Shift-structured tables for the joining mechanism.
 
     rate[i, j] is the joining rate at the pair of cell centers (i, j);
     each ordered pair deposits its mass flux at the exact pair size,
-    split between the bracketing centers.  Pairs landing between the
-    last center and the domain end are clamped onto the last cell.
-    Pairs beyond the domain end cannot be represented: their flux is
-    dropped, which is legitimate while it is negligible (rounding-level
-    leakage from the support-doubling gain) and a hard error once it
-    carries real mass."""
+    split between the bracketing centers.  The split only depends on
+    the diagonal (geometric grid) or the anti-diagonal (uniform grid).
+    skew holds the rates of the pairs inside the domain, sheared so
+    that rows share their targets:
+
+    * geometric: skew[d, m] = rate[m, m - d], halved on d = 0 because
+      the pair (m - d, m) is counted in the same row.  It lands
+      frac[d] at cell m + idx[d] and the rest one cell up.
+      skew_upper holds rate[m - d, m] when the rate is not symmetric.
+    * uniform: skew[i, s] = rate[i, s - i], landing frac[0] at cell
+      s + idx[0] and the rest one cell up.
+
+    blocks lists the runs of table rows with one offset (a single run
+    on the uniform grid), with their shares.  Pairs landing at or beyond the last center are clamped
+    onto the last cell.  Pairs beyond the domain end are stray; for row
+    i they are the columns from beyond_domain[i] on, and far_rate[i] is
+    their largest rate.  Their flux is dropped, which is legitimate
+    while it is negligible (rounding-level leakage from the
+    support-doubling gain) and a hard error once it carries real
+    mass."""
 
     grid: SizeGrid
     rate: np.ndarray = field(repr=False)
     idx: np.ndarray = field(repr=False)
     frac: np.ndarray = field(repr=False)
     beyond_domain: np.ndarray = field(repr=False)
+    far_rate: np.ndarray = field(repr=False)
+    skew: np.ndarray = field(repr=False)
+    skew_upper: Optional[np.ndarray] = field(repr=False)
+    blocks: Tuple[Tuple[np.ndarray, int, int, int], ...] = field(repr=False)
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid) -> "JoiningTables":
-        c = grid.centers
+        c, n = grid.centers, grid.n
         rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
-        pair = c[:, None] + c[None, :]
-        idx, frac = split_targets(c, pair.ravel())
-        return cls(
-            grid=grid,
-            rate=rate,
-            idx=idx.reshape(pair.shape),
-            frac=frac.reshape(pair.shape),
-            beyond_domain=pair > grid.ymax,
-        )
+        far = np.add.outer(c, c) > grid.ymax
+        beyond_domain = n - np.count_nonzero(far, axis=1)
+        far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
+        del far
+        geometric = grid.spacing == "geometric"
+        # pair sizes in table coordinates, infinite below the diagonal
+        pair = (c[None, :] if geometric else c[:, None]) + _skew(c, pad=np.inf)
+        drop = pair > grid.ymax
+        skew = np.where(drop, 0.0, _sheared(rate, geometric))
+        skew_upper = None
+        if geometric:
+            skew[0] *= 0.5
+            if not np.array_equal(rate, rate.T):
+                skew_upper = np.where(drop, 0.0, _sheared(rate.T, True))
+                skew_upper[0] *= 0.5
+            lowest = c + c[0]          # pair (d, 0), the lowest of diagonal d
+        else:
+            lowest = np.array([2.0 * c[0]])
+        idx, frac = split_targets(c, lowest)
+        idx -= np.arange(lowest.size)
+        clamped = np.flatnonzero(lowest > c[-1])
+        if clamped.size:
+            # whole diagonals at or beyond the last center: any offset
+            # that reaches it will do, so they join the previous run
+            first = clamped[0]
+            idx[first:] = idx[first - 1] if first > 0 else n - 1
+            frac[first:] = 1.0
+        _check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        stops = np.append(starts[1:], n)
+        shares = np.vstack((frac, 1.0 - frac))
+        blocks = tuple((np.ascontiguousarray(shares[:, a:b]), a, b, int(idx[a]))
+                       for a, b in zip(starts, stops))
+        return cls(grid=grid, rate=rate, idx=idx, frac=frac,
+                   beyond_domain=beyond_domain, far_rate=far_rate, skew=skew,
+                   skew_upper=skew_upper, blocks=blocks)
+
+    def _check_stray(self, mu: np.ndarray, mw: np.ndarray) -> None:
+        """PairOutOfRange if the largest stray pair flux exceeds
+        STRAY_FLUX_RTOL times the largest pair flux.  An O(n) bound
+        settles the usual case; the full maximum decides otherwise."""
+        tail = np.append(np.maximum.accumulate(np.abs(mw)[::-1])[::-1], 0.0)
+        bound = float(np.max(np.abs(mu) * self.far_rate * tail[self.beyond_domain]))
+        if bound == 0.0 or bound <= STRAY_FLUX_RTOL * float(
+                np.max(np.abs(np.diagonal(self.rate) * mu * mw))):
+            return
+        flux = np.abs(self.rate * np.outer(mu, mw))
+        far = np.arange(self.grid.n)[None, :] >= self.beyond_domain[:, None]
+        if np.max(flux, where=far, initial=0.0) > STRAY_FLUX_RTOL * np.max(flux):
+            raise PairOutOfRange(
+                "joining flux targets a size beyond the grid end; "
+                "enlarge the grid or cut the joining rate"
+            )
+
+    def _block_sums(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sums[b] = shares_b @ (table * skew(x)) over the rows of block b."""
+        product = table * _skew(x)
+        sums = np.empty((len(self.blocks), 2, self.grid.n))
+        for b, (shares, start, stop, _) in enumerate(self.blocks):
+            np.matmul(shares, product[start:stop], out=sums[b])
+        return sums
 
     def apply(self, u_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:
         g = self.grid
-        mu = u_values * g.widths
-        mw = w_values * g.widths
-        flux = self.rate * np.outer(mu, mw)
-        stray = flux[self.beyond_domain]
-        if stray.size and np.any(stray):
-            # Dropping flux at rounding level keeps the support-doubling
-            # gain from poisoning long runs; real mass out there is fatal.
-            if np.abs(stray).max() > 1e-12 * np.abs(flux).max():
-                raise PairOutOfRange(
-                    "joining flux targets a size beyond the grid end; "
-                    "enlarge the grid or cut the joining rate"
-                )
-            flux[self.beyond_domain] = 0.0
         n = g.n
-        gain = np.bincount(self.idx.ravel(),
-                           weights=(flux * self.frac).ravel(), minlength=n)
-        gain += np.bincount(self.idx.ravel() + 1,
-                            weights=(flux * (1.0 - self.frac)).ravel(), minlength=n)
+        mu = u_values * g.widths
+        mw = mu if w_values is u_values else w_values * g.widths
+        self._check_stray(mu, mw)
+        if g.spacing != "geometric":
+            sums = (self.blocks[0][0] * (mu @ (self.skew * _skew(mw))))[None]
+        elif mw is mu and self.skew_upper is None:
+            sums = self._block_sums(self.skew, mu)
+            sums *= 2.0 * mu
+        else:
+            upper = self.skew if self.skew_upper is None else self.skew_upper
+            sums = self._block_sums(self.skew, mw)
+            sums *= mu
+            sums += self._block_sums(upper, mu) * mw
+        # Block b lands its lower shares at offset idx[0] - b and its
+        # upper shares one cell up, with the lower shares of block b - 1.
+        # Row r of the padded stack lands at offset idx[0] + 1 - r, so
+        # its diagonals are the target cells.
+        blocks = len(self.blocks)
+        stack = np.zeros((blocks + 1, n + 2 * blocks))
+        stack[:-1, blocks:blocks + n] = sums[:, 1]
+        stack[1:, blocks:blocks + n] += sums[:, 0]
+        step = stack.shape[1] + 1
+        diagonals = sliding_window_view(stack.ravel(), blocks * step + 1)
+        lowest = self.blocks[-1][3]
+        ext = np.zeros(2 * n)
+        ext[lowest:lowest + n + blocks] = diagonals[:n + blocks, ::step].sum(axis=1)
+        gain = ext[:n]
+        gain[-1] += ext[n:].sum()
         loss = 2.0 * u_values * (self.rate @ mw)
-        return gain[:n] / g.widths - loss
+        return gain / g.widths - loss
 
 
 def joining_apply(
@@ -370,15 +541,12 @@ def _small_fragment_mass(k: KernelSet, grid: SizeGrid) -> np.ndarray:
     return out
 
 
-def g_functional(k: KernelSet, u: GridFunction, *, _cache={}) -> float:
+def g_functional(k: KernelSet, u: GridFunction) -> float:
     """Monomer production rate from fragments below the minimum size:
     twice the frag-weighted first moment of the daughter density on
-    (0, min size)."""
-    key = (id(k), u.grid)
-    if key not in _cache:
-        _cache.clear()
-        _cache[key] = _small_fragment_mass(k, u.grid)
-    small = _cache[key]
+    (0, min size).  An independent quadrature, kept as the cross-check
+    of FragTables.monomer_gain."""
+    small = _small_fragment_mass(k, u.grid)
     frag = np.asarray(k.frag(u.grid.centers), dtype=float)
     return float(2.0 * np.dot(frag * u.values * u.grid.widths, small))
 

@@ -27,7 +27,7 @@ from .diagnostics import (
     LedgerAccumulator,
     RunResult,
     Snapshot,
-    builtin_test_functions,
+    select_test_functions,
     vallee_poussin_weight,
 )
 from .errors import (
@@ -253,18 +253,9 @@ def run(
     weight = None
     if cfg.uniform_integrability:
         weight = vallee_poussin_weight(u0)
-    tfs = None
-    if cfg.test_functions is not None:
-        available = {tf.name: tf for tf in builtin_test_functions(grid, k)}
-        unknown = [name for name in cfg.test_functions if name not in available]
-        if unknown:
-            raise ValueError(
-                f"unknown test functions {unknown}; "
-                f"choose from {sorted(available)}")
-        tfs = tuple(available[name] for name in cfg.test_functions)
     acc = LedgerAccumulator(
         k, grid, mach.frag, mach.join,
-        test_functions=tfs,
+        test_functions=select_test_functions(grid, k, cfg.test_functions),
         extra_moment=cfg.extra_moment,
         integrability_weight=weight,
     )

@@ -143,6 +143,27 @@ class TestReplay:
             assert np.array_equal(redone.column(name),
                                   res.ledger.column(name)), name
 
+    @pytest.mark.parametrize("options", [
+        {"skip_joining": True},
+        {"extra_moment": 1.5, "uniform_integrability": True,
+         "test_functions": ("size", "one")},
+    ])
+    def test_recompute_follows_solver_options(self, options):
+        k = closed_family()
+        grid = build_grid(1.0, 60.0, 64, "geometric")
+        dt, n = 5e-3, 20
+        cfg = SolverConfig(dt=dt, t_end=n * dt,
+                           snapshot_times=tuple(dt * i for i in range(1, n + 1)),
+                           **options)
+        res = run(gaussian_start(grid), 2.0, k, cfg)
+        redone = recompute_ledger(res, k)
+        assert redone.column_order() == res.ledger.column_order()
+        for name in res.ledger.column_order():
+            assert np.array_equal(redone.column(name),
+                                  res.ledger.column(name)), name
+        if cfg.skip_joining:
+            assert np.all(np.isfinite(redone.column("support_bound")))
+
     def test_standalone_balance_matches_ledger(self, dense_run):
         k, res = dense_run
         fin = res.ledger.meta["final_state"]

@@ -1,0 +1,195 @@
+"""The structured joining operator against the dense pair scatter it
+replaces.
+
+dense_reference_apply is the former production path, kept here as the
+reference: per ordered pair, the mass flux goes to the exact pair size,
+split between the bracketing centers by one bincount over all n^2
+pairs; pairs beyond the domain end are dropped while their largest flux
+stays below 1e-12 of the largest pair flux, and are fatal otherwise.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from prionpde.errors import PairOutOfRange
+from prionpde.grid import SizeGrid, build_grid, moment, project
+from prionpde.kernels import (
+    make_powerlaw_family,
+    make_special_family,
+    plan_truncation_levels,
+    truncate,
+    with_join_cutoff,
+)
+from prionpde.operators import JoiningTables, split_targets
+
+SIZES = (4, 5, 8, 64, 192, 400, 800)
+SPACINGS = ("geometric", "uniform")
+YMAX = 200.0
+
+
+def dense_reference_apply(k, grid, u_values, w_values):
+    c = grid.centers
+    rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
+    pair = c[:, None] + c[None, :]
+    idx, frac = split_targets(c, pair.ravel())
+    beyond = pair > grid.ymax
+    mu = u_values * grid.widths
+    mw = w_values * grid.widths
+    flux = rate * np.outer(mu, mw)
+    stray = flux[beyond]
+    if stray.size and np.any(stray):
+        if np.abs(stray).max() > 1e-12 * np.abs(flux).max():
+            raise PairOutOfRange("stray joining flux")
+        flux[beyond] = 0.0
+    n = grid.n
+    flux, frac = flux.ravel(), frac.ravel()
+    gain = np.bincount(idx, weights=flux * frac, minlength=n)
+    gain += np.bincount(idx + 1, weights=flux * (1.0 - frac), minlength=n)
+    loss = 2.0 * u_values * (rate @ mw)
+    return gain[:n] / grid.widths - loss
+
+
+def _truncated():
+    base = make_special_family(1.0, 0.1, 1.0, 0.2)
+    grid = build_grid(1.0, YMAX, 256, "geometric")
+    u0 = project(lambda y: 0.4 / (0.3 * math.sqrt(2.0 * math.pi))
+                 * np.exp(-0.5 * ((y - 3.0) / 0.3) ** 2), grid)
+    level = plan_truncation_levels(base, u0, 2.0, 1.0, (2,),
+                                   pair_base=6.0, pair_step=6.0)[0]
+    return truncate(base, level, 1.0, u0, 2.0)[0]
+
+
+RATES = {
+    "constant": make_special_family(1.0, 0.1, 0.5, 0.2),
+    "cutoff": with_join_cutoff(make_special_family(1.0, 0.1, 0.5, 0.2), 120.0),
+    "truncated": _truncated(),
+    "powerlaw": make_powerlaw_family(),
+}
+
+
+def densities(grid, seed):
+    """Named (u, w) pairs: mass low on the grid, mass whose pairs land
+    between the last center and the domain end, and bilinear versions.
+    The quadratic pairs pass one array twice, as the solver does."""
+    rng = np.random.default_rng(seed)
+    c = grid.centers
+    # pairs of these cells land at or below the last center
+    low_sel = c <= 0.5 * c[-1]
+    low = rng.random(grid.n) * low_sel
+    # pairs of these cells land in (c[-1], ymax]: clamped onto the last cell
+    clamp_sel = (c > 0.5 * c[-1]) & (c <= 0.5 * grid.ymax)
+    clamp = low + rng.random(grid.n) * clamp_sel
+    other = rng.random(grid.n) * low_sel
+    return {
+        "low": (low, low),
+        "clamped": (clamp, clamp),
+        "low_bilinear": (low, other),
+        "clamped_bilinear": (clamp, other),
+    }
+
+
+def first_moment_scale(grid, q):
+    return float(np.dot(np.abs(q), grid.centers * grid.widths))
+
+
+@pytest.fixture(scope="module", params=SPACINGS)
+def spacing(request):
+    return request.param
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rate", sorted(RATES))
+def test_matches_dense_reference(spacing, n, rate):
+    k = RATES[rate]
+    grid = build_grid(1.0, YMAX, n, spacing)
+    tables = JoiningTables.build(k, grid)
+    for name, (u, w) in densities(grid, n).items():
+        got = tables.apply(u, w)
+        want = dense_reference_apply(k, grid, u, w)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+        m_scale = first_moment_scale(grid, want)
+        assert abs(moment(grid, got, 1) - moment(grid, want, 1)) <= 1e-12 * m_scale
+        if name == "low":
+            # quadratic, no clamped or stray pair: the first moment is
+            # conserved
+            assert abs(moment(grid, got, 1)) <= 1e-12 * m_scale, name
+
+
+@pytest.mark.parametrize("n", (8, 64, 400))
+def test_asymmetric_rate_matches_dense_reference(spacing, n):
+    base = make_special_family(1.0, 0.1, 0.5, 0.2)
+    k = dataclasses.replace(
+        base, join=lambda y, z: 0.1 + 0.01 * np.asarray(y) / (1.0 + np.asarray(z)))
+    grid = build_grid(1.0, YMAX, n, spacing)
+    tables = JoiningTables.build(k, grid)
+    if spacing == "geometric":
+        assert tables.skew_upper is not None
+    for name, (u, w) in densities(grid, 7).items():
+        got = tables.apply(u, w)
+        want = dense_reference_apply(k, grid, u, w)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("n", (5, 64, 400))
+@pytest.mark.parametrize("rate", sorted(RATES))
+def test_out_of_range_raised_exactly_like_dense(spacing, n, rate):
+    """Hot densities (mass near the grid end), cold ones, and a tiny
+    top-cell mass swept across the 1e-12 threshold, in the quadratic and
+    bilinear cases."""
+    k = RATES[rate]
+    grid = build_grid(1.0, YMAX, n, spacing)
+    tables = JoiningTables.build(k, grid)
+    rng = np.random.default_rng(n)
+    c = grid.centers
+    low = rng.random(n) * (c <= 0.3 * YMAX) + (c == c[0])
+    hot = rng.random(n) * (c >= 0.6 * YMAX)
+    cases = [(hot, hot), (low, low), (low, hot), (hot, low)]
+    for eps in 10.0 ** np.arange(-16.0, -7.0):
+        top = low.copy()
+        top[-1] += eps * np.max(low)
+        cases += [(top, top), (low, top)]
+    for u, w in cases:
+        expect_raise = False
+        try:
+            want = dense_reference_apply(k, grid, u, w)
+        except PairOutOfRange:
+            expect_raise = True
+        if expect_raise:
+            with pytest.raises(PairOutOfRange):
+                tables.apply(u, w)
+        else:
+            got = tables.apply(u, w)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_tables_hold_one_sheared_rate_table(spacing):
+    grid = build_grid(1.0, YMAX, 400, spacing)
+    tables = JoiningTables.build(RATES["constant"], grid)
+    n = grid.n
+    assert tables.rate.shape == tables.skew.shape == (n, n)
+    assert tables.skew_upper is None
+    for name in ("idx", "frac", "beyond_domain", "far_rate"):
+        assert getattr(tables, name).size <= n, name
+    if spacing == "geometric":
+        # one run of diagonals per offset, the offsets falling by one
+        offsets = [block[3] for block in tables.blocks]
+        assert len(offsets) == 53
+        assert np.all(np.diff(offsets) == -1)
+    else:
+        assert len(tables.blocks) == 1
+
+
+def test_grid_without_shift_structure_is_refused():
+    ref = build_grid(1.0, YMAX, 64, "geometric")
+    rng = np.random.default_rng(3)
+    edges = ref.edges.copy()
+    edges[1:-1] *= 1.0 + 0.01 * rng.uniform(-1.0, 1.0, ref.n - 1)
+    grid = SizeGrid(y0=ref.y0, ymax=ref.ymax, n=ref.n, spacing="geometric",
+                    edges=edges, centers=0.5 * (edges[:-1] + edges[1:]),
+                    widths=np.diff(edges))
+    with pytest.raises(ValueError, match="shift-invariant"):
+        JoiningTables.build(RATES["constant"], grid)

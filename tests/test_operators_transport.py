@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ class TestThetaMap:
             theta_inverse(cm, cm.theta_max * 1.01)
         with pytest.raises(OutOfDomain):
             theta_inverse(cm, -0.1)
+
+    def test_unconverged_newton_raises(self):
+        # a growth closure inconsistent with the tabulated edge times
+        # moves the root of theta_map outside the Newton bracket
+        grid, cm = linear_growth_map(n=64)
+        bad = dataclasses.replace(
+            cm, growth=lambda y: 2.0 * np.asarray(y, dtype=float))
+        th = cm.theta_at_edges[10] + 0.75 * (cm.theta_at_edges[11]
+                                             - cm.theta_at_edges[10])
+        with pytest.raises(OutOfDomain, match="did not converge"):
+            theta_inverse(bad, th)
+        theta_inverse(cm, th)
 
     def test_scalar_in_scalar_out(self):
         grid, cm = linear_growth_map(n=64)
