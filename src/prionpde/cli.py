@@ -159,6 +159,10 @@ def _oracle_for(cfg: RunConfig, k, u0, v0):
 def cmd_simulate(cfg: RunConfig) -> int:
     k, grid, u0, v0, scfg = _run_from_config(cfg)
     result = run(u0, v0, k, scfg)
+    oracle = cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0
+    if oracle:  # it can fail, so it runs before the first file is written
+        traj, rates = _oracle_for(cfg, k, u0, v0)
+        report = compare(result.ledger, traj, rates)
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     result.ledger.to_csv(out / "timeseries.csv")
@@ -168,10 +172,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sigmas = cfg["diagnostics.sigma"]
     if sigmas:
         _write_sigma_moments(result, sigmas, out / "sigma_moments.csv")
-    if cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0:
-        traj, rates = _oracle_for(cfg, k, u0, v0)
+    if oracle:
         _write_oracle_csv(traj.as_columns(), out / "oracle.csv")
-        report = compare(result.ledger, traj, rates)
         _write_compare(report, out / "compare.txt")
     led = result.ledger
     print(f"simulate: {len(led)} rows, {len(result.snapshots)} snapshots "

@@ -24,8 +24,8 @@ from .errors import (
 )
 from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
-from .kernels import HypothesisFamily, KernelSet, _panel_rule, _graded_rule
-from .operators import FragTables, JoiningTables
+from .kernels import HypothesisFamily, KernelSet, _panel_rule
+from .operators import ReactionOperator, _small_fragment_mass
 
 __all__ = [
     "TestFunction",
@@ -252,10 +252,6 @@ class DiagnosticsLedger:
 
 # -- incremental accumulator ----------------------------------------------
 
-def _joining_active(join_tables: Optional[JoiningTables]) -> bool:
-    return join_tables is not None and bool(np.any(join_tables.rate != 0.0))
-
-
 class LedgerAccumulator:
     """Produces ledger rows from a state sequence.  All trapezoid
     accumulators (monomer integral, death moment integral, one weak-form
@@ -266,24 +262,19 @@ class LedgerAccumulator:
     def __init__(
         self,
         k: KernelSet,
-        grid: SizeGrid,
-        frag_tables: FragTables,
-        join_tables: Optional[JoiningTables],
+        reaction: ReactionOperator,
         test_functions: Optional[Sequence[TestFunction]] = None,
         extra_moment: Optional[float] = None,
         integrability_weight: Optional[TestFunction] = None,
     ):
         self.k = k
-        self.grid = grid
-        self.frag = frag_tables
-        self.join = join_tables
+        self.reaction = reaction
+        self.grid = grid = reaction.grid
         self.tfs = tuple(test_functions if test_functions is not None
                          else builtin_test_functions(grid, k))
         self.extra_moment = extra_moment
         self.weight = integrability_weight
         c = grid.centers
-        self._growth_c = np.asarray(k.growth(c), dtype=float)
-        self._death_moment_w = np.asarray(k.death(c), dtype=float) * c * grid.widths
         self._phi_vals = [np.asarray(tf.value(c), dtype=float) for tf in self.tfs]
         self._phi_slopes = [np.asarray(tf.slope(c), dtype=float) for tf in self.tfs]
         if self.weight is not None:
@@ -297,25 +288,16 @@ class LedgerAccumulator:
 
     # per-state quantities -------------------------------------------------
 
-    def _speed(self, v: float, u: np.ndarray) -> float:
-        u1 = moment(self.grid, u, 1)
-        return v / (1.0 + self.k.params.saturation * u1)
-
-    def _reaction(self, u: np.ndarray) -> np.ndarray:
-        out = self.frag.apply(u)
-        if self.join is not None:
-            out = out + self.join.apply(u, u)
-        return out
-
-    def _fluxes(self, v: float, u: np.ndarray) -> np.ndarray:
-        w = self.grid.widths
-        speed = self._speed(v, u)
-        react = self._reaction(u)
+    def _fluxes(self, speed: float, u: np.ndarray) -> np.ndarray:
         out = np.empty(len(self.tfs))
+        if not self.tfs:
+            return out
+        w = self.grid.widths
+        grown = self.reaction.growth_at_centers * u * w
+        reacted = self.reaction.rhs(u) * w
         for i in range(len(self.tfs)):
-            transport = speed * float(np.dot(
-                self._phi_slopes[i], self._growth_c * u * w))
-            out[i] = transport + float(np.dot(self._phi_vals[i], react * w))
+            transport = speed * float(np.dot(self._phi_slopes[i], grown))
+            out[i] = transport + float(np.dot(self._phi_vals[i], reacted))
         return out
 
     def _support_numeric(self, u: np.ndarray) -> float:
@@ -331,12 +313,9 @@ class LedgerAccumulator:
         s = min(s, self.grid.ymax)
         return float(np.asarray(self.k.growth(np.array([s])), dtype=float)[0])
 
-    def _advance_envelope(self, dt: float, v0: float, v1: float,
-                          u0_arr: np.ndarray, u1_arr: np.ndarray) -> None:
+    def _advance_envelope(self, dt: float, sp0: float, sp1: float) -> None:
         if not np.isfinite(self._envelope):
             return
-        sp0 = self._speed(v0, u0_arr)
-        sp1 = self._speed(v1, u1_arr)
 
         def f(t_local, s):
             w0 = 1.0 - t_local / dt
@@ -358,17 +337,17 @@ class LedgerAccumulator:
         arr = u.values
         self._t = t
         self._v_prev = v
-        self._u_prev = arr.copy()
+        self._speed_prev = self.reaction.speed(v, arr)
         self._init_total = v + moment(self.grid, arr, 1)
         self._phi0 = [float(np.dot(pv, arr * self.grid.widths))
                       for pv in self._phi_vals]
         self._wf_accum = np.zeros(len(self.tfs))
-        self._flux_prev = self._fluxes(v, arr)
+        self._flux_prev = self._fluxes(self._speed_prev, arr)
         self._accum_v = 0.0
         self._accum_mu = 0.0
-        self._death_prev = float(np.dot(self._death_moment_w, arr))
+        self._death_prev = self.reaction.death_moment(arr)
         self._t0 = t
-        if _joining_active(self.join) and self.k.join_zero_beyond is None:
+        if self.reaction.joins and self.k.join_zero_beyond is None:
             self._envelope = math.inf
         else:
             s1 = self.k.join_zero_beyond or 0.0
@@ -388,12 +367,13 @@ class LedgerAccumulator:
             raise ValueError("times must increase")
         arr = u.values
         self._accum_v += 0.5 * dt * (self._v_prev + v)
-        death_now = float(np.dot(self._death_moment_w, arr))
+        death_now = self.reaction.death_moment(arr)
         self._accum_mu += 0.5 * dt * (self._death_prev + death_now)
-        flux_now = self._fluxes(v, arr)
+        speed_now = self.reaction.speed(v, arr)
+        flux_now = self._fluxes(speed_now, arr)
         self._wf_accum += 0.5 * dt * (self._flux_prev + flux_now)
-        self._advance_envelope(dt, self._v_prev, v, self._u_prev, arr)
-        self._t, self._v_prev, self._u_prev = t, v, arr.copy()
+        self._advance_envelope(dt, self._speed_prev, speed_now)
+        self._t, self._v_prev, self._speed_prev = t, v, speed_now
         self._flux_prev, self._death_prev = flux_now, death_now
         row = self._row(t, v, arr)
         self.ledger.record(row)
@@ -433,20 +413,26 @@ class LedgerAccumulator:
             row["M_sigma"] = moment(g, arr, self.extra_moment)
         if self.weight is not None:
             i1c, i2c = self._i_coeffs
-            intensity = (np.asarray(self.k.frag(g.centers), dtype=float)
-                         * arr * g.widths)
+            intensity = self.reaction.frag.frag_at_centers * arr * g.widths
             row["I1"] = float(np.dot(intensity, i1c))
             row["I2"] = float(np.dot(intensity, i2c))
         return row
 
 
-def _replay_join_tables(result: RunResult, k: KernelSet,
-                        grid: SizeGrid) -> Optional[JoiningTables]:
-    """Joining tables as the run used them: None when it skipped joining."""
+def _replay(result: RunResult, k: KernelSet, snaps: Sequence[Snapshot],
+            envelope_start: Optional[float] = None,
+            **options) -> LedgerAccumulator:
+    """An accumulator driven over the snapshots with the reaction operator
+    the run used: the solver options stored with the run
+    (ledger.meta["config"]) decide whether joining is on."""
     cfg = result.ledger.meta.get("config")
-    if cfg is not None and cfg.skip_joining:
-        return None
-    return JoiningTables.build(k, grid)
+    reaction = ReactionOperator.build(k, snaps[0].u.grid,
+                                      cfg is not None and cfg.skip_joining)
+    acc = LedgerAccumulator(k, reaction, **options)
+    acc.start(snaps[0].t, snaps[0].v, snaps[0].u, envelope_start=envelope_start)
+    for snap in snaps[1:]:
+        acc.advance(snap.t, snap.v, snap.u)
+    return acc
 
 
 def recompute_ledger(
@@ -473,18 +459,9 @@ def recompute_ledger(
             extra_moment = cfg.extra_moment
         if integrability_weight is None and cfg.uniform_integrability:
             integrability_weight = vallee_poussin_weight(snaps[0].u)
-    acc = LedgerAccumulator(
-        k, grid,
-        FragTables.build(k, grid),
-        _replay_join_tables(result, k, grid),
-        test_functions=test_functions,
-        extra_moment=extra_moment,
-        integrability_weight=integrability_weight,
-    )
-    acc.start(snaps[0].t, snaps[0].v, snaps[0].u)
-    for snap in snaps[1:]:
-        acc.advance(snap.t, snap.v, snap.u)
-    return acc.ledger
+    return _replay(result, k, snaps, test_functions=test_functions,
+                   extra_moment=extra_moment,
+                   integrability_weight=integrability_weight).ledger
 
 
 # -- standalone functionals ------------------------------------------------
@@ -505,11 +482,11 @@ def weak_form_residual(
     k: KernelSet,
     tf: TestFunction,
     t: float,
-    skip_joining: bool = False,
 ) -> float:
     """Weak-form defect for one test function at the snapshot nearest t,
     with the time integral taken by the trapezoid rule over snapshots.
-    Needs at least eight snapshots up to t to be meaningful."""
+    Needs at least eight snapshots up to t to be meaningful.  Joining is
+    on unless the solver options stored with the run skipped it."""
     snaps = [s for s in result.snapshots]
     if len(snaps) < 2:
         raise InsufficientSnapshots("need at least two snapshots")
@@ -518,14 +495,8 @@ def weak_form_residual(
     if stop + 1 < 8:
         raise InsufficientSnapshots(
             f"only {stop + 1} snapshots up to t={t}; need at least 8")
-    grid = snaps[0].u.grid
-    frag = FragTables.build(k, grid)
-    join = None if skip_joining else JoiningTables.build(k, grid)
-    acc = LedgerAccumulator(k, grid, frag, join, test_functions=[tf])
-    row = acc.start(snaps[0].t, snaps[0].v, snaps[0].u)
-    for snap in snaps[1: stop + 1]:
-        row = acc.advance(snap.t, snap.v, snap.u)
-    return float(row[f"wf_{tf.name}"])
+    acc = _replay(result, k, snaps[:stop + 1], test_functions=[tf])
+    return float(acc.ledger.column(f"wf_{tf.name}")[-1])
 
 
 def support_bound(
@@ -541,9 +512,13 @@ def support_bound(
     if len(snaps) < 2:
         raise InsufficientSnapshots("need at least two snapshots")
     grid = snaps[0].u.grid
-    join = _replay_join_tables(result, k, grid)
     cutoff = S1 if S1 is not None else k.join_zero_beyond
-    if _joining_active(join):
+    if S0 is not None or S1 is not None:
+        start = max(S0 if S0 is not None else 0.0, cutoff or 0.0)
+    else:
+        start = None
+    acc = _replay(result, k, snaps, start, test_functions=[])
+    if acc.reaction.joins:
         if cutoff is None:
             raise EtaCutoffViolated(
                 "the joining rate declares no pair-size cutoff")
@@ -551,19 +526,11 @@ def support_bound(
         yy, zz = np.meshgrid(ys, ys)
         sel = yy + zz > cutoff
         vals = np.asarray(k.join(yy[sel], zz[sel]), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(join.rate))))
+        scale = max(1.0, float(np.max(np.abs(acc.reaction.join.rate))))
         if vals.size and float(np.max(np.abs(vals))) > 1e-12 * scale:
             raise EtaCutoffViolated(
                 "joining rate does not vanish beyond the declared cutoff")
-    acc = LedgerAccumulator(k, grid, FragTables.build(k, grid), join,
-                            test_functions=[])
-    if S0 is not None or S1 is not None:
-        start = max(S0 if S0 is not None else 0.0, cutoff or 0.0)
-    else:
-        start = None
-    rows = [acc.start(snaps[0].t, snaps[0].v, snaps[0].u, envelope_start=start)]
-    rows += [acc.advance(snap.t, snap.v, snap.u) for snap in snaps[1:]]
-    return np.asarray([row["support_bound"] for row in rows])
+    return acc.ledger.column("support_bound")
 
 
 def m2_bound_check(result: RunResult, k: KernelSet,
@@ -652,19 +619,15 @@ def _integrability_coefficients(
     per unit size from parent to daughters above the minimum size, and
     the weighted mass handed to the monomer pool.  Both are non-negative
     for a convex weight vanishing at zero."""
-    y0 = grid.y0
     n1 = np.zeros(grid.n)
-    n2 = np.zeros(grid.n)
-    g_nodes, g_weights = _graded_rule(y0, panels=64)
+    n2 = _small_fragment_mass(k, grid)
     for j, parent in enumerate(grid.centers):
         ratio_parent = float(weight.value(np.array([parent]))[0]) / parent
-        nodes, wq = _panel_rule(y0, parent, panels=32)
+        nodes, wq = _panel_rule(grid.y0, parent, panels=32)
         kv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
         ratio_nodes = np.asarray(weight.value(nodes), dtype=float) / nodes
         n1[j] = float(np.dot(wq, (ratio_parent - ratio_nodes) * nodes * kv))
-        kv_small = np.asarray(
-            k.daughter(g_nodes, np.full_like(g_nodes, parent)), dtype=float)
-        n2[j] = ratio_parent * float(np.dot(g_weights, g_nodes * kv_small))
+        n2[j] *= ratio_parent
     return n1, n2
 
 

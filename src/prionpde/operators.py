@@ -41,6 +41,11 @@ Discretization notes, load-bearing for the conservation tests:
   deposited first moment, so splitting moves monomer count between v
   and u with zero net balance error by construction, for any daughter
   density whose mass normalization holds.
+
+* ``ReactionOperator`` holds both tables, the growth rate at the centers
+  and the saturation constant.  The solver, the ledger and every replay
+  path share its reaction right-hand side, speed, monomer drain and
+  death moment; the saturation factor is written once, in ``_saturated``.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
     "p_functional",
     "speed",
     "split_targets",
+    "ReactionOperator",
     "measure_operator_bounds",
 ]
 
@@ -551,19 +557,80 @@ def g_functional(k: KernelSet, u: GridFunction) -> float:
     return float(2.0 * np.dot(frag * u.values * u.grid.widths, small))
 
 
+def _saturated(x: float, saturation: float, grid: SizeGrid,
+               u_values: np.ndarray) -> float:
+    """x damped by the saturation of the bound mass (speed and drain)."""
+    return x / (1.0 + saturation * moment(grid, u_values, 1))
+
+
 def p_functional(k: KernelSet, u: GridFunction) -> float:
     """Saturated growth-weighted polymer count: the per-monomer rate at
     which polymerisation consumes monomer."""
     grid = u.grid
     raw = float(np.dot(np.asarray(k.growth(grid.centers), dtype=float),
                        u.values * grid.widths))
-    return raw / (1.0 + k.params.saturation * moment(grid, u.values, 1))
+    return _saturated(raw, k.params.saturation, grid, u.values)
 
 
 def speed(v: float, k: KernelSet, u: GridFunction) -> float:
     """Effective transport speed multiplier: monomer count damped by the
     saturation of the bound mass."""
-    return v / (1.0 + k.params.saturation * moment(u.grid, u.values, 1))
+    return _saturated(v, k.params.saturation, u.grid, u.values)
+
+
+# -- the reaction operator -------------------------------------------------
+
+@dataclass(frozen=True)
+class ReactionOperator:
+    """Degradation, splitting and joining on one (kernel set, grid),
+    with the scalars that couple them to the monomer and to transport.
+    join is None when joining is skipped."""
+
+    grid: SizeGrid
+    frag: FragTables
+    join: Optional[JoiningTables]
+    growth_at_centers: np.ndarray = field(repr=False)
+    saturation: float
+
+    @classmethod
+    def build(cls, k: KernelSet, grid: SizeGrid,
+              skip_joining: bool) -> "ReactionOperator":
+        join = None if skip_joining else JoiningTables.build(k, grid)
+        return cls(grid=grid, frag=FragTables.build(k, grid), join=join,
+                   growth_at_centers=np.asarray(k.growth(grid.centers), dtype=float),
+                   saturation=k.params.saturation)
+
+    @property
+    def joins(self) -> bool:
+        """Joining is on and its rate is not identically zero."""
+        return self.join is not None and bool(np.any(self.join.rate != 0.0))
+
+    def rhs(self, u_values: np.ndarray) -> np.ndarray:
+        out = self.frag.apply(u_values)
+        if self.join is not None:
+            out = out + self.join.apply(u_values, u_values)
+        return out
+
+    def loss_scale(self, u_values: np.ndarray) -> float:
+        """Largest per-cell loss rate of the density."""
+        rate = self.frag.death_at_centers + self.frag.frag_at_centers
+        if self.join is not None:
+            rate = rate + 2.0 * (self.join.rate @ (u_values * self.grid.widths))
+        return float(np.max(rate))
+
+    def speed(self, v: float, u_values: np.ndarray) -> float:
+        return _saturated(v, self.saturation, self.grid, u_values)
+
+    def drain(self, u_values: np.ndarray) -> float:
+        """Per-monomer rate at which polymerisation consumes monomer."""
+        raw = float(np.dot(self.growth_at_centers, u_values * self.grid.widths))
+        return _saturated(raw, self.saturation, self.grid, u_values)
+
+    def death_moment(self, u_values: np.ndarray) -> float:
+        """Bound monomer count lost per unit time to degradation."""
+        g = self.grid
+        return float(np.dot(self.frag.death_at_centers * g.centers * g.widths,
+                            u_values))
 
 
 # -- measured operator bounds ---------------------------------------------

@@ -40,8 +40,7 @@ from .grid import GridFunction, moment
 from .kernels import KernelSet
 from .operators import (
     CharacteristicMap,
-    FragTables,
-    JoiningTables,
+    ReactionOperator,
     characteristic_map,
     transport_remap,
 )
@@ -100,8 +99,7 @@ class SimulationState:
 class Machinery:
     """Precomputed per-(kernel set, grid) apparatus for stepping."""
 
-    frag: FragTables
-    join: Optional[JoiningTables]
+    reaction: ReactionOperator
     positivity_floor: float
 
 
@@ -109,8 +107,7 @@ def build_machinery(k: KernelSet, grid, cfg: SolverConfig,
                     initial_peak: float) -> Machinery:
     floor = (cfg.positivity_tolerance if cfg.positivity_tolerance is not None
              else 1e-12 * max(initial_peak, 1e-300))
-    join = None if cfg.skip_joining else JoiningTables.build(k, grid)
-    return Machinery(frag=FragTables.build(k, grid), join=join,
+    return Machinery(reaction=ReactionOperator.build(k, grid, cfg.skip_joining),
                      positivity_floor=floor)
 
 
@@ -124,44 +121,24 @@ def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
     return u
 
 
-def _reaction_rhs(u: np.ndarray, mach: Machinery) -> np.ndarray:
-    out = mach.frag.apply(u)
-    if mach.join is not None:
-        out = out + mach.join.apply(u, u)
-    return out
-
-
-def _loss_scale(u: np.ndarray, mach: Machinery, grid) -> float:
-    rate = mach.frag.death_at_centers + mach.frag.frag_at_centers
-    if mach.join is not None:
-        rate = rate + 2.0 * (mach.join.rate @ (u * grid.widths))
-    return float(np.max(rate)) if rate.size else 0.0
-
-
-def _monomer_drain(k: KernelSet, grid, u: np.ndarray) -> float:
-    growth = np.asarray(k.growth(grid.centers), dtype=float)
-    raw = float(np.dot(growth, u * grid.widths))
-    return raw / (1.0 + k.params.saturation * moment(grid, u, 1))
-
-
-def _react(v: float, u: np.ndarray, h: float, k: KernelSet, grid,
+def _react(v: float, u: np.ndarray, h: float, k: KernelSet,
            mach: Machinery, cfg: SolverConfig) -> Tuple[float, np.ndarray]:
     """Advance density and monomer over a reaction interval of length h."""
-    drain0 = _monomer_drain(k, grid, u)
-    gain0 = mach.frag.monomer_gain(u)
-    scale = _loss_scale(u, mach, grid)
-    substeps = max(1, int(math.ceil(h * scale / 0.5)))
+    r = mach.reaction
+    drain0 = r.drain(u)
+    gain0 = r.frag.monomer_gain(u)
+    substeps = max(1, int(math.ceil(h * r.loss_scale(u) / 0.5)))
     hs = h / substeps
     for _ in range(substeps):
-        f0 = _reaction_rhs(u, mach)
+        f0 = r.rhs(u)
         if cfg.reaction_integrator == "euler":
             u = _clip_positive(u + hs * f0, mach.positivity_floor)
         else:
             pred = _clip_positive(u + hs * f0, mach.positivity_floor)
-            f1 = _reaction_rhs(pred, mach)
+            f1 = r.rhs(pred)
             u = _clip_positive(u + 0.5 * hs * (f0 + f1), mach.positivity_floor)
-    drain1 = _monomer_drain(k, grid, u)
-    gain1 = mach.frag.monomer_gain(u)
+    drain1 = r.drain(u)
+    gain1 = r.frag.monomer_gain(u)
     a = k.params.degradation + 0.5 * (drain0 + drain1)
     b = k.params.production + 0.5 * (gain0 + gain1)
     if a > 0.0:
@@ -186,23 +163,13 @@ def step(
     if mach is None:
         mach = build_machinery(k, grid, cfg, float(np.max(state.u.values)))
     h = cfg.dt if dt is None else dt
-    u = state.u.values.copy()
-    v = state.v
-    death_before = float(np.dot(mach.frag.death_at_centers,
-                                grid.centers * u * grid.widths))
-    if cfg.splitting == "strang":
-        v, u = _react(v, u, 0.5 * h, k, grid, mach, cfg)
-        speed_mid = v / (1.0 + k.params.saturation * moment(grid, u, 1))
-        moved, esc_count, _esc_mass = transport_remap(
-            cm, GridFunction(grid, u), speed_mid * h)
-        u = moved.values
-        v, u = _react(v, u, 0.5 * h, k, grid, mach, cfg)
-    else:
-        v, u = _react(v, u, h, k, grid, mach, cfg)
-        speed_end = v / (1.0 + k.params.saturation * moment(grid, u, 1))
-        moved, esc_count, _esc_mass = transport_remap(
-            cm, GridFunction(grid, u), speed_end * h)
-        u = moved.values
+    strang = cfg.splitting == "strang"
+    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, k, mach, cfg)
+    moved, esc_count, _esc_mass = transport_remap(
+        cm, GridFunction(grid, u), mach.reaction.speed(v, u) * h)
+    u = moved.values
+    if strang:
+        v, u = _react(v, u, 0.5 * h, k, mach, cfg)
     if esc_count > 0.0:
         raise MassEscape(
             f"{esc_count:g} polymers crossed the grid end during transport")
@@ -212,15 +179,14 @@ def step(
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
     v = max(v, 0.0)
-    death_after = float(np.dot(mach.frag.death_at_centers,
-                               grid.centers * u * grid.widths))
     return SimulationState(
         t=state.t + h,
         v=v,
         u=GridFunction(grid, u),
         accum_v_integral=state.accum_v_integral + 0.5 * h * (state.v + v),
         accum_mu_integral=state.accum_mu_integral
-        + 0.5 * h * (death_before + death_after),
+        + 0.5 * h * (mach.reaction.death_moment(state.u.values)
+                     + mach.reaction.death_moment(u)),
     )
 
 
@@ -254,7 +220,7 @@ def run(
     if cfg.uniform_integrability:
         weight = vallee_poussin_weight(u0)
     acc = LedgerAccumulator(
-        k, grid, mach.frag, mach.join,
+        k, mach.reaction,
         test_functions=select_test_functions(grid, k, cfg.test_functions),
         extra_moment=cfg.extra_moment,
         integrability_weight=weight,

@@ -4,9 +4,9 @@ manifest reproducibility."""
 import numpy as np
 import pytest
 
-from prionpde import parse_config_text
+from prionpde import cli, parse_config_text
 from prionpde.cli import main
-from prionpde.errors import ConfigParseError
+from prionpde.errors import BlowUp, ConfigParseError
 
 
 BASE = """
@@ -111,6 +111,19 @@ class TestSimulate:
                         + f"output.dir = {tmp_path}/out\n")
         assert main(["simulate", "--config", cfg]) == 4
         assert "NegativeMonomer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_failure_leaves_no_outputs(self, tmp_path, capsys,
+                                              monkeypatch):
+        def failing_oracle(*args, **kwargs):
+            raise BlowUp("oracle diverged")
+
+        monkeypatch.setattr(cli, "integrate_oracle", failing_oracle)
+        cfg = write_cfg(tmp_path, BASE + "oracle.enabled = true\n"
+                        + "diagnostics.sigma = 1.5\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 3
+        assert "oracle diverged" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides_config_dir(self, tmp_path):

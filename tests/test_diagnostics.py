@@ -34,6 +34,7 @@ from prionpde.kernels import (
     make_special_family,
     with_join_cutoff,
 )
+from prionpde.operators import JoiningTables
 from prionpde.solver import SolverConfig, run
 
 
@@ -200,6 +201,21 @@ class TestWeakForm:
         assert abs(online) < 5e-8
         assert np.max(np.abs(res.ledger.column("balance_residual"))) < 5e-8
 
+    def test_replay_follows_skip_joining(self):
+        """Without joining in the run, the off-line replay must leave it
+        out too: it reads the option from the stored solver config."""
+        k = closed_family()
+        grid = build_grid(1.0, 60.0, 64, "geometric")
+        dt, n = 1e-3, 20
+        cfg = SolverConfig(dt=dt, t_end=n * dt, skip_joining=True,
+                           snapshot_times=tuple(dt * i for i in range(1, n + 1)))
+        res = run(gaussian_start(grid), 2.0, k, cfg)
+        tfs = builtin_test_functions(grid, k)
+        assert len(tfs) == 5
+        for tf in tfs:
+            offline = weak_form_residual(res, k, tf, t=n * dt)
+            assert offline == res.ledger.column(f"wf_{tf.name}")[-1], tf.name
+
 
 class TestSupportEnvelope:
     def test_global_joining_has_no_envelope(self, dense_run):
@@ -235,6 +251,29 @@ class TestSupportEnvelope:
         assert np.all(numeric <= env + slack)
         assert np.all(np.isfinite(env))
         assert np.all(np.diff(env) >= 0.0)
+
+    def test_envelope_skips_the_reaction(self, monkeypatch):
+        """The envelope needs no weak-form fluxes, so the replay makes no
+        joining evaluation."""
+        k = with_join_cutoff(
+            make_bounded_family(1.0, 0.0, 0.0, 0.05), cutoff=40.0)
+        grid = build_grid(1.0, 129.0, 64, "uniform")
+        u0 = gaussian_start(grid, center=8.0, width=1.5, count=0.2)
+        dt, n = 0.05, 8
+        cfg = SolverConfig(dt=dt, t_end=n * dt,
+                           snapshot_times=tuple(dt * i for i in range(1, n + 1)))
+        res = run(u0, 0.25, k, cfg)
+        calls = []
+        apply = JoiningTables.apply
+
+        def counted(self, *args):
+            calls.append(1)
+            return apply(self, *args)
+
+        monkeypatch.setattr(JoiningTables, "apply", counted)
+        env = support_bound(res, k)
+        assert calls == []
+        assert np.array_equal(env, res.ledger.column("support_bound"))
 
 
 class TestMomentBarriers:

@@ -94,7 +94,7 @@ class TestStepping:
         after = step(before, k, cm, cfg, mach)
         assert after.accum_v_integral == pytest.approx(
             0.5 * cfg.dt * (before.v + after.v), rel=0, abs=0)
-        death = mach.frag.death_at_centers * grid.centers * grid.widths
+        death = mach.reaction.frag.death_at_centers * grid.centers * grid.widths
         expected_mu = 0.5 * cfg.dt * (
             np.dot(death, u0.values) + np.dot(death, after.u.values))
         assert after.accum_mu_integral == pytest.approx(expected_mu, rel=1e-15)
