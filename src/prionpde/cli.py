@@ -195,21 +195,24 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     k, grid, u0, v0, _ = _run_from_config(cfg)
     out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
     t_end = cfg["solver.t_end"]
     if t_end == 0.0:
         state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
+        out.mkdir(parents=True, exist_ok=True)
         _write_oracle_csv({"t": [0.0], "v": [state0.v], "U0": [state0.U0],
                            "U1": [state0.U1]}, out / "oracle.csv")
         print(f"oracle: horizon 0, wrote initial state -> {out}")
         return 0
     traj, rates = _oracle_for(cfg, k, u0, v0)
+    ts_path = out / "timeseries.csv"
+    # the comparison can fail, so it runs before the first file is written
+    report = (compare(_CsvColumns(ts_path), traj, rates)
+              if ts_path.exists() else None)
+    out.mkdir(parents=True, exist_ok=True)
     _write_oracle_csv(traj.as_columns(), out / "oracle.csv")
     print(f"oracle: {traj.times.size} rows, self error "
           f"{traj.step_halving_error:.3e} -> {out}")
-    ts_path = out / "timeseries.csv"
-    if ts_path.exists():
-        report = compare(_CsvColumns(ts_path), traj, rates)
+    if report is not None:
         _write_compare(report, out / "compare.txt")
         print(f"  vs run: v {report['v']:.3e}  U0 {report['U0']:.3e}  "
               f"U1 {report['U1']:.3e}")

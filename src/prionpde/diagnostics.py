@@ -1,9 +1,13 @@
 """Run records and verification functionals.
 
-The ledger is filled one row per step through LedgerAccumulator; the
-recompute path replays the same accumulator over stored snapshots, so a
-ledger rebuilt from every-step snapshots is bit-identical to the one the
-solver wrote.  Post-hoc checks (weak-form residuals, support envelope,
+A run is a sequence of Snapshot states (t, v, u).  LedgerAccumulator
+turns that sequence into ledger rows, one per state, and is the only
+place where run integrals are accumulated: the monomer and death-moment
+integrals of the balance, and one weak-form flux integral per test
+function.  The solver drives it step by step; recompute_ledger replays
+it over stored snapshots, so a ledger rebuilt from every-step snapshots
+is bit-identical to the one the solver wrote, with every balance and
+wf_<name> column in one pass.  Post-hoc checks (support envelope,
 second-moment bound, uniform-integrability split) work on snapshot
 trajectories alone.
 """
@@ -37,8 +41,6 @@ __all__ = [
     "DiagnosticsLedger",
     "LedgerAccumulator",
     "recompute_ledger",
-    "balance_residual",
-    "weak_form_residual",
     "support_bound",
     "m2_bound_check",
     "higher_moment_series",
@@ -191,9 +193,6 @@ class Snapshot:
 class RunResult:
     snapshots: Tuple[Snapshot, ...]
     ledger: "DiagnosticsLedger"
-
-    def __iter__(self):
-        return iter((self.snapshots, self.ledger))
 
 
 class DiagnosticsLedger:
@@ -419,12 +418,13 @@ class LedgerAccumulator:
         return row
 
 
-def _replay(result: RunResult, k: KernelSet, snaps: Sequence[Snapshot],
+def _replay(result: RunResult, k: KernelSet,
             envelope_start: Optional[float] = None,
             **options) -> LedgerAccumulator:
     """An accumulator driven over the snapshots with the reaction operator
     the run used: the solver options stored with the run
     (ledger.meta["config"]) decide whether joining is on."""
+    snaps = result.snapshots
     cfg = result.ledger.meta.get("config")
     reaction = ReactionOperator.build(k, snaps[0].u.grid,
                                       cfg is not None and cfg.skip_joining)
@@ -444,9 +444,12 @@ def recompute_ledger(
 ) -> DiagnosticsLedger:
     """Rebuild a ledger from a snapshot trajectory.  Over every-step
     snapshots this reproduces the solver's ledger bit for bit, because
-    both paths drive the same accumulator with the same states.  The
-    solver options stored with the run (ledger.meta["config"]) decide
-    whether joining is on and fill in any ledger option left as None."""
+    both paths drive the same accumulator with the same states.  Over
+    sparser snapshots the trapezoid integrals are taken between them, so
+    column("wf_<name>")[-1] is the off-line weak-form residual of each
+    test function.  The solver options stored with the run
+    (ledger.meta["config"]) decide whether joining is on and fill in any
+    ledger option left as None."""
     snaps = result.snapshots
     if len(snaps) < 1:
         raise InsufficientSnapshots("need at least one snapshot")
@@ -459,45 +462,12 @@ def recompute_ledger(
             extra_moment = cfg.extra_moment
         if integrability_weight is None and cfg.uniform_integrability:
             integrability_weight = vallee_poussin_weight(snaps[0].u)
-    return _replay(result, k, snaps, test_functions=test_functions,
+    return _replay(result, k, test_functions=test_functions,
                    extra_moment=extra_moment,
                    integrability_weight=integrability_weight).ledger
 
 
 # -- standalone functionals ------------------------------------------------
-
-def balance_residual(state, initial, params) -> float:
-    """Signed defect of the total monomer count law, using the state's
-    own accumulators; zero at the initial time by construction."""
-    total = state.v + moment(state.u.grid, state.u.values, 1)
-    init_total = initial.v + moment(initial.u.grid, initial.u.values, 1)
-    elapsed = state.t - initial.t
-    return (total - init_total - params.production * elapsed
-            + params.degradation * state.accum_v_integral
-            + state.accum_mu_integral)
-
-
-def weak_form_residual(
-    result: RunResult,
-    k: KernelSet,
-    tf: TestFunction,
-    t: float,
-) -> float:
-    """Weak-form defect for one test function at the snapshot nearest t,
-    with the time integral taken by the trapezoid rule over snapshots.
-    Needs at least eight snapshots up to t to be meaningful.  Joining is
-    on unless the solver options stored with the run skipped it."""
-    snaps = [s for s in result.snapshots]
-    if len(snaps) < 2:
-        raise InsufficientSnapshots("need at least two snapshots")
-    times = np.array([s.t for s in snaps])
-    stop = int(np.argmin(np.abs(times - t)))
-    if stop + 1 < 8:
-        raise InsufficientSnapshots(
-            f"only {stop + 1} snapshots up to t={t}; need at least 8")
-    acc = _replay(result, k, snaps[:stop + 1], test_functions=[tf])
-    return float(acc.ledger.column(f"wf_{tf.name}")[-1])
-
 
 def support_bound(
     result: RunResult,
@@ -517,7 +487,7 @@ def support_bound(
         start = max(S0 if S0 is not None else 0.0, cutoff or 0.0)
     else:
         start = None
-    acc = _replay(result, k, snaps, start, test_functions=[])
+    acc = _replay(result, k, start, test_functions=[])
     if acc.reaction.joins:
         if cutoff is None:
             raise EtaCutoffViolated(

@@ -130,7 +130,7 @@ class PositivityError(PrionPdeError):
 # -- diagnostics -----------------------------------------------------------
 
 class InsufficientSnapshots(PrionPdeError):
-    """Weak-form residuals need at least 8 snapshots."""
+    """A replay needs more snapshots than the run kept."""
 
 
 class EtaCutoffViolated(PrionPdeError):

@@ -676,25 +676,31 @@ def validate_kernel_set(
 
 # -- truncation ------------------------------------------------------------
 
-def _displacement_potential(v0: float, bound_mass: float, production: float,
-                            horizon_T: float) -> float:
-    # integral of the a priori speed bound v0 + bound_mass + production*t
-    # over the horizon; 64-panel composite midpoint, exact for this
-    # affine integrand
+def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
+                     horizon_T: float, pair_cutoff: float, width: float):
+    """(growth, u0 values, reach) of a truncation level: the growth rate
+    mollified and floored at half its declared floor, the initial density
+    smoothly cut at the pair cutoff, and the size its support can reach
+    within horizon_T along that growth under the a priori speed bound."""
+    floor = k.growth_constants.speed_floor
+    growth_n = mollify_rate(k.growth, width,
+                            floor=None if floor is None else 0.5 * floor)
+    grid = u0.grid
+    u0n = u0.values * smooth_cut(grid.centers, pair_cutoff, width)
+    supp = np.flatnonzero(u0n > 0.0)
+    s0 = float(grid.centers[supp[-1]]) if len(supp) else k.params.min_size
+    start = max(s0, pair_cutoff)
+    bound_mass = float(np.dot(u0n, grid.widths * grid.centers))
+    # integral of the speed bound v0 + bound_mass + production*t over the
+    # horizon; 64-panel composite midpoint, exact for this affine integrand
     tm = (np.arange(64) + 0.5) * horizon_T / 64.0
-    return float(np.sum(v0 + bound_mass + production * tm) * horizon_T / 64.0)
-
-
-def _horizon_reach(growth_n: RateFn, start: float, travel: float) -> float:
+    travel = float(np.sum(v0 + bound_mass + k.params.production * tm)
+                   * horizon_T / 64.0)
     if travel <= 0.0:
-        return start
+        return growth_n, u0n, start
     path = rk4_solve(lambda t, y: np.asarray(growth_n(y), dtype=float),
                      float(start), [0.0, travel], substeps=256)
-    return float(path[-1])
-
-
-def _cut_initial(u0: GridFunction, pair_cutoff: float, width: float) -> np.ndarray:
-    return u0.values * smooth_cut(u0.grid.centers, pair_cutoff, width)
+    return growth_n, u0n, float(path[-1])
 
 
 def truncate(
@@ -721,16 +727,8 @@ def truncate(
             f"pair cutoff {level.pair_cutoff} must exceed {2.0 * y0}"
         )
     width = level.mollifier_width
-    floor = k.growth_constants.speed_floor
-    growth_n = mollify_rate(k.growth, width,
-                            floor=None if floor is None else 0.5 * floor)
-
-    u0n_vals = _cut_initial(u0, level.pair_cutoff, width)
-    supp = np.flatnonzero(u0n_vals > 0.0)
-    s0 = float(u0.grid.centers[supp[-1]]) if len(supp) else y0
-    bound_mass = float(np.dot(u0n_vals, u0.grid.widths * u0.grid.centers))
-    travel = _displacement_potential(v0, bound_mass, k.params.production, horizon_T)
-    reach = _horizon_reach(growth_n, max(s0, level.pair_cutoff), travel)
+    growth_n, u0n_vals, reach = _truncated_start(
+        k, u0, v0, horizon_T, level.pair_cutoff, width)
     if level.rate_cutoff < reach * (1.0 - 1e-9):
         raise LevelInconsistent(
             f"rate cutoff {level.rate_cutoff:.6g} below horizon reach {reach:.6g}"
@@ -756,6 +754,7 @@ def truncate(
         total = np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
         return join_base(y, z) * smooth_cut(total, pair_hi, width)
 
+    floor = k.growth_constants.speed_floor
     constants = dataclasses.replace(
         k.growth_constants,
         speed_floor=None if floor is None else 0.5 * floor,
@@ -799,21 +798,12 @@ def plan_truncation_levels(
         raise LevelInconsistent(f"pair base {pair_base} must exceed {2.0 * y0}")
     width = (float(mollifier_width) if mollifier_width is not None
              else float(np.median(u0.grid.widths)))
-    floor = k.growth_constants.speed_floor
-    growth_n = mollify_rate(k.growth, width,
-                            floor=None if floor is None else 0.5 * floor)
 
     levels = []
     rate_cut = 0.0
     for n in range(0, max(indices) + 1):
         pair_cut = pair_base + pair_step * n
-        u0n = _cut_initial(u0, pair_cut, width)
-        supp = np.flatnonzero(u0n > 0.0)
-        s0 = float(u0.grid.centers[supp[-1]]) if len(supp) else y0
-        bound_mass = float(np.dot(u0n, u0.grid.widths * u0.grid.centers))
-        travel = _displacement_potential(v0, bound_mass, k.params.production,
-                                         horizon_T)
-        reach = _horizon_reach(growth_n, max(s0, pair_cut), travel)
+        _, _, reach = _truncated_start(k, u0, v0, horizon_T, pair_cut, width)
         rate_cut = max(rate_cut, reach, float(n))
         if n in indices:
             levels.append(TruncationLevel(

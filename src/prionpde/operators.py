@@ -1,5 +1,6 @@
 """Right-hand-side mechanisms: characteristic transport, fragmentation,
-joining, and the scalar functionals feeding the monomer equation.
+joining, and the reaction operator that couples them to the monomer
+equation.
 
 Discretization notes, load-bearing for the conservation tests:
 
@@ -43,9 +44,11 @@ Discretization notes, load-bearing for the conservation tests:
   density whose mass normalization holds.
 
 * ``ReactionOperator`` holds both tables, the growth rate at the centers
-  and the saturation constant.  The solver, the ledger and every replay
-  path share its reaction right-hand side, speed, monomer drain and
-  death moment; the saturation factor is written once, in ``_saturated``.
+  and the saturation constant.  It is the only source of the reaction
+  right-hand side, the transport speed, the monomer drain and the death
+  moment, which the solver, the ledger and every replay path share; the
+  saturation factor of speed and drain is written once, in its
+  ``_saturated``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ __all__ = [
     "JoiningTables",
     "joining_apply",
     "g_functional",
-    "p_functional",
-    "speed",
     "split_targets",
     "ReactionOperator",
     "measure_operator_bounds",
@@ -557,27 +558,6 @@ def g_functional(k: KernelSet, u: GridFunction) -> float:
     return float(2.0 * np.dot(frag * u.values * u.grid.widths, small))
 
 
-def _saturated(x: float, saturation: float, grid: SizeGrid,
-               u_values: np.ndarray) -> float:
-    """x damped by the saturation of the bound mass (speed and drain)."""
-    return x / (1.0 + saturation * moment(grid, u_values, 1))
-
-
-def p_functional(k: KernelSet, u: GridFunction) -> float:
-    """Saturated growth-weighted polymer count: the per-monomer rate at
-    which polymerisation consumes monomer."""
-    grid = u.grid
-    raw = float(np.dot(np.asarray(k.growth(grid.centers), dtype=float),
-                       u.values * grid.widths))
-    return _saturated(raw, k.params.saturation, grid, u.values)
-
-
-def speed(v: float, k: KernelSet, u: GridFunction) -> float:
-    """Effective transport speed multiplier: monomer count damped by the
-    saturation of the bound mass."""
-    return _saturated(v, k.params.saturation, u.grid, u.values)
-
-
 # -- the reaction operator -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -618,13 +598,18 @@ class ReactionOperator:
             rate = rate + 2.0 * (self.join.rate @ (u_values * self.grid.widths))
         return float(np.max(rate))
 
+    def _saturated(self, x: float, u_values: np.ndarray) -> float:
+        """x damped by the saturation of the bound mass."""
+        return x / (1.0 + self.saturation * moment(self.grid, u_values, 1))
+
     def speed(self, v: float, u_values: np.ndarray) -> float:
-        return _saturated(v, self.saturation, self.grid, u_values)
+        """Effective transport speed: the monomer count, saturated."""
+        return self._saturated(v, u_values)
 
     def drain(self, u_values: np.ndarray) -> float:
         """Per-monomer rate at which polymerisation consumes monomer."""
         raw = float(np.dot(self.growth_at_centers, u_values * self.grid.widths))
-        return _saturated(raw, self.saturation, self.grid, u_values)
+        return self._saturated(raw, u_values)
 
     def death_moment(self, u_values: np.ndarray) -> float:
         """Bound monomer count lost per unit time to degradation."""

@@ -13,6 +13,10 @@ The density stays non-negative structurally (explicit sub-stepping of
 loss-bounded rates, mass re-deposit, positive closed form for the
 monomer); negatives can only appear at rounding level and are clipped
 within the configured tolerance, anything larger is a hard error.
+
+The state between steps is a diagnostics.Snapshot (t, v, u).  The run
+integrals that the ledger's balance needs (monomer and death moment)
+are accumulated by diagnostics.LedgerAccumulator alone.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .operators import (
 
 __all__ = [
     "SolverConfig",
-    "SimulationState",
     "Machinery",
     "build_machinery",
     "step",
@@ -84,15 +87,6 @@ class SolverConfig:
                 f"reaction_integrator must be one of {REACTION_INTEGRATORS}")
         if self.positivity_tolerance is not None and self.positivity_tolerance < 0:
             raise ValueError("positivity_tolerance must be non-negative")
-
-
-@dataclass
-class SimulationState:
-    t: float
-    v: float
-    u: GridFunction
-    accum_v_integral: float = 0.0
-    accum_mu_integral: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -149,19 +143,15 @@ def _react(v: float, u: np.ndarray, h: float, k: KernelSet,
 
 
 def step(
-    state: SimulationState,
+    state: Snapshot,
     k: KernelSet,
     cm: CharacteristicMap,
     cfg: SolverConfig,
-    mach: Optional[Machinery] = None,
+    mach: Machinery,
     dt: Optional[float] = None,
-) -> SimulationState:
-    """One splitting step from the given state; returns the new state
-    with the monomer and death-moment accumulators advanced by the
-    trapezoid rule over the step endpoints."""
+) -> Snapshot:
+    """One splitting step from the given state; returns the new state."""
     grid = state.u.grid
-    if mach is None:
-        mach = build_machinery(k, grid, cfg, float(np.max(state.u.values)))
     h = cfg.dt if dt is None else dt
     strang = cfg.splitting == "strang"
     v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, k, mach, cfg)
@@ -178,16 +168,7 @@ def step(
     scale = max(1.0, abs(state.v))
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
-    v = max(v, 0.0)
-    return SimulationState(
-        t=state.t + h,
-        v=v,
-        u=GridFunction(grid, u),
-        accum_v_integral=state.accum_v_integral + 0.5 * h * (state.v + v),
-        accum_mu_integral=state.accum_mu_integral
-        + 0.5 * h * (mach.reaction.death_moment(state.u.values)
-                     + mach.reaction.death_moment(u)),
-    )
+    return Snapshot(t=state.t + h, v=max(v, 0.0), u=GridFunction(grid, u))
 
 
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> set:
@@ -225,14 +206,14 @@ def run(
         extra_moment=cfg.extra_moment,
         integrability_weight=weight,
     )
-    state = SimulationState(t=0.0, v=float(v0), u=u0.copy())
+    state = Snapshot(t=0.0, v=float(v0), u=u0.copy())
     u1_init = moment(grid, u0.values, 1)
     tail_bound = (cfg.tail_mass_bound if cfg.tail_mass_bound is not None
                   else 1e-8 * max(1.0, u1_init))
     n_steps = (0 if cfg.t_end == 0.0
                else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
     snap_steps = _snapshot_steps(cfg, n_steps)
-    snapshots = [Snapshot(t=state.t, v=state.v, u=state.u.copy())]
+    snapshots = [state]
     row = acc.start(state.t, state.v, state.u)
     try:
         for i in range(1, n_steps + 1):
@@ -244,16 +225,10 @@ def run(
                     f"count {row['tail_mass']:g} in the outer tenth of the "
                     f"grid exceeded the bound {tail_bound:g}")
             if i in snap_steps:
-                snapshots.append(Snapshot(t=state.t, v=state.v, u=state.u.copy()))
+                snapshots.append(state)
     except Exception as err:
         err.partial_result = RunResult(snapshots=tuple(snapshots),
                                        ledger=acc.ledger)
         raise
-    acc.ledger.meta.update({
-        "config": cfg,
-        "kernel_label": k.label,
-        "params": k.params,
-        "grid": grid,
-        "final_state": state,
-    })
+    acc.ledger.meta["config"] = cfg
     return RunResult(snapshots=tuple(snapshots), ledger=acc.ledger)

@@ -201,6 +201,21 @@ class TestOracle:
         # coarse dt and coarse grid, so loose bound; just not garbage
         assert all(val < 1e-3 for val in errs.values())
 
+    def test_short_horizon_comparison_leaves_no_outputs(self, tmp_path,
+                                                        capsys):
+        cfg = write_cfg(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        short = write_cfg(tmp_path, BASE.replace("solver.t_end = 0.1",
+                                                 "solver.t_end = 0.05")
+                          + f"output.dir = {tmp_path}/out\n", name="short.cfg")
+        assert main(["oracle", "--config", short]) == 1
+        captured = capsys.readouterr()
+        assert "oracle horizon is shorter than the run" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "oracle.csv").exists()
+        assert not (tmp_path / "out" / "compare.txt").exists()
+
 
 class TestTruncation:
     TRUNC = BASE.replace("kernel.frag = 0.5", "kernel.frag = 1.0") + """

@@ -9,7 +9,6 @@ from prionpde.diagnostics import (
     RunResult,
     Snapshot,
     TestFunction,
-    balance_residual,
     builtin_test_functions,
     consistency_residual,
     higher_moment_series,
@@ -18,11 +17,9 @@ from prionpde.diagnostics import (
     support_bound,
     uniform_integrability_report,
     vallee_poussin_weight,
-    weak_form_residual,
 )
 from prionpde.errors import (
     EtaCutoffViolated,
-    InsufficientSnapshots,
     WrongFamily,
     ZeroMass,
 )
@@ -146,6 +143,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("options", [
         {"skip_joining": True},
+        {"reaction_integrator": "euler"},
+        {"splitting": "lie"},
         {"extra_moment": 1.5, "uniform_integrability": True,
          "test_functions": ("size", "one")},
     ])
@@ -165,27 +164,12 @@ class TestReplay:
         if cfg.skip_joining:
             assert np.all(np.isfinite(redone.column("support_bound")))
 
-    def test_standalone_balance_matches_ledger(self, dense_run):
-        k, res = dense_run
-        fin = res.ledger.meta["final_state"]
-        r = balance_residual(fin, res.snapshots[0], k.params)
-        # the two accumulators differ only in (t - t_prev) vs dt rounding
-        assert r == pytest.approx(
-            res.ledger.column("balance_residual")[-1], rel=0, abs=1e-14)
-
 
 class TestWeakForm:
-    def test_needs_enough_snapshots(self, dense_run):
-        k, res = dense_run
-        tf = builtin_test_functions(res.snapshots[0].u.grid, k)[1]
-        with pytest.raises(InsufficientSnapshots):
-            weak_form_residual(res, k, tf, t=0.01)
-
     def test_residual_routes_agree_when_refined(self):
-        """The ledger's on-line weak-form column and an off-line replay
-        over the snapshots are independent computations of the same
-        trapezoid functional: they must agree to roundoff, and at this
-        dt both must be small."""
+        """The ledger's on-line weak-form column and the off-line replay
+        over the snapshots take the same trapezoid functional: they must
+        agree to roundoff, and at this dt both must be small."""
         k = closed_family()
         grid = build_grid(1.0, 120.0, 128, "geometric")
         u0 = gaussian_start(grid)
@@ -193,28 +177,11 @@ class TestWeakForm:
         cfg = SolverConfig(dt=dt, t_end=n * dt,
                            snapshot_times=tuple(dt * i for i in range(1, n + 1)))
         res = run(u0, 2.0, k, cfg)
-        tf = builtin_test_functions(grid, k)[1]
-        assert tf.name == "size"
-        offline = weak_form_residual(res, k, tf, t=n * dt)
+        offline = recompute_ledger(res, k).column("wf_size")[-1]
         online = res.ledger.column("wf_size")[-1]
         assert abs(offline - online) <= 1e-13
         assert abs(online) < 5e-8
         assert np.max(np.abs(res.ledger.column("balance_residual"))) < 5e-8
-
-    def test_replay_follows_skip_joining(self):
-        """Without joining in the run, the off-line replay must leave it
-        out too: it reads the option from the stored solver config."""
-        k = closed_family()
-        grid = build_grid(1.0, 60.0, 64, "geometric")
-        dt, n = 1e-3, 20
-        cfg = SolverConfig(dt=dt, t_end=n * dt, skip_joining=True,
-                           snapshot_times=tuple(dt * i for i in range(1, n + 1)))
-        res = run(gaussian_start(grid), 2.0, k, cfg)
-        tfs = builtin_test_functions(grid, k)
-        assert len(tfs) == 5
-        for tf in tfs:
-            offline = weak_form_residual(res, k, tf, t=n * dt)
-            assert offline == res.ledger.column(f"wf_{tf.name}")[-1], tf.name
 
 
 class TestSupportEnvelope:

@@ -12,9 +12,8 @@ from prionpde.operators import (
     fragmentation_apply,
     g_functional,
     joining_apply,
+    ReactionOperator,
     measure_operator_bounds,
-    p_functional,
-    speed,
 )
 
 
@@ -247,8 +246,9 @@ class TestFunctionals:
         u0 = moment(grid, u.values, 0)
         u1 = moment(grid, u.values, 1)
         expected = 2.0 * u0 / (1.0 + 0.3 * u1)
-        assert abs(p_functional(k, u) - expected) < 1e-12 * expected
-        assert abs(speed(1.7, k, u) - 1.7 / (1.0 + 0.3 * u1)) < 1e-14
+        reaction = ReactionOperator.build(k, grid, True)
+        assert abs(reaction.drain(u.values) - expected) < 1e-12 * expected
+        assert abs(reaction.speed(1.7, u.values) - 1.7 / (1.0 + 0.3 * u1)) < 1e-14
 
     def test_measured_bounds_are_finite(self):
         grid = build_grid(1.0, 60.0, 48, spacing="geometric")

@@ -1,0 +1,44 @@
+"""Public API guard: the demos import only names the package exports.
+
+The demos are not run by the test suite, so a removed or renamed public
+name would break them silently; this test reads their imports instead
+of running them."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import prionpde
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def package_imports(path):
+    """(module, name) for every `from prionpde... import name` in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "prionpde"
+            for alias in node.names]
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_are_public(path):
+    for module, name in package_imports(path):
+        if module == "prionpde":
+            assert name in prionpde.__all__, f"{path.name}: {name}"
+        assert hasattr(importlib.import_module(module), name), \
+            f"{path.name}: {module}.{name}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in prionpde.__all__ if not hasattr(prionpde, name)]
+    assert missing == []
+    assert len(set(prionpde.__all__)) == len(prionpde.__all__)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prionpde.diagnostics import LedgerAccumulator, Snapshot
 from prionpde.errors import MassEscape, NegativeMonomer, PositivityError
 from prionpde.grid import build_grid, project
 from prionpde.kernels import ModelParams, make_special_family
@@ -12,7 +13,6 @@ from prionpde.oracle import (
     rates_from_kernel_set,
 )
 from prionpde.solver import (
-    SimulationState,
     SolverConfig,
     _clip_positive,
     build_machinery,
@@ -42,7 +42,8 @@ def small_setup():
 
 @pytest.fixture(scope="module")
 def error_ladder(small_setup):
-    """Final-state error against the moment oracle for both splittings.
+    """Final-state error against the moment oracle for both splittings
+with the rk2 reaction integrator, and for Strang with euler.
 
     The special family closes exactly on the discrete level, so these
     errors are pure time discretization (plus a dt-independent floor
@@ -56,16 +57,16 @@ def error_ladder(small_setup):
         t_end=t_end, dt=1e-4)
     ref = orc.state_at(-1)
     out = {}
-    for splitting in ("strang", "lie"):
+    for name, options in (("strang", {}), ("lie", {"splitting": "lie"}),
+                          ("euler", {"reaction_integrator": "euler"})):
         errs = []
         for dt in (8e-3, 4e-3):
-            res = run(u0, v0, k,
-                      SolverConfig(dt=dt, t_end=t_end, splitting=splitting))
-            fin = res.ledger.meta["final_state"]
+            res = run(u0, v0, k, SolverConfig(dt=dt, t_end=t_end, **options))
+            fin = res.snapshots[-1]
             errs.append(max(abs(fin.v - ref.v),
                             abs(fin.u.moment(0) - ref.U0),
                             abs(fin.u.moment(1) - ref.U1)))
-        out[splitting] = errs
+        out[name] = errs
     return out
 
 
@@ -74,11 +75,11 @@ class TestStepping:
         k, grid, u0 = small_setup
         cfg = SolverConfig(dt=5e-3, t_end=1e-2)
         res = run(u0, 2.0, k, cfg)
-        fin = res.ledger.meta["final_state"]
+        fin = res.snapshots[-1]
 
         mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
         cm = characteristic_map(k, grid)
-        state = SimulationState(t=0.0, v=2.0, u=u0.copy())
+        state = Snapshot(t=0.0, v=2.0, u=u0.copy())
         state = step(state, k, cm, cfg, mach)
         state = step(state, k, cm, cfg, mach)
         assert state.t == fin.t
@@ -90,14 +91,17 @@ class TestStepping:
         cfg = SolverConfig(dt=5e-3, t_end=5e-3)
         mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
         cm = characteristic_map(k, grid)
-        before = SimulationState(t=0.0, v=2.0, u=u0.copy())
+        before = Snapshot(t=0.0, v=2.0, u=u0.copy())
         after = step(before, k, cm, cfg, mach)
-        assert after.accum_v_integral == pytest.approx(
+        acc = LedgerAccumulator(k, mach.reaction, test_functions=())
+        acc.start(before.t, before.v, before.u)
+        acc.advance(after.t, after.v, after.u)
+        assert acc.accum_v_integral == pytest.approx(
             0.5 * cfg.dt * (before.v + after.v), rel=0, abs=0)
         death = mach.reaction.frag.death_at_centers * grid.centers * grid.widths
         expected_mu = 0.5 * cfg.dt * (
             np.dot(death, u0.values) + np.dot(death, after.u.values))
-        assert after.accum_mu_integral == pytest.approx(expected_mu, rel=1e-15)
+        assert acc.accum_mu_integral == pytest.approx(expected_mu, rel=1e-15)
 
     def test_zero_horizon_takes_no_steps(self, small_setup):
         k, _, u0 = small_setup
@@ -120,8 +124,8 @@ class TestStepping:
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         a = run(u0, 2.0, k, cfg)
         b = run(u0, 2.0, k, cfg)
-        ua = a.ledger.meta["final_state"].u.values
-        ub = b.ledger.meta["final_state"].u.values
+        ua = a.snapshots[-1].u.values
+        ub = b.snapshots[-1].u.values
         assert ua.tobytes() == ub.tobytes()
         for name in a.ledger.column_order():
             assert np.array_equal(
@@ -141,6 +145,13 @@ class TestConvergenceOrders:
 
     def test_strang_beats_lie(self, error_ladder):
         assert error_ladder["strang"][1] < error_ladder["lie"][1] / 50.0
+
+    def test_euler_reaction_is_first_order(self, error_ladder):
+        coarse, fine = error_ladder["euler"]
+        assert 1.7 <= coarse / fine <= 2.4
+
+    def test_rk2_beats_euler(self, error_ladder):
+        assert error_ladder["strang"][1] < error_ladder["euler"][1] / 50.0
 
 
 class TestSafetyRails:
@@ -201,10 +212,10 @@ class TestSkipJoining:
         cfg_zero = SolverConfig(dt=5e-3, t_end=0.1)
         a = run(u0, 2.0, closed_family(join_value=0.2), cfg_skip)
         b = run(u0, 2.0, closed_family(join_value=0.0), cfg_zero)
-        ua = a.ledger.meta["final_state"].u.values
-        ub = b.ledger.meta["final_state"].u.values
+        ua = a.snapshots[-1].u.values
+        ub = b.snapshots[-1].u.values
         assert np.array_equal(ua, ub)
-        assert a.ledger.meta["final_state"].v == b.ledger.meta["final_state"].v
+        assert a.snapshots[-1].v == b.snapshots[-1].v
         for name in a.ledger.column_order():
             assert np.array_equal(
                 np.asarray(a.ledger.column(name)),
