@@ -9,9 +9,10 @@ import numpy as np
 
 
 def rk4_step(f: Callable, t: float, y, dt: float):
+    half = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 

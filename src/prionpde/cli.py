@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; affects speed, never results")
+                       help="worker threads; results are identical for any count")
     return parser
 
 

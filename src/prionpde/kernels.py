@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._ode import rk4_solve
+from ._ode import rk4_step
 from .errors import (
     AsymmetricK0,
     LevelInconsistent,
@@ -50,6 +50,8 @@ __all__ = [
     "mollify_rate",
 ]
 
+# A rate closure maps sizes to rates elementwise, for arrays of any shape
+# (mollify_rate calls it on an array with a trailing quadrature axis).
 RateFn = Callable[[np.ndarray], np.ndarray]
 PairFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -122,7 +124,10 @@ class KernelSet:
     join(y, z): symmetric pair joining rate.
 
     All closures must broadcast over numpy arrays and be evaluable on
-    the whole probe range, not just the grid.
+    the whole probe range, not just the grid.  The rates growth, death
+    and frag must act elementwise on arrays of any shape: truncation
+    mollifies growth by one call on an array with an extra trailing
+    axis.
     """
 
     growth: RateFn
@@ -195,15 +200,20 @@ def mollify_rate(fn: RateFn, width: float, floor: Optional[float] = None) -> Rat
     """Smooth a rate by quadrature against a compactly supported bump of
     the given width.  Exact for affine rates; fn must be evaluable a
     width below the domain.  An optional hard floor is applied after
-    smoothing."""
+    smoothing.
+
+    fn is called once per evaluation, on an array with one more axis
+    than y (the 16 quadrature nodes last), so it must act elementwise on
+    arrays of any shape.  The weighted node values are summed in node
+    order, one after the other."""
     if not width > 0:
         raise ValueError("width must be > 0")
+    offsets = width * _MOLLIFY_X
 
     def smooth_fn(y):
         y = np.asarray(y, dtype=float)
-        acc = np.zeros(y.shape)
-        for xk, wk in zip(_MOLLIFY_X, _MOLLIFY_W):
-            acc = acc + wk * np.asarray(fn(y - width * xk), dtype=float)
+        vals = np.asarray(fn(y[..., None] - offsets), dtype=float)
+        acc = np.add.accumulate(_MOLLIFY_W * vals, axis=-1)[..., -1]
         if floor is not None:
             acc = np.maximum(acc, floor)
         return acc
@@ -677,30 +687,46 @@ def validate_kernel_set(
 # -- truncation ------------------------------------------------------------
 
 def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
-                     horizon_T: float, pair_cutoff: float, width: float):
-    """(growth, u0 values, reach) of a truncation level: the growth rate
-    mollified and floored at half its declared floor, the initial density
-    smoothly cut at the pair cutoff, and the size its support can reach
-    within horizon_T along that growth under the a priori speed bound."""
+                     horizon_T: float, pair_cutoffs: Sequence[float],
+                     width: float):
+    """(growth, u0 values, reaches) of truncation levels, one entry of the
+    last two per pair cutoff: the growth rate mollified and floored at
+    half its declared floor, the initial density smoothly cut at each
+    pair cutoff, and the size its support can reach within horizon_T
+    along that growth under the a priori speed bound.
+
+    Every level's horizon ODE is integrated in one RK4 over a vector
+    state, with the arithmetic of rk4_solve: 256 steps of travel / 256
+    each.  Levels that travel nowhere keep their start."""
     floor = k.growth_constants.speed_floor
     growth_n = mollify_rate(k.growth, width,
                             floor=None if floor is None else 0.5 * floor)
     grid = u0.grid
-    u0n = u0.values * smooth_cut(grid.centers, pair_cutoff, width)
-    supp = np.flatnonzero(u0n > 0.0)
-    s0 = float(grid.centers[supp[-1]]) if len(supp) else k.params.min_size
-    start = max(s0, pair_cutoff)
-    bound_mass = float(np.dot(u0n, grid.widths * grid.centers))
     # integral of the speed bound v0 + bound_mass + production*t over the
     # horizon; 64-panel composite midpoint, exact for this affine integrand
     tm = (np.arange(64) + 0.5) * horizon_T / 64.0
-    travel = float(np.sum(v0 + bound_mass + k.params.production * tm)
-                   * horizon_T / 64.0)
-    if travel <= 0.0:
-        return growth_n, u0n, start
-    path = rk4_solve(lambda t, y: np.asarray(growth_n(y), dtype=float),
-                     float(start), [0.0, travel], substeps=256)
-    return growth_n, u0n, float(path[-1])
+    u0n, starts, travels = [], [], []
+    for pair_cutoff in pair_cutoffs:
+        vals = u0.values * smooth_cut(grid.centers, pair_cutoff, width)
+        supp = np.flatnonzero(vals > 0.0)
+        s0 = float(grid.centers[supp[-1]]) if len(supp) else k.params.min_size
+        bound_mass = float(np.dot(vals, grid.widths * grid.centers))
+        u0n.append(vals)
+        starts.append(max(s0, pair_cutoff))
+        travels.append(float(np.sum(v0 + bound_mass + k.params.production * tm)
+                             * horizon_T / 64.0))
+    reach, travels = np.array(starts, dtype=float), np.array(travels)
+    moving = travels > 0.0
+    if np.any(moving):
+        def speed(t, y):
+            return growth_n(y)
+
+        dt = travels[moving] / 256
+        y = reach[moving]
+        for j in range(256):
+            y = rk4_step(speed, j * dt, y, dt)
+        reach[moving] = y
+    return growth_n, u0n, reach
 
 
 def truncate(
@@ -727,8 +753,8 @@ def truncate(
             f"pair cutoff {level.pair_cutoff} must exceed {2.0 * y0}"
         )
     width = level.mollifier_width
-    growth_n, u0n_vals, reach = _truncated_start(
-        k, u0, v0, horizon_T, level.pair_cutoff, width)
+    growth_n, (u0n_vals,), (reach,) = _truncated_start(
+        k, u0, v0, horizon_T, [level.pair_cutoff], width)
     if level.rate_cutoff < reach * (1.0 - 1e-9):
         raise LevelInconsistent(
             f"rate cutoff {level.rate_cutoff:.6g} below horizon reach {reach:.6g}"
@@ -799,12 +825,12 @@ def plan_truncation_levels(
     width = (float(mollifier_width) if mollifier_width is not None
              else float(np.median(u0.grid.widths)))
 
+    pair_cuts = [pair_base + pair_step * n for n in range(max(indices) + 1)]
+    _, _, reaches = _truncated_start(k, u0, v0, horizon_T, pair_cuts, width)
     levels = []
     rate_cut = 0.0
-    for n in range(0, max(indices) + 1):
-        pair_cut = pair_base + pair_step * n
-        _, _, reach = _truncated_start(k, u0, v0, horizon_T, pair_cut, width)
-        rate_cut = max(rate_cut, reach, float(n))
+    for n, (pair_cut, reach) in enumerate(zip(pair_cuts, reaches)):
+        rate_cut = max(rate_cut, float(reach), float(n))
         if n in indices:
             levels.append(TruncationLevel(
                 index=n, pair_cutoff=pair_cut, rate_cutoff=rate_cut,

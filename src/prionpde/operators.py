@@ -89,12 +89,19 @@ class CharacteristicMap:
 
     theta_at_edges[i] is the characteristic time needed to grow from the
     left domain end to edge i; strictly increasing since growth > 0.
+    theta_at_centers is theta_map at the cell centers, the starting point
+    of every transport step.
     """
 
     grid: SizeGrid
     theta_at_edges: np.ndarray = field(repr=False)
     growth_at_edges: np.ndarray = field(repr=False)
     growth: RateFn = field(repr=False)
+    theta_at_centers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta_at_centers",
+                           theta_map(self, self.grid.centers))
 
     @property
     def theta_max(self) -> float:
@@ -179,7 +186,7 @@ def transport_apply(cm: CharacteristicMap, f: GridFunction, t_eff: float) -> Gri
     if t_eff < 0.0:
         raise NegativeTime(f"effective time must be >= 0, got {t_eff}")
     g = cm.grid
-    theta_c = theta_map(cm, g.centers)
+    theta_c = cm.theta_at_centers
     alive = theta_c >= t_eff
     out = np.zeros(g.n)
     if np.any(alive):
@@ -220,7 +227,7 @@ def transport_remap(
     masses = f.values * g.widths
     if t_eff == 0.0:
         return f.copy(), 0.0, 0.0
-    theta_new = theta_map(cm, g.centers) + t_eff
+    theta_new = cm.theta_at_centers + t_eff
     keep = theta_new <= cm.theta_max
     escaped_count = float(np.sum(masses[~keep]))
     escaped_mass = escaped_count * g.ymax

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prionpde._ode import rk4_solve
 from prionpde.errors import (
     AsymmetricK0,
     LevelInconsistent,
@@ -15,6 +17,8 @@ from prionpde.errors import (
 )
 from prionpde.grid import GridFunction, build_grid, project
 from prionpde.kernels import (
+    _MOLLIFY_W,
+    _MOLLIFY_X,
     HypothesisFamily,
     KernelSet,
     ModelParams,
@@ -165,6 +169,55 @@ class TestCutoffs:
         assert np.all(fn(np.array([1.0, 2.0])) == 0.5)
 
 
+def reference_mollify(fn, width, floor=None):
+    """The per-node loop mollify_rate replaced: one call of fn per node,
+    the weighted values summed in node order."""
+
+    def smooth_fn(y):
+        y = np.asarray(y, dtype=float)
+        acc = np.zeros(y.shape)
+        for xk, wk in zip(_MOLLIFY_X, _MOLLIFY_W):
+            acc = acc + wk * np.asarray(fn(y - width * xk), dtype=float)
+        if floor is not None:
+            acc = np.maximum(acc, floor)
+        return acc
+
+    return smooth_fn
+
+
+class TestMollifyBitwise:
+    RATES = {
+        "affine": lambda y: 2.0 + 3.0 * np.asarray(y, dtype=float),
+        "exp": lambda y: np.exp(0.3 * np.asarray(y, dtype=float)),
+    }
+    POINTS = {
+        "0d": np.float64(2.7),
+        "1d": np.linspace(1.0, 10.0, 37),
+        "2d": np.geomspace(1.0, 50.0, 24).reshape(4, 6),
+    }
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    @pytest.mark.parametrize("shape", sorted(POINTS))
+    @pytest.mark.parametrize("floor", [None, 3.0])
+    def test_matches_the_per_node_loop(self, rate, shape, floor):
+        fn, y = self.RATES[rate], self.POINTS[shape]
+        got = mollify_rate(fn, 0.37, floor=floor)(y)
+        want = reference_mollify(fn, 0.37, floor=floor)(y)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+def counted(fn):
+    """fn with a call counter in its `calls` attribute."""
+
+    def wrapped(y):
+        wrapped.calls += 1
+        return fn(y)
+
+    wrapped.calls = 0
+    return wrapped
+
+
 class TestTruncation:
     def setup_method(self):
         self.grid = build_grid(1.0, 200.0, 128, "geometric")
@@ -184,6 +237,63 @@ class TestTruncation:
             kn, u0n = truncate(self.k, lv, 1.0, self.u0, 2.0)
             assert kn.hypothesis_family is HypothesisFamily.BOUNDED_CLASSICAL
             assert kn.join_zero_beyond == lv.pair_cutoff
+
+    def reference_rate_cutoffs(self, k, horizon_T, indices):
+        """Planned rate cutoffs from one scalar rk4_solve per level."""
+        width = float(np.median(self.grid.widths))
+        growth = reference_mollify(k.growth, width,
+                                   floor=0.5 * k.growth_constants.speed_floor)
+        c, w = self.grid.centers, self.grid.widths
+        tm = (np.arange(64) + 0.5) * horizon_T / 64.0
+        out, rate_cut = [], 0.0
+        for n in range(max(indices) + 1):
+            pair_cut = 4.0 + 2.0 * n
+            vals = self.u0.values * smooth_cut(c, pair_cut, width)
+            start = max(float(c[np.flatnonzero(vals > 0.0)[-1]]), pair_cut)
+            bound_mass = float(np.dot(vals, w * c))
+            travel = float(np.sum(2.0 + bound_mass + k.params.production * tm)
+                           * horizon_T / 64.0)
+            reach = start
+            if travel > 0.0:
+                reach = float(rk4_solve(
+                    lambda t, y: np.asarray(growth(y), dtype=float),
+                    start, [0.0, travel], substeps=256)[-1])
+            rate_cut = max(rate_cut, reach, float(n))
+            if n in indices:
+                out.append(rate_cut)
+        return out
+
+    @pytest.mark.parametrize("growth", ["constant", "oscillating"])
+    @pytest.mark.parametrize("horizon_T", [1.0, 0.0])
+    def test_planned_cutoffs_match_scalar_solves(self, growth, horizon_T):
+        k = self.k
+        if growth == "oscillating":
+            k = dataclasses.replace(k, growth=lambda y: 1.0 + 0.3 * np.sin(
+                np.asarray(y, dtype=float)) ** 2)
+        levels = plan_truncation_levels(k, self.u0, 2.0, horizon_T, [1, 2, 4, 8])
+        got = [lv.rate_cutoff for lv in levels]
+        assert got == self.reference_rate_cutoffs(k, horizon_T, [1, 2, 4, 8])
+
+    def test_zero_horizon_reach_is_the_start(self):
+        # pair cutoffs 4 + 2n sit above the cut density's support, so a
+        # level that travels nowhere reaches exactly its pair cutoff
+        levels = plan_truncation_levels(self.k, self.u0, 2.0, 0.0, [1, 2, 4, 8])
+        assert [lv.rate_cutoff for lv in levels] == [6.0, 8.0, 12.0, 20.0]
+        truncate(self.k, levels[-1], 0.0, self.u0, 2.0)
+
+    def test_one_horizon_solve_for_the_whole_ladder(self):
+        calls = []
+        for indices in ([1], [1, 2, 4, 8]):
+            k = dataclasses.replace(self.k, growth=counted(self.k.growth))
+            plan_truncation_levels(k, self.u0, 2.0, 1.0, indices)
+            calls.append(k.growth.calls)
+        assert calls[0] == calls[1] <= 1024
+
+    def test_truncate_solves_its_horizon_once(self):
+        lv = plan_truncation_levels(self.k, self.u0, 2.0, 1.0, [8])[0]
+        k = dataclasses.replace(self.k, growth=counted(self.k.growth))
+        truncate(k, lv, 1.0, self.u0, 2.0)
+        assert k.growth.calls <= 1024
 
     def test_truncated_set_passes_bounded_validation(self):
         lv = plan_truncation_levels(self.k, self.u0, 2.0, 1.0, [2])[0]

@@ -34,6 +34,10 @@ class TestThetaMap:
         ys = np.linspace(1.0, 50.0, 97)
         assert np.max(np.abs(theta_map(cm, ys) - (ys - 1.0))) < 1e-12
 
+    def test_map_stores_theta_at_the_centers(self):
+        grid, cm = linear_growth_map(n=64)
+        assert np.array_equal(cm.theta_at_centers, theta_map(cm, grid.centers))
+
     def test_inverse_round_trip(self):
         grid, cm = linear_growth_map(n=256)
         rng = np.random.default_rng(7)
