@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -219,7 +218,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_truncation(cfg: RunConfig, threads: int) -> int:
+def cmd_truncation(cfg: RunConfig) -> int:
     k, grid, u0, v0, scfg = _run_from_config(cfg)
     indices = cfg["truncation.levels"]
     if not indices:
@@ -230,17 +229,11 @@ def cmd_truncation(cfg: RunConfig, threads: int) -> int:
         pair_base=cfg["truncation.pair_base"],
         pair_step=cfg["truncation.pair_step"])
     out = Path(cfg["output.dir"])
-
-    def run_level(level):
+    # levels run one after another; --threads is accepted and ignored
+    results = []
+    for level in levels:
         kn, u0n = truncate(k, level, scfg.t_end, u0, v0)
-        return level, run(u0n, v0, kn, scfg)
-
-    # Runs are independent; thread count changes wall time only.
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_level, levels))
-    else:
-        results = [run_level(level) for level in levels]
+        results.append((level, run(u0n, v0, kn, scfg)))
 
     out.mkdir(parents=True, exist_ok=True)
     for level, result in results:
@@ -296,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; results are identical for any count")
+                       help="ignored; kept so existing scripts still run")
     return parser
 
 
@@ -311,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg)
         if args.command == "truncation":
-            return cmd_truncation(cfg, max(1, args.threads))
+            return cmd_truncation(cfg)
         raise ValueError(f"unhandled command {args.command!r}")
     except (PrionPdeError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

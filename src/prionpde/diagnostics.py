@@ -28,8 +28,8 @@ from .errors import (
 )
 from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
-from .kernels import HypothesisFamily, KernelSet, _panel_rule
-from .operators import ReactionOperator, _small_fragment_mass
+from .kernels import HypothesisFamily, KernelSet
+from .operators import ReactionOperator, _integrability_coefficients
 
 __all__ = [
     "TestFunction",
@@ -277,7 +277,7 @@ class LedgerAccumulator:
         self._phi_vals = [np.asarray(tf.value(c), dtype=float) for tf in self.tfs]
         self._phi_slopes = [np.asarray(tf.slope(c), dtype=float) for tf in self.tfs]
         if self.weight is not None:
-            self._i_coeffs = _integrability_coefficients(k, grid, self.weight)
+            self._i_coeffs = _integrability_coefficients(k, grid, self.weight.value)
         self.ledger = DiagnosticsLedger(
             wf_names=[tf.name for tf in self.tfs],
             extra_moment=extra_moment,
@@ -581,47 +581,19 @@ def vallee_poussin_weight(u0: GridFunction) -> TestFunction:
     return TestFunction("uniform_integrability", value=value, slope=slope)
 
 
-def _integrability_coefficients(
-    k: KernelSet, grid: SizeGrid, weight: TestFunction
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-source quadratures of the two sign-definite dissipation
-    integrands of the weighted splitting term: the transfer of weight
-    per unit size from parent to daughters above the minimum size, and
-    the weighted mass handed to the monomer pool.  Both are non-negative
-    for a convex weight vanishing at zero."""
-    n1 = np.zeros(grid.n)
-    n2 = _small_fragment_mass(k, grid)
-    for j, parent in enumerate(grid.centers):
-        ratio_parent = float(weight.value(np.array([parent]))[0]) / parent
-        nodes, wq = _panel_rule(grid.y0, parent, panels=32)
-        kv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
-        ratio_nodes = np.asarray(weight.value(nodes), dtype=float) / nodes
-        n1[j] = float(np.dot(wq, (ratio_parent - ratio_nodes) * nodes * kv))
-        n2[j] *= ratio_parent
-    return n1, n2
-
-
 def uniform_integrability_report(
     result: RunResult, k: KernelSet, weight: Optional[TestFunction] = None
 ) -> Dict[str, np.ndarray]:
-    """Per-snapshot weighted moment and the two dissipation series; both
-    series must be non-negative, which the caller should assert."""
+    """Per-snapshot weighted moment and the two dissipation series, the
+    ledger's I1 and I2 replayed with the weight; both series must be
+    non-negative, which the caller should assert."""
     snaps = result.snapshots
     grid = snaps[0].u.grid
     weight = weight if weight is not None else vallee_poussin_weight(snaps[0].u)
-    i1c, i2c = _integrability_coefficients(k, grid, weight)
-    frag_c = np.asarray(k.frag(grid.centers), dtype=float)
+    ledger = recompute_ledger(result, k, test_functions=(),
+                              integrability_weight=weight)
+    report = {name: ledger.column(name) for name in ("t", "I1", "I2")}
     phi_c = np.asarray(weight.value(grid.centers), dtype=float)
-    times, phi_moment, i1, i2 = [], [], [], []
-    for snap in snaps:
-        intensity = frag_c * snap.u.values * grid.widths
-        times.append(snap.t)
-        phi_moment.append(float(np.dot(phi_c, snap.u.values * grid.widths)))
-        i1.append(float(np.dot(intensity, i1c)))
-        i2.append(float(np.dot(intensity, i2c)))
-    return {
-        "t": np.asarray(times),
-        "weighted_moment": np.asarray(phi_moment),
-        "I1": np.asarray(i1),
-        "I2": np.asarray(i2),
-    }
+    report["weighted_moment"] = np.array(
+        [float(np.dot(phi_c, s.u.values * grid.widths)) for s in snaps])
+    return report

@@ -479,14 +479,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray):
+    """3-point Gauss nodes and weights on the panels (lo, hi), with a
+    leading axis of length 3."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + np.multiply.outer(GAUSS3_NODES, half),
+            np.multiply.outer(GAUSS3_WEIGHTS, half))
+
+
 def _panel_rule(a: float, b: float, panels: int):
     """Composite 3-point Gauss nodes/weights on (a, b)."""
     edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * GAUSS3_NODES[None, :]).ravel()
-    weights = (half[:, None] * GAUSS3_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    return tuple(x.T.ravel() for x in _gauss_panels(edges[:-1], edges[1:]))
 
 
 def _graded_rule(b: float, panels: int = 256):

@@ -37,11 +37,13 @@ Discretization notes, load-bearing for the conservation tests:
 
 * The fragmentation gain is tabulated per source cell over destination
   sub-intervals; each sub-interval's deposit lands at its own centroid,
-  again moment-split between bracketing centers.  The per-source
-  monomer coefficient is defined as the exact complement of the
-  deposited first moment, so splitting moves monomer count between v
-  and u with zero net balance error by construction, for any daughter
-  density whose mass normalization holds.
+  again moment-split between bracketing centers (the fixed-pivot rule).
+  The per-source monomer coefficient is defined as the exact complement
+  of the deposited first moment, so splitting moves monomer count
+  between v and u with zero net balance error by construction, for any
+  daughter density whose mass normalization holds.  Every per-parent
+  daughter integral goes through ``_daughter_quadrature``: chunks of
+  whole rows, and Gauss panel sums in a fixed order.
 
 * ``ReactionOperator`` holds both tables, the growth rate at the centers
   and the saturation constant.  It is the only source of the reaction
@@ -61,7 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
-from .kernels import KernelSet, RateFn, _graded_rule
+from .kernels import KernelSet, RateFn, _gauss_panels, _graded_rule
 
 __all__ = [
     "CharacteristicMap",
@@ -241,6 +243,67 @@ def transport_remap(
     return GridFunction(g, out / g.widths), escaped_count, escaped_mass
 
 
+# -- per-parent daughter quadrature ----------------------------------------
+
+QUAD_CHUNK = 16384  # daughter-density evaluations per k.daughter call
+
+
+def _daughter_quadrature(k: KernelSet, parents: np.ndarray, counts: np.ndarray,
+                         panels, *factors):
+    """Per-panel sums (w0 f0 + w1 f1) + w2 f2 of f = g(z, y) k.daughter(z, y)
+    for each factor g, parent j owning counts[j] panels (non-decreasing).
+
+    Walks the parents in chunks of whole rows of at most QUAD_CHUNK nodes
+    (or one row), with one k.daughter call per chunk.  panels(a, b) gives
+    the nodes and weights of parents a..b-1, broadcastable to (3, b - a,
+    counts[b - 1]).  Yields (a, b, sums); the fixed order makes the sums
+    independent of the chunking."""
+    a = 0
+    while a < len(parents):
+        nodes = 3 * np.arange(1, len(parents) - a + 1) * counts[a:]
+        b = a + max(1, int(np.searchsorted(nodes, QUAD_CHUNK, side="right")))
+        z, w = panels(a, b)
+        z, y = np.broadcast_arrays(z, parents[a:b, None])
+        wk = w * np.asarray(k.daughter(z, y), dtype=float)
+        yield a, b, [(f[0] + f[1]) + f[2] for f in (wk * g(z, y) for g in factors)]
+        a = b
+
+
+def _small_fragment_mass(k: KernelSet, grid: SizeGrid) -> np.ndarray:
+    """Per-cell first moment of the daughter density below the minimum
+    size, by the endpoint-graded composite rule."""
+    nodes, weights = _graded_rule(grid.y0, panels=64)
+    z, w = (x.reshape(64, 3).T[:, None] for x in (nodes, weights))  # (3, 1, 64)
+    out = np.empty(grid.n)
+    for a, b, (sums,) in _daughter_quadrature(
+            k, grid.centers, np.full(grid.n, 64), lambda a, b: (z, w), lambda z, y: z):
+        out[a:b] = sums.sum(axis=1)
+    return out
+
+
+def _integrability_coefficients(
+    k: KernelSet, grid: SizeGrid, weight: RateFn
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-source quadratures of the two sign-definite dissipation
+    integrands of the splitting term weighted by weight(y): the transfer
+    of weight per unit size from parent to daughters above the minimum
+    size, and the weighted mass handed to the monomer pool.  Both are
+    non-negative for a convex weight vanishing at zero."""
+    c, y0 = grid.centers, grid.y0
+    t = np.linspace(0.0, 1.0, 33)
+
+    def panels(a, b):   # 32 equal panels on (y0, parent)
+        edges = y0 + (c[a:b, None] - y0) * t
+        return _gauss_panels(edges[:, :-1], edges[:, 1:])
+
+    n1 = np.empty(grid.n)
+    for a, b, (sums,) in _daughter_quadrature(
+            k, c, np.full(grid.n, 32), panels,
+            lambda z, y: (weight(y) / y - weight(z) / z) * z):
+        n1[a:b] = sums.sum(axis=1)
+    return n1, _small_fragment_mass(k, grid) * (weight(c) / c)
+
+
 # -- fragmentation ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -261,42 +324,32 @@ class FragTables:
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid) -> "FragTables":
-        n = grid.n
-        c = grid.centers
+        n, c, edges = grid.n, grid.centers, grid.edges
+
+        def sub_intervals(a, b):
+            # parent j: the cells below j, then (edges[j], c_j); the cells
+            # above j are empty panels at c_j
+            top = c[a:b, None]
+            return np.minimum(edges[:b], top), np.minimum(edges[1:b + 1], top)
+
         deposit = np.zeros((n, n))
-        dep_moment = np.zeros(n)
-        y0 = grid.y0
-        for j in range(n):
-            parent = c[j]
-            # destination sub-intervals: grid edges below the parent
-            # center, closed off at the parent center itself
-            cut = np.searchsorted(grid.edges, parent, side="left")
-            bounds = np.concatenate((grid.edges[:cut], [parent]))
-            lo, hi = bounds[:-1], bounds[1:]
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            # 3-point Gauss per sub-interval
-            zq = mid[None, :] + half[None, :] * GAUSS3_NODES[:, None]
-            kq = np.asarray(
-                k.daughter(zq.ravel(), np.full(zq.size, parent)), dtype=float
-            ).reshape(zq.shape)
-            k0 = half * np.tensordot(GAUSS3_WEIGHTS, kq, axes=(0, 0))
-            k1 = half * np.tensordot(GAUSS3_WEIGHTS, kq * zq, axes=(0, 0))
+        for a, b, (k0, k1) in _daughter_quadrature(
+                k, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
+                lambda z, y: 1.0, lambda z, y: z):
             live = k0 > 0.0
-            if not np.any(live):
-                dep_moment[j] = 0.0
-                continue
-            k0, k1 = k0[live], k1[live]
-            centroid = np.clip(k1 / k0, lo[live], hi[live])
-            idx, frac = split_targets(c, centroid)
-            np.add.at(deposit[j], idx, k0 * frac)
-            np.add.at(deposit[j], idx + 1, k0 * (1.0 - frac))
-            dep_moment[j] = float(np.dot(deposit[j], c))
-        monomer_coeff = 0.5 * c - dep_moment
+            lo, hi = (x[live] for x in sub_intervals(a, b))
+            k0 = k0[live]
+            idx, frac = split_targets(c, np.clip(k1[live] / k0, lo, hi))
+            # each row's targets are monotone, so one bincount adds the
+            # lower, then the upper shares in panel order
+            at = np.nonzero(live)[0] * n + idx
+            deposit[a:b] = np.bincount(
+                np.concatenate((at, at + 1)), np.concatenate((k0 * frac, k0 * (1.0 - frac))),
+                (b - a) * n).reshape(b - a, n)
         return cls(
             grid=grid,
             deposit=deposit,
-            monomer_coeff=monomer_coeff,
+            monomer_coeff=0.5 * c - deposit @ c,
             frag_at_centers=np.asarray(k.frag(c), dtype=float),
             death_at_centers=np.asarray(k.death(c), dtype=float),
         )
@@ -543,17 +596,6 @@ def joining_apply(
 
 
 # -- scalar functionals ----------------------------------------------------
-
-def _small_fragment_mass(k: KernelSet, grid: SizeGrid) -> np.ndarray:
-    """Per-cell first moment of the daughter density below the minimum
-    size, by the endpoint-graded composite rule."""
-    nodes, weights = _graded_rule(grid.y0, panels=64)
-    out = np.empty(grid.n)
-    for j, parent in enumerate(grid.centers):
-        dv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
-        out[j] = float(np.dot(weights, nodes * dv))
-    return out
-
 
 def g_functional(k: KernelSet, u: GridFunction) -> float:
     """Monomer production rate from fragments below the minimum size:

@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, output files, exit codes,
 manifest reproducibility."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,16 @@ truncation.pair_step = 8.0
         conv_a = (tmp_path / "a" / "convergence.csv").read_bytes()
         conv_b = (tmp_path / "b" / "convergence.csv").read_bytes()
         assert conv_a == conv_b
+
+    def test_levels_run_without_threads(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("no thread may start")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = write_cfg(tmp_path, self.TRUNC + f"output.dir = {tmp_path}/out\n")
+        assert main(["truncation", "--config", cfg, "--threads", "4"]) == 0
+        for idx in (1, 2, 4):
+            assert (tmp_path / "out" / f"level_{idx}" / "timeseries.csv").exists()
 
     def test_single_level_degenerate_table(self, tmp_path, capsys):
         text = self.TRUNC.replace("truncation.levels = 1,2,4",

@@ -1,13 +1,27 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prionpde import operators
+from prionpde.diagnostics import vallee_poussin_weight
 from prionpde.errors import PairOutOfRange
-from prionpde.grid import GridFunction, build_grid, moment
-from prionpde.kernels import make_k0_family, make_special_family, with_join_cutoff
+from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, build_grid, moment
+from prionpde.kernels import (
+    _graded_rule,
+    _panel_rule,
+    make_k0_family,
+    make_special_family,
+    with_join_cutoff,
+)
 from prionpde.operators import (
     FragTables,
+    _integrability_coefficients,
+    _small_fragment_mass,
+    split_targets,
     JoiningTables,
     fragmentation_apply,
     g_functional,
@@ -260,3 +274,136 @@ class TestFunctionals:
         report = measure_operator_bounds(k, grid, trials=8, seed=1)
         assert 0.0 < report["linear_bound_ratio"] < 50.0
         assert 0.0 < report["bilinear_bound_ratio"] < 50.0
+
+
+# -- per-parent daughter quadrature ------------------------------------------
+
+def reference_frag_tables(k, grid):
+    """The per-source-cell loop the chunked FragTables.build replaced:
+    (deposit, monomer_coeff)."""
+    n = grid.n
+    c = grid.centers
+    deposit = np.zeros((n, n))
+    dep_moment = np.zeros(n)
+    for j in range(n):
+        parent = c[j]
+        cut = np.searchsorted(grid.edges, parent, side="left")
+        bounds = np.concatenate((grid.edges[:cut], [parent]))
+        lo, hi = bounds[:-1], bounds[1:]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        zq = mid[None, :] + half[None, :] * GAUSS3_NODES[:, None]
+        kq = np.asarray(
+            k.daughter(zq.ravel(), np.full(zq.size, parent)), dtype=float
+        ).reshape(zq.shape)
+        k0 = half * np.tensordot(GAUSS3_WEIGHTS, kq, axes=(0, 0))
+        k1 = half * np.tensordot(GAUSS3_WEIGHTS, kq * zq, axes=(0, 0))
+        live = k0 > 0.0
+        if not np.any(live):
+            continue
+        k0, k1 = k0[live], k1[live]
+        centroid = np.clip(k1 / k0, lo[live], hi[live])
+        idx, frac = split_targets(c, centroid)
+        np.add.at(deposit[j], idx, k0 * frac)
+        np.add.at(deposit[j], idx + 1, k0 * (1.0 - frac))
+        dep_moment[j] = float(np.dot(deposit[j], c))
+    return deposit, 0.5 * c - dep_moment
+
+
+def reference_small_fragment_mass(k, grid):
+    """The per-cell loop _small_fragment_mass replaced."""
+    nodes, weights = _graded_rule(grid.y0, panels=64)
+    out = np.empty(grid.n)
+    for j, parent in enumerate(grid.centers):
+        dv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
+        out[j] = float(np.dot(weights, nodes * dv))
+    return out
+
+
+def reference_integrability_coefficients(k, grid, weight):
+    """The per-cell loop _integrability_coefficients replaced."""
+    n1 = np.zeros(grid.n)
+    n2 = reference_small_fragment_mass(k, grid)
+    for j, parent in enumerate(grid.centers):
+        ratio_parent = float(weight.value(np.array([parent]))[0]) / parent
+        nodes, wq = _panel_rule(grid.y0, parent, panels=32)
+        kv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
+        ratio_nodes = np.asarray(weight.value(nodes), dtype=float) / nodes
+        n1[j] = float(np.dot(wq, (ratio_parent - ratio_nodes) * nodes * kv))
+        n2[j] *= ratio_parent
+    return n1, n2
+
+
+def dead_zone_family():
+    """Daughters 2/y on (y/4, 3y/4) only: rows with dead sub-intervals."""
+    def daughter(z, y):
+        z, y = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                   np.asarray(y, dtype=float))
+        return np.where((z > 0.25 * y) & (z < 0.75 * y), 2.0 / y, 0.0)
+
+    base = make_special_family(growth_value=1.0, death_value=0.1,
+                               frag_slope=0.5, join_value=0.2)
+    return dataclasses.replace(base, daughter=daughter, label="dead-zone")
+
+
+DAUGHTER_KERNELS = {
+    "uniform": lambda: make_special_family(growth_value=1.0, death_value=0.1,
+                                           frag_slope=0.5, join_value=0.2),
+    "parabolic": lambda: make_k0_family(lambda s: 6.0 * s * (1.0 - s),
+                                        growth_value=1.0, frag_slope=0.3),
+    "dead-zone": dead_zone_family,
+}
+
+
+def flat_weight(grid):
+    return vallee_poussin_weight(GridFunction(grid, np.ones(grid.n)))
+
+
+def quadratures(k, grid, weight):
+    tables = FragTables.build(k, grid)
+    return (tables.deposit, tables.monomer_coeff, _small_fragment_mass(k, grid),
+            *_integrability_coefficients(k, grid, weight.value))
+
+
+class TestDaughterQuadrature:
+    @pytest.mark.parametrize("n", [4, 64, 400])
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    @pytest.mark.parametrize("kernel", sorted(DAUGHTER_KERNELS))
+    def test_matches_the_per_cell_loops(self, kernel, spacing, n):
+        k = DAUGHTER_KERNELS[kernel]()
+        grid = build_grid(1.0, 200.0, n, spacing=spacing)
+        weight = flat_weight(grid)
+        deposit, monomer_coeff, small, n1, n2 = quadratures(k, grid, weight)
+        ref_deposit, ref_monomer_coeff = reference_frag_tables(k, grid)
+        assert np.max(np.abs(deposit - ref_deposit)) <= 1e-14
+        assert np.all(np.abs(monomer_coeff - ref_monomer_coeff)
+                      <= 1e-13 * 0.5 * grid.centers)
+        ref_small = reference_small_fragment_mass(k, grid)
+        assert np.all(np.abs(small - ref_small) <= 1e-13 * np.abs(ref_small))
+        ref_n1, ref_n2 = reference_integrability_coefficients(k, grid, weight)
+        assert np.all(np.abs(n1 - ref_n1) <= 1e-13 * np.abs(ref_n1))
+        assert np.all(np.abs(n2 - ref_n2) <= 1e-13 * np.abs(ref_n2))
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    @pytest.mark.parametrize("kernel", sorted(DAUGHTER_KERNELS))
+    def test_chunking_does_not_change_the_tables(self, monkeypatch, kernel,
+                                                 spacing):
+        k = DAUGHTER_KERNELS[kernel]()
+        grid = build_grid(1.0, 200.0, 96, spacing=spacing)
+        weight = flat_weight(grid)
+        default = quadratures(k, grid, weight)
+        for chunk in (1, 10 ** 9):   # one row per chunk, every row in one
+            monkeypatch.setattr(operators, "QUAD_CHUNK", chunk)
+            for got, want in zip(quadratures(k, grid, weight), default):
+                assert np.array_equal(got, want)
+
+    def test_build_stays_within_its_memory_budget(self):
+        k = DAUGHTER_KERNELS["uniform"]()
+        grid = build_grid(1.0, 200.0, 800, spacing="geometric")
+        tracemalloc.start()
+        try:
+            tables = FragTables.build(k, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables.deposit.nbytes + 2.4e6
