@@ -256,7 +256,14 @@ class LedgerAccumulator:
     accumulators (monomer integral, death moment integral, one weak-form
     flux integral per test function) and the support envelope advance in
     step with the calls, using only the visited states, so a replay over
-    the same states reproduces every row bit for bit."""
+    the same states reproduces every row bit for bit.
+
+    The weak-form fluxes need each state's reaction right-hand side.
+    The solver evaluates it once per state for its own stepping and
+    hands it to start and advance; a replay passes none, and the
+    accumulator evaluates it from the stored state with the same
+    operator.  Either way the value is the same floats, so replay stays
+    independent of the run and still bit-identical to it."""
 
     def __init__(
         self,
@@ -287,13 +294,14 @@ class LedgerAccumulator:
 
     # per-state quantities -------------------------------------------------
 
-    def _fluxes(self, speed: float, u: np.ndarray) -> np.ndarray:
+    def _fluxes(self, speed: float, u: np.ndarray,
+                rhs: Optional[np.ndarray]) -> np.ndarray:
         out = np.empty(len(self.tfs))
         if not self.tfs:
             return out
         w = self.grid.widths
         grown = self.reaction.growth_at_centers * u * w
-        reacted = self.reaction.rhs(u) * w
+        reacted = (self.reaction.rhs(u) if rhs is None else rhs) * w
         for i in range(len(self.tfs)):
             transport = speed * float(np.dot(self._phi_slopes[i], grown))
             out[i] = transport + float(np.dot(self._phi_vals[i], reacted))
@@ -326,10 +334,12 @@ class LedgerAccumulator:
     # row production -------------------------------------------------------
 
     def start(self, t: float, v: float, u: GridFunction,
-              envelope_start: Optional[float] = None) -> Mapping[str, float]:
+              envelope_start: Optional[float] = None,
+              rhs: Optional[np.ndarray] = None) -> Mapping[str, float]:
         """First row.  The support envelope starts at the numeric support
         or the pair cutoff (infinite for uncut joining); envelope_start,
-        when given, raises that start (replacing an infinite one)."""
+        when given, raises that start (replacing an infinite one).  rhs,
+        when given, is the reaction right-hand side at u."""
         if self._started:
             raise RuntimeError("accumulator already started")
         self._started = True
@@ -341,7 +351,7 @@ class LedgerAccumulator:
         self._phi0 = [float(np.dot(pv, arr * self.grid.widths))
                       for pv in self._phi_vals]
         self._wf_accum = np.zeros(len(self.tfs))
-        self._flux_prev = self._fluxes(self._speed_prev, arr)
+        self._flux_prev = self._fluxes(self._speed_prev, arr, rhs)
         self._accum_v = 0.0
         self._accum_mu = 0.0
         self._death_prev = self.reaction.death_moment(arr)
@@ -358,7 +368,9 @@ class LedgerAccumulator:
         self.ledger.record(row)
         return row
 
-    def advance(self, t: float, v: float, u: GridFunction) -> Mapping[str, float]:
+    def advance(self, t: float, v: float, u: GridFunction,
+                rhs: Optional[np.ndarray] = None) -> Mapping[str, float]:
+        """Next row; rhs, when given, is the reaction right-hand side at u."""
         if not self._started:
             raise RuntimeError("call start first")
         dt = t - self._t
@@ -369,7 +381,7 @@ class LedgerAccumulator:
         death_now = self.reaction.death_moment(arr)
         self._accum_mu += 0.5 * dt * (self._death_prev + death_now)
         speed_now = self.reaction.speed(v, arr)
-        flux_now = self._fluxes(speed_now, arr)
+        flux_now = self._fluxes(speed_now, arr, rhs)
         self._wf_accum += 0.5 * dt * (self._flux_prev + flux_now)
         self._advance_envelope(dt, self._speed_prev, speed_now)
         self._t, self._v_prev, self._speed_prev = t, v, speed_now

@@ -200,13 +200,18 @@ def transport_apply(cm: CharacteristicMap, f: GridFunction, t_eff: float) -> Gri
     return GridFunction(g, out)
 
 
-def split_targets(centers: np.ndarray, positions: np.ndarray):
+def split_targets(centers: np.ndarray, positions: np.ndarray,
+                  below: Optional[np.ndarray] = None):
     """Bracketing-center split of point masses at the given positions:
     returns (idx, frac) such that fraction frac of each mass goes to
     centers[idx] and the rest to centers[idx+1], preserving the first
     moment whenever the position lies between the two.  Positions beyond
-    either end are clamped onto the end cell."""
-    idx = np.clip(np.searchsorted(centers, positions) - 1, 0, len(centers) - 2)
+    either end are clamped onto the end cell.  below, when the caller
+    knows it, is the index of the last center strictly below each
+    position (-1 for none), which saves the search."""
+    if below is None:
+        below = np.searchsorted(centers, positions) - 1
+    idx = np.clip(below, 0, len(centers) - 2)
     gap = centers[idx + 1] - centers[idx]
     frac = np.clip((centers[idx + 1] - positions) / gap, 0.0, 1.0)
     return idx, frac
@@ -339,10 +344,14 @@ class FragTables:
             live = k0 > 0.0
             lo, hi = (x[live] for x in sub_intervals(a, b))
             k0 = k0[live]
-            idx, frac = split_targets(c, np.clip(k1[live] / k0, lo, hi))
+            rows, cells = np.nonzero(live)
+            # a live panel's centroid lies in its own cell, so the last
+            # center below it is that cell's or the one before
+            pos = np.clip(k1[live] / k0, lo, hi)
+            idx, frac = split_targets(c, pos, cells - (pos <= c[cells]))
             # each row's targets are monotone, so one bincount adds the
             # lower, then the upper shares in panel order
-            at = np.nonzero(live)[0] * n + idx
+            at = rows * n + idx
             deposit[a:b] = np.bincount(
                 np.concatenate((at, at + 1)), np.concatenate((k0 * frac, k0 * (1.0 - frac))),
                 (b - a) * n).reshape(b - a, n)
@@ -546,7 +555,14 @@ class JoiningTables:
             np.matmul(shares, product[start:stop], out=sums[b])
         return sums
 
-    def apply(self, u_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:
+    def loss_rate(self, w_values: np.ndarray) -> np.ndarray:
+        """Per-cell joining loss rate against partners w: one n² GEMV."""
+        return 2.0 * (self.rate @ (w_values * self.grid.widths))
+
+    def apply(self, u_values: np.ndarray, w_values: np.ndarray,
+              loss_rate: Optional[np.ndarray] = None) -> np.ndarray:
+        """Joining of u with w; loss_rate, when the caller has it, is
+        loss_rate(w_values), so the GEMV is not repeated."""
         g = self.grid
         n = g.n
         mu = u_values * g.widths
@@ -577,8 +593,9 @@ class JoiningTables:
         ext[lowest:lowest + n + blocks] = diagonals[:n + blocks, ::step].sum(axis=1)
         gain = ext[:n]
         gain[-1] += ext[n:].sum()
-        loss = 2.0 * u_values * (self.rate @ mw)
-        return gain / g.widths - loss
+        if loss_rate is None:
+            loss_rate = self.loss_rate(w_values)
+        return gain / g.widths - u_values * loss_rate
 
 
 def joining_apply(
@@ -634,17 +651,25 @@ class ReactionOperator:
         """Joining is on and its rate is not identically zero."""
         return self.join is not None and bool(np.any(self.join.rate != 0.0))
 
-    def rhs(self, u_values: np.ndarray) -> np.ndarray:
+    def join_loss(self, u_values: np.ndarray) -> Optional[np.ndarray]:
+        """Per-cell joining loss rate at u; None when joining is skipped."""
+        return None if self.join is None else self.join.loss_rate(u_values)
+
+    def rhs(self, u_values: np.ndarray,
+            join_loss: Optional[np.ndarray] = None) -> np.ndarray:
+        """Reaction right-hand side at u; join_loss, when given, is
+        join_loss(u_values)."""
         out = self.frag.apply(u_values)
         if self.join is not None:
-            out = out + self.join.apply(u_values, u_values)
+            out = out + self.join.apply(u_values, u_values, loss_rate=join_loss)
         return out
 
-    def loss_scale(self, u_values: np.ndarray) -> float:
-        """Largest per-cell loss rate of the density."""
+    def loss_scale(self, join_loss: Optional[np.ndarray]) -> float:
+        """Largest per-cell loss rate of a density with the given
+        join_loss."""
         rate = self.frag.death_at_centers + self.frag.frag_at_centers
-        if self.join is not None:
-            rate = rate + 2.0 * (self.join.rate @ (u_values * self.grid.widths))
+        if join_loss is not None:
+            rate = rate + join_loss
         return float(np.max(rate))
 
     def _saturated(self, x: float, u_values: np.ndarray) -> float:

@@ -17,6 +17,16 @@ within the configured tolerance, anything larger is a hard error.
 The state between steps is a diagnostics.Snapshot (t, v, u).  The run
 integrals that the ledger's balance needs (monomer and death moment)
 are accumulated by diagnostics.LedgerAccumulator alone.
+
+Each accepted state's reaction right-hand side is evaluated once, the
+"first same as last" reuse of explicit Runge-Kutta pairs carried across
+the step boundary: run evaluates it at the initial state, each step at
+its new state after the step's checks, and the array goes to the
+ledger's weak-form fluxes and to the next step as its first stage.  It
+is passed explicitly, never cached; Snapshot stays a pure state record,
+and a replay of the ledger evaluates its own.  A run without test
+functions has no ledger reader, so each step evaluates its own start
+instead and the final state is not evaluated at all.
 """
 
 from __future__ import annotations
@@ -116,15 +126,21 @@ def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _react(v: float, u: np.ndarray, h: float, k: KernelSet,
-           mach: Machinery, cfg: SolverConfig) -> Tuple[float, np.ndarray]:
-    """Advance density and monomer over a reaction interval of length h."""
+           mach: Machinery, cfg: SolverConfig,
+           f0: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+    """Advance density and monomer over a reaction interval of length h.
+    f0, when given, is the right-hand side at u."""
     r = mach.reaction
     drain0 = r.drain(u)
     gain0 = r.frag.monomer_gain(u)
-    substeps = max(1, int(math.ceil(h * r.loss_scale(u) / 0.5)))
+    join_loss = r.join_loss(u)
+    substeps = max(1, int(math.ceil(h * r.loss_scale(join_loss) / 0.5)))
     hs = h / substeps
-    for _ in range(substeps):
-        f0 = r.rhs(u)
+    if f0 is None:
+        f0 = r.rhs(u, join_loss)
+    for i in range(substeps):
+        if i > 0:
+            f0 = r.rhs(u)
         if cfg.reaction_integrator == "euler":
             u = _clip_positive(u + hs * f0, mach.positivity_floor)
         else:
@@ -149,12 +165,20 @@ def step(
     cfg: SolverConfig,
     mach: Machinery,
     dt: Optional[float] = None,
-) -> Snapshot:
-    """One splitting step from the given state; returns the new state."""
+    f_start: Optional[np.ndarray] = None,
+) -> Tuple[Snapshot, Optional[np.ndarray]]:
+    """One splitting step from the given state.
+
+    f_start, when given, is the reaction right-hand side at state.u and
+    serves as the first stage; the step then also returns the right-hand
+    side at the new state's density (None otherwise), evaluated after
+    the step's checks, for the caller to hand to the ledger and to the
+    next step."""
     grid = state.u.grid
     h = cfg.dt if dt is None else dt
     strang = cfg.splitting == "strang"
-    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, k, mach, cfg)
+    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, k, mach,
+                  cfg, f_start)
     moved, esc_count, _esc_mass = transport_remap(
         cm, GridFunction(grid, u), mach.reaction.speed(v, u) * h)
     u = moved.values
@@ -168,7 +192,10 @@ def step(
     scale = max(1.0, abs(state.v))
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
-    return Snapshot(t=state.t + h, v=max(v, 0.0), u=GridFunction(grid, u))
+    new = Snapshot(t=state.t + h, v=max(v, 0.0), u=GridFunction(grid, u))
+    if f_start is None:
+        return new, None
+    return new, mach.reaction.rhs(new.u.values)
 
 
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> set:
@@ -214,12 +241,14 @@ def run(
                else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
     snap_steps = _snapshot_steps(cfg, n_steps)
     snapshots = [state]
-    row = acc.start(state.t, state.v, state.u)
+    # the right-hand side of the current state, when the ledger reads it
+    f = mach.reaction.rhs(state.u.values) if acc.tfs else None
+    row = acc.start(state.t, state.v, state.u, rhs=f)
     try:
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
-            state = step(state, k, cm, cfg, mach, dt=h)
-            row = acc.advance(state.t, state.v, state.u)
+            state, f = step(state, k, cm, cfg, mach, dt=h, f_start=f)
+            row = acc.advance(state.t, state.v, state.u, rhs=f)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape(
                     f"count {row['tail_mass']:g} in the outer tenth of the "

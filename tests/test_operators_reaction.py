@@ -129,6 +129,29 @@ class TestJoining:
         cold[:4] = 1.0
         joining_apply(k, GridFunction(grid, cold))
 
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_shared_loss_rate_changes_nothing(self, spacing):
+        """The reaction operator hands its loss GEMV to apply and to the
+        substep rule; both must read what they computed on their own."""
+        grid = build_grid(1.0, 200.0, 64, spacing=spacing)
+        k = with_join_cutoff(
+            make_special_family(growth_value=1.0, death_value=0.1,
+                               frag_slope=0.5, join_value=0.2),
+            cutoff=100.0,
+        )
+        r = ReactionOperator.build(k, grid, skip_joining=False)
+        u, w = random_density(grid, 31).values, random_density(grid, 32).values
+        assert np.array_equal(r.join.apply(u, w, loss_rate=r.join.loss_rate(w)),
+                              r.join.apply(u, w))
+        assert np.array_equal(r.rhs(u, r.join_loss(u)), r.rhs(u))
+        direct = (r.frag.death_at_centers + r.frag.frag_at_centers
+                  + 2.0 * (r.join.rate @ (u * grid.widths)))
+        assert r.loss_scale(r.join_loss(u)) == float(np.max(direct))
+        skip = ReactionOperator.build(k, grid, skip_joining=True)
+        assert skip.join_loss(u) is None
+        assert skip.loss_scale(None) == float(np.max(
+            r.frag.death_at_centers + r.frag.frag_at_centers))
+
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
     def test_bilinearity_in_first_argument(self, a, b):
@@ -396,6 +419,29 @@ class TestDaughterQuadrature:
             monkeypatch.setattr(operators, "QUAD_CHUNK", chunk)
             for got, want in zip(quadratures(k, grid, weight), default):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [4, 64, 400, 800])
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    @pytest.mark.parametrize("kernel", sorted(DAUGHTER_KERNELS))
+    def test_brackets_from_the_cells_match_the_search(self, monkeypatch,
+                                                      kernel, spacing, n):
+        """FragTables.build takes each centroid's bracket from its panel's
+        cell; it must be the one the binary search finds."""
+        k = DAUGHTER_KERNELS[kernel]()
+        grid = build_grid(1.0, 200.0, n, spacing=spacing)
+        checked = []
+
+        def searched(centers, positions, below=None):
+            assert np.array_equal(below, np.searchsorted(centers, positions) - 1)
+            got, want = (split_targets(centers, positions, below),
+                         split_targets(centers, positions))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            checked.append(positions.size)
+            return got
+
+        monkeypatch.setattr(operators, "split_targets", searched)
+        FragTables.build(k, grid)
+        assert sum(checked) >= n
 
     def test_build_stays_within_its_memory_budget(self):
         k = DAUGHTER_KERNELS["uniform"]()

@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from prionpde.diagnostics import LedgerAccumulator, Snapshot
-from prionpde.errors import MassEscape, NegativeMonomer, PositivityError
-from prionpde.grid import build_grid, project
-from prionpde.kernels import ModelParams, make_special_family
+from prionpde.diagnostics import (
+    LedgerAccumulator,
+    RunResult,
+    Snapshot,
+    select_test_functions,
+    vallee_poussin_weight,
+)
+from prionpde.errors import (
+    MassEscape,
+    NegativeMonomer,
+    PairOutOfRange,
+    PositivityError,
+)
+from prionpde.grid import build_grid, moment, project
+from prionpde.kernels import ModelParams, make_special_family, with_join_cutoff
 from prionpde.oracle import (
     MomentOdeState,
     integrate_oracle,
@@ -15,11 +26,12 @@ from prionpde.oracle import (
 from prionpde.solver import (
     SolverConfig,
     _clip_positive,
+    _snapshot_steps,
     build_machinery,
     run,
     step,
 )
-from prionpde.operators import characteristic_map
+from prionpde.operators import JoiningTables, characteristic_map
 
 
 def closed_family(join_value=0.2):
@@ -80,8 +92,8 @@ class TestStepping:
         mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
         cm = characteristic_map(k, grid)
         state = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        state = step(state, k, cm, cfg, mach)
-        state = step(state, k, cm, cfg, mach)
+        state, _ = step(state, k, cm, cfg, mach)
+        state, _ = step(state, k, cm, cfg, mach)
         assert state.t == fin.t
         assert state.v == fin.v
         assert np.array_equal(state.u.values, fin.u.values)
@@ -92,7 +104,7 @@ class TestStepping:
         mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
         cm = characteristic_map(k, grid)
         before = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        after = step(before, k, cm, cfg, mach)
+        after, _ = step(before, k, cm, cfg, mach)
         acc = LedgerAccumulator(k, mach.reaction, test_functions=())
         acc.start(before.t, before.v, before.u)
         acc.advance(after.t, after.v, after.u)
@@ -234,3 +246,212 @@ class TestSnapshots:
         assert len(times) == 4
         assert times[1] == pytest.approx(0.02, abs=1e-12)
         assert times[2] == pytest.approx(0.05, abs=1e-12)
+
+
+# -- the right-hand-side handover -------------------------------------------
+
+def reference_run(u0, v0, k, cfg):
+    """run without the right-hand-side handover, the test reference: each
+    step evaluates every stage itself and the ledger evaluates each
+    state's right-hand side by itself."""
+    grid = u0.grid
+    mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
+    cm = characteristic_map(k, grid)
+    weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
+    acc = LedgerAccumulator(
+        k, mach.reaction,
+        test_functions=select_test_functions(grid, k, cfg.test_functions),
+        extra_moment=cfg.extra_moment,
+        integrability_weight=weight,
+    )
+    state = Snapshot(t=0.0, v=float(v0), u=u0.copy())
+    tail_bound = (cfg.tail_mass_bound if cfg.tail_mass_bound is not None
+                  else 1e-8 * max(1.0, moment(grid, u0.values, 1)))
+    n_steps = (0 if cfg.t_end == 0.0
+               else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
+    snap_steps = _snapshot_steps(cfg, n_steps)
+    snapshots = [state]
+    acc.start(state.t, state.v, state.u)
+    try:
+        for i in range(1, n_steps + 1):
+            h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
+            state, _ = step(state, k, cm, cfg, mach, dt=h)
+            row = acc.advance(state.t, state.v, state.u)
+            if row["tail_mass"] > tail_bound:
+                raise MassEscape("tail mass")
+            if i in snap_steps:
+                snapshots.append(state)
+    except Exception as err:
+        err.partial_result = RunResult(snapshots=tuple(snapshots),
+                                       ledger=acc.ledger)
+        raise
+    acc.ledger.meta["config"] = cfg
+    return RunResult(snapshots=tuple(snapshots), ledger=acc.ledger)
+
+
+def assert_same_run(a, b):
+    assert a.ledger.column_order() == b.ledger.column_order()
+    for name in a.ledger.column_order():
+        assert np.array_equal(a.ledger.column(name), b.ledger.column(name)), name
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.t == sb.t and sa.v == sb.v
+        assert np.array_equal(sa.u.values, sb.u.values)
+
+
+def outcome(fn, *args):
+    """(error type, run or partial run) of one call."""
+    try:
+        return None, fn(*args)
+    except Exception as err:
+        return type(err), err.partial_result
+
+
+OPTIONS = {
+    "strang-rk2": {},
+    "lie-rk2": {"splitting": "lie"},
+    "strang-euler": {"reaction_integrator": "euler"},
+    "lie-euler": {"splitting": "lie", "reaction_integrator": "euler"},
+}
+# joining applies per step at one substep: one per stage, less the first
+# stage, which is the previous state's handed-over right-hand side
+APPLIES_PER_STEP = {"strang-rk2": 4, "lie-rk2": 2, "strang-euler": 2,
+                    "lie-euler": 1}
+
+
+def count_join_applies(monkeypatch):
+    calls = []
+    apply = JoiningTables.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(JoiningTables, "apply", counted)
+    return calls
+
+
+EVERY_STEP = tuple(0.05 * i for i in range(21))  # dt = 0.05 up to t = 1
+
+
+def stray_setup():
+    """A closed family on a grid short enough that joining pushes real
+    flux past the grid end within a few steps."""
+    grid = build_grid(1.0, 26.0, 64, "geometric")
+    return closed_family(), gaussian_start(grid)
+
+
+class TestRightHandSideHandover:
+    @pytest.mark.parametrize("skip_joining", [False, True],
+                             ids=["joining", "skip-joining"])
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_run_matches_reference(self, small_setup, option, skip_joining):
+        """Bit for bit, with several reaction substeps per interval."""
+        k, _, u0 = small_setup
+        dt = 2e-2
+        cfg = SolverConfig(dt=dt, t_end=10 * dt, skip_joining=skip_joining,
+                           snapshot_times=tuple(dt * i for i in range(11)),
+                           **OPTIONS[option])
+        res = run(u0, 2.0, k, cfg)
+        assert len(res.snapshots) == 11
+        assert_same_run(res, reference_run(u0, 2.0, k, cfg))
+
+    def test_step_hands_back_the_new_right_hand_side(self, small_setup):
+        k, grid, u0 = small_setup
+        cfg = SolverConfig(dt=5e-3, t_end=5e-3)
+        mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
+        cm = characteristic_map(k, grid)
+        start = Snapshot(t=0.0, v=2.0, u=u0.copy())
+        plain, nothing = step(start, k, cm, cfg, mach)
+        assert nothing is None
+        new, f_end = step(start, k, cm, cfg, mach,
+                          f_start=mach.reaction.rhs(u0.values))
+        assert new.t == plain.t and new.v == plain.v
+        assert np.array_equal(new.u.values, plain.u.values)
+        assert np.array_equal(f_end, mach.reaction.rhs(new.u.values))
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_each_state_is_evaluated_once(self, small_setup, monkeypatch,
+                                          option):
+        k, _, u0 = small_setup
+        n = 6
+        cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, **OPTIONS[option])
+        calls = count_join_applies(monkeypatch)
+        run(u0, 2.0, k, cfg)
+        assert len(calls) == APPLIES_PER_STEP[option] * n + 1
+
+    def test_loss_gemv_is_shared(self, small_setup, monkeypatch):
+        """The substep rule reads the loss GEMV of the evaluation at the
+        same state; only the handed-over start of a step pays one of its
+        own: 5 GEMVs per Strang step with Heun, against 7 unshared."""
+        k, _, u0 = small_setup
+        n = 6
+        calls = []
+        loss_rate = JoiningTables.loss_rate
+
+        def counted(self, *args):
+            calls.append(1)
+            return loss_rate(self, *args)
+
+        monkeypatch.setattr(JoiningTables, "loss_rate", counted)
+        run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
+        assert len(calls) == 5 * n + 1
+
+    def test_final_state_is_not_evaluated_without_test_functions(
+            self, small_setup, monkeypatch):
+        k, _, u0 = small_setup
+        n = 6
+        cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, test_functions=())
+        calls = count_join_applies(monkeypatch)
+        res = run(u0, 2.0, k, cfg)
+        assert len(calls) == 4 * n
+        del calls[:]
+        assert_same_run(res, reference_run(u0, 2.0, k, cfg))
+        assert len(calls) == 4 * n
+
+    @pytest.mark.parametrize("test_functions", [None, ()],
+                             ids=["all", "none"])
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_stray_flux_raises_at_the_same_step(self, option, test_functions):
+        k, u0 = stray_setup()
+        cfg = SolverConfig(dt=0.05, t_end=1.0, tail_mass_bound=float("inf"),
+                           test_functions=test_functions,
+                           snapshot_times=EVERY_STEP, **OPTIONS[option])
+        err, partial = outcome(run, u0, 2.0, k, cfg)
+        ref_err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
+        assert err is ref_err is PairOutOfRange
+        assert len(ref_partial.ledger) > 2
+        assert_same_run(partial, ref_partial)
+
+    def test_final_state_the_reference_accepts_is_accepted(self):
+        """Lie with Euler evaluates nothing but the step's start state, so
+        without test functions a state whose joining flux strays is only
+        refused by the step after it; ending the run on it is fine."""
+        k, u0 = stray_setup()
+        options = dict(dt=0.05, tail_mass_bound=float("inf"), test_functions=(),
+                       **OPTIONS["lie-euler"])
+        err, partial = outcome(
+            run, u0, 2.0, k, SolverConfig(t_end=1.0, **options))
+        assert err is PairOutOfRange
+        n = len(partial.ledger) - 1
+        cfg = SolverConfig(t_end=n * 0.05, **options)
+        res = run(u0, 2.0, k, cfg)
+        assert_same_run(res, reference_run(u0, 2.0, k, cfg))
+        mach = build_machinery(k, u0.grid, cfg, float(np.max(u0.values)))
+        with pytest.raises(PairOutOfRange):
+            mach.reaction.rhs(res.snapshots[-1].u.values)
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_tail_gate_raises_at_the_same_step(self, option):
+        """Joining cut at the grid end carries mass into the outer tenth
+        of the grid, and the gate trips after the first step."""
+        k = with_join_cutoff(closed_family(), cutoff=60.0)
+        grid = build_grid(1.0, 60.0, 64, "geometric")
+        u0 = gaussian_start(grid, center=40.0, width=1.0)
+        cfg = SolverConfig(dt=0.05, t_end=1.0, tail_mass_bound=1.5e-4,
+                           snapshot_times=EVERY_STEP, **OPTIONS[option])
+        err, partial = outcome(run, u0, 2.0, k, cfg)
+        ref_err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
+        assert err is ref_err is MassEscape
+        assert len(ref_partial.ledger) > 2
+        assert_same_run(partial, ref_partial)
