@@ -121,7 +121,8 @@ class KernelSet:
     daughter(z, y): daughter-size density at z for a parent of size y;
         supported on 0 < z < y, number-normalized to 1, mass-normalized
         so twice its first moment equals y.
-    join(y, z): symmetric pair joining rate.
+    join(y, z): pair joining rate; must be symmetric, which the joining
+        loss assumes (JoiningTables.build refuses it otherwise).
 
     All closures must broadcast over numpy arrays and be evaluable on
     the whole probe range, not just the grid.  The rates growth, death
@@ -503,6 +504,52 @@ def _graded_rule(b: float, panels: int = 256):
     return nodes, weights
 
 
+QUAD_CHUNK = 16384  # daughter-density evaluations per daughter call
+
+
+def _daughter_quadrature(daughter: PairFn, parents: np.ndarray, counts: np.ndarray,
+                         panels, *factors):
+    """Per-panel sums (w0 f0 + w1 f1) + w2 f2 of f = g(z, y) daughter(z, y)
+    for each factor g, parent j owning counts[j] panels (non-decreasing).
+
+    Walks the parents in chunks of whole rows of at most QUAD_CHUNK nodes
+    (or one row), with one daughter call per chunk.  panels(a, b) gives
+    the nodes and weights of parents a..b-1, broadcastable to (3, b - a,
+    counts[b - 1]).  Yields (a, b, sums); the fixed order makes the sums
+    independent of the chunking."""
+    a = 0
+    while a < len(parents):
+        nodes = 3 * np.arange(1, len(parents) - a + 1) * counts[a:]
+        b = a + max(1, int(np.searchsorted(nodes, QUAD_CHUNK, side="right")))
+        z, w = panels(a, b)
+        z, y = np.broadcast_arrays(z, parents[a:b, None])
+        wk = w * np.asarray(daughter(z, y), dtype=float)
+        yield a, b, [(f[0] + f[1]) + f[2] for f in (wk * g(z, y) for g in factors)]
+        a = b
+
+
+def _panel_sums(daughter: PairFn, parents: np.ndarray, count: int, panels, *factors):
+    """_daughter_quadrature for parents owning count panels each: one
+    (len(parents), count) array of panel sums per factor."""
+    out = [np.empty((len(parents), count)) for _ in factors]
+    for a, b, sums in _daughter_quadrature(
+            daughter, parents, np.full(len(parents), count), panels, *factors):
+        for o, s in zip(out, sums):
+            o[a:b] = s
+    return out
+
+
+def _equal_panels(lo: float, parents: np.ndarray, count: int):
+    """panels(a, b) of count equal Gauss panels on (lo, parent)."""
+    t = np.linspace(0.0, 1.0, count + 1)
+
+    def panels(a, b):
+        edges = lo + (parents[a:b, None] - lo) * t
+        return _gauss_panels(edges[:, :-1], edges[:, 1:])
+
+    return panels
+
+
 def _eval_kernel(name: str, fn, *args):
     try:
         out = np.asarray(fn(*args), dtype=float)
@@ -533,6 +580,9 @@ def validate_kernel_set(
     tol = 1e-8
     checks = []
 
+    def daughter(z, y):
+        return _eval_kernel("daughter", k.daughter, z, y)
+
     growth_v = _eval_kernel("growth", k.growth, ys)
     death_v = _eval_kernel("death", k.death, ys)
     frag_v = _eval_kernel("frag", k.frag, ys)
@@ -549,12 +599,13 @@ def validate_kernel_set(
 
     # number and mass normalization of the daughter density; graded rule
     # keeps endpoint-singular profiles inside the tolerance
-    num_res, mass_res = 0.0, 0.0
-    for y in ys:
-        nodes, weights = _graded_rule(float(y))
-        dv = _eval_kernel("daughter", k.daughter, nodes, np.full_like(nodes, y))
-        num_res = max(num_res, abs(float(np.dot(weights, dv)) - 1.0))
-        mass_res = max(mass_res, abs(2.0 * float(np.dot(weights, nodes * dv)) - y) / y)
+    num, mass = (x.sum(axis=1) for x in _panel_sums(
+        daughter, ys, 256,
+        lambda a, b: [x.reshape(b - a, -1, 3).transpose(2, 0, 1)
+                      for x in _graded_rule(ys[a:b, None])],
+        lambda z, y: 1.0, lambda z, y: z))
+    num_res = float(np.max(np.abs(num - 1.0)))
+    mass_res = float(np.max(np.abs(2.0 * mass - ys) / ys))
     checks.append(CheckResult("daughter_number_normalization", num_res <= tol, num_res))
     checks.append(CheckResult("daughter_mass_normalization", mass_res <= tol, mass_res))
 
@@ -639,31 +690,33 @@ def validate_kernel_set(
                 checks.append(CheckResult("frag_lower_bound", res <= tol, max(res, 0.0)))
             if gc.daughter_mass_fraction is not None:
                 a = gc.daughter_mass_fraction
-                res = 0.0
-                for y in ys[ys >= 4.0 * y0]:
-                    nodes, weights = _panel_rule(y0, float(y), 64)
-                    dv = _eval_kernel("daughter", k.daughter, nodes,
-                                      np.full_like(nodes, y))
-                    frac_mass = 2.0 * float(np.dot(weights, nodes * dv)) / y
-                    res = max(res, frac_mass - a)
+                big = ys[ys >= 4.0 * y0]
+                (mass,) = _panel_sums(daughter, big, 64, _equal_panels(y0, big, 64),
+                                      lambda z, y: z)
+                res = float(np.max(2.0 * mass.sum(axis=1) / big - a, initial=0.0))
                 checks.append(CheckResult(
-                    "daughter_large_size_mass", res <= tol, max(res, 0.0),
+                    "daughter_large_size_mass", res <= tol, res,
                     f"requires 2*mass fraction above min_size <= {a}*y at large y"))
 
     # decay of the splitting flux through small daughter sets, probed on
     # shrinking dyadic subintervals (a finite surrogate for a sup over
     # all small sets)
-    series = []
-    for kk in range(2, 9):
-        worst = 0.0
-        for y, fv in zip(ys, frag_v):
-            w = y / 2.0**kk
-            offs = np.linspace(0.0, y - w, 16)
-            for a0 in offs:
-                nodes, weights = _panel_rule(a0, a0 + w, 4)
-                dv = _eval_kernel("daughter", k.daughter, nodes, np.full_like(nodes, y))
-                worst = max(worst, fv * float(np.dot(weights, dv)))
-        series.append(worst)
+    # all 7 dyadic levels at once: each (level, parent) owns 16 sets of 4
+    # equal panels
+    levels = 2.0 ** np.arange(2, 9)
+    parents = np.tile(ys, levels.size)
+    widths = parents / np.repeat(levels, samples)
+    t = np.linspace(0.0, 1.0, 5)
+
+    def small_sets(a, b):
+        offs = np.linspace(0.0, parents[a:b] - widths[a:b], 16, axis=-1)
+        edges = offs[:, :, None] + widths[a:b, None, None] * t
+        return _gauss_panels(edges[:, :, :-1].reshape(b - a, 64),
+                             edges[:, :, 1:].reshape(b - a, 64))
+
+    (flux,) = _panel_sums(daughter, parents, 64, small_sets, lambda z, y: 1.0)
+    flux = np.tile(frag_v, levels.size)[:, None] * flux.reshape(-1, 16, 4).sum(axis=2)
+    series = flux.reshape(levels.size, -1).max(axis=1, initial=0.0).tolist()
     decays = all(series[i + 1] <= series[i] * (1.0 + 1e-12) for i in range(len(series) - 1))
     shrinks = series[-1] <= 0.5 * series[0] + 1e-300
     checks.append(CheckResult(
@@ -674,16 +727,12 @@ def validate_kernel_set(
 
     if gc.daughter_spread_from is not None and gc.daughter_spread_floor is not None:
         y1, floor = gc.daughter_spread_from, gc.daughter_spread_floor
-        res = 0.0
-        seen = False
-        for y in ys[ys >= 2.0 * y1]:
-            seen = True
-            nodes, weights = _panel_rule(y1, float(y), 64)
-            dv = _eval_kernel("daughter", k.daughter, nodes, np.full_like(nodes, y))
-            spread = float(np.dot(weights, (1.0 - nodes / y) * dv))
-            res = max(res, floor - spread)
+        wide = ys[ys >= 2.0 * y1]
+        (spread,) = _panel_sums(daughter, wide, 64, _equal_panels(y1, wide, 64),
+                                lambda z, y: 1.0 - z / y)
+        res = float(np.max(floor - spread.sum(axis=1), initial=0.0))
         checks.append(CheckResult(
-            "daughter_spread_floor", seen and res <= tol, max(res, 0.0)))
+            "daughter_spread_floor", wide.size > 0 and res <= tol, res))
 
     return ValidationReport(family=k.hypothesis_family, checks=tuple(checks))
 
@@ -733,6 +782,15 @@ def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
     return growth_n, u0n, reach
 
 
+def _cut_beyond(rate: RateFn, hi: float) -> RateFn:
+    """rate, cut sharply to zero beyond hi."""
+    def cut(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y <= hi, np.asarray(rate(y), dtype=float), 0.0)
+
+    return cut
+
+
 def truncate(
     k: KernelSet,
     level: TruncationLevel,
@@ -768,36 +826,18 @@ def truncate(
             f"rate cutoff {level.rate_cutoff:.6g} beyond grid end {u0.grid.ymax}"
         )
 
-    death_base, frag_base, join_base = k.death, k.frag, k.join
-    cut_hi = level.rate_cutoff
-    pair_hi = level.pair_cutoff
-
-    def death_n(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y <= cut_hi, np.asarray(death_base(y), dtype=float), 0.0)
-
-    def frag_n(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y <= cut_hi, np.asarray(frag_base(y), dtype=float), 0.0)
-
-    def join_n(y, z):
-        total = np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
-        return join_base(y, z) * smooth_cut(total, pair_hi, width)
-
     floor = k.growth_constants.speed_floor
     constants = dataclasses.replace(
         k.growth_constants,
         speed_floor=None if floor is None else 0.5 * floor,
     )
     kn = dataclasses.replace(
-        k,
+        with_join_cutoff(k, level.pair_cutoff, width),
         growth=growth_n,
-        death=death_n,
-        frag=frag_n,
-        join=join_n,
+        death=_cut_beyond(k.death, level.rate_cutoff),
+        frag=_cut_beyond(k.frag, level.rate_cutoff),
         hypothesis_family=HypothesisFamily.BOUNDED_CLASSICAL,
         growth_constants=constants,
-        join_zero_beyond=pair_hi,
         label=k.label + f"+level{level.index}",
     )
     return kn, GridFunction(u0.grid, u0n_vals)

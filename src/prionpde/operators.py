@@ -20,13 +20,13 @@ Discretization notes, load-bearing for the conservation tests:
   built-in grids the split is shift-invariant: on a geometric grid the
   pair (m, m-d) lands at cell m + idx[d] with lower share frac[d], and
   on a uniform grid the pair (i, j) lands at i + j + idx[0] with one
-  share.  The rates are kept in a sheared copy, with one row per
-  diagonal d (geometric) or per first partner i (uniform).  A
-  sliding-window view of the cell counts lines them up with that copy
-  without copying them.  One elementwise product then feeds small
-  GEMVs: one per run of diagonals with the same offset on the geometric
-  grid, and a single one over the anti-diagonals on the uniform grid.
-  Their sums are added at shifted positions.  ``build`` checks every
+  share.  The rate must be symmetric up to rounding.  It is kept in a
+  sheared copy, one row per diagonal d (geometric) or per first
+  partner i (uniform), which a sliding-window view of the cell counts
+  lines up with.  One elementwise product then feeds small GEMVs: one
+  per run of diagonals with the same offset on the geometric grid, one
+  over the anti-diagonals on the uniform grid.  One bincount adds
+  their sums at the targets of their rows.  ``build`` checks every
   pair's deposit against the bracketing split of its exact size, and a
   grid without the structure is refused there.  Pairs between the last
   center and the domain end are clamped: their whole flux stays in the
@@ -42,8 +42,8 @@ Discretization notes, load-bearing for the conservation tests:
   of the deposited first moment, so splitting moves monomer count
   between v and u with zero net balance error by construction, for any
   daughter density whose mass normalization holds.  Every per-parent
-  daughter integral goes through ``_daughter_quadrature``: chunks of
-  whole rows, and Gauss panel sums in a fixed order.
+  daughter integral goes through ``kernels._daughter_quadrature``:
+  chunks of whole rows, and Gauss panel sums in a fixed order.
 
 * ``ReactionOperator`` holds both tables, the growth rate at the centers
   and the saturation constant.  It is the only source of the reaction
@@ -63,7 +63,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
-from .kernels import KernelSet, RateFn, _gauss_panels, _graded_rule
+from .kernels import (KernelSet, RateFn, _daughter_quadrature, _equal_panels,
+                      _gauss_panels, _graded_rule, _panel_sums)
 
 __all__ = [
     "CharacteristicMap",
@@ -250,40 +251,14 @@ def transport_remap(
 
 # -- per-parent daughter quadrature ----------------------------------------
 
-QUAD_CHUNK = 16384  # daughter-density evaluations per k.daughter call
-
-
-def _daughter_quadrature(k: KernelSet, parents: np.ndarray, counts: np.ndarray,
-                         panels, *factors):
-    """Per-panel sums (w0 f0 + w1 f1) + w2 f2 of f = g(z, y) k.daughter(z, y)
-    for each factor g, parent j owning counts[j] panels (non-decreasing).
-
-    Walks the parents in chunks of whole rows of at most QUAD_CHUNK nodes
-    (or one row), with one k.daughter call per chunk.  panels(a, b) gives
-    the nodes and weights of parents a..b-1, broadcastable to (3, b - a,
-    counts[b - 1]).  Yields (a, b, sums); the fixed order makes the sums
-    independent of the chunking."""
-    a = 0
-    while a < len(parents):
-        nodes = 3 * np.arange(1, len(parents) - a + 1) * counts[a:]
-        b = a + max(1, int(np.searchsorted(nodes, QUAD_CHUNK, side="right")))
-        z, w = panels(a, b)
-        z, y = np.broadcast_arrays(z, parents[a:b, None])
-        wk = w * np.asarray(k.daughter(z, y), dtype=float)
-        yield a, b, [(f[0] + f[1]) + f[2] for f in (wk * g(z, y) for g in factors)]
-        a = b
-
-
 def _small_fragment_mass(k: KernelSet, grid: SizeGrid) -> np.ndarray:
     """Per-cell first moment of the daughter density below the minimum
     size, by the endpoint-graded composite rule."""
     nodes, weights = _graded_rule(grid.y0, panels=64)
     z, w = (x.reshape(64, 3).T[:, None] for x in (nodes, weights))  # (3, 1, 64)
-    out = np.empty(grid.n)
-    for a, b, (sums,) in _daughter_quadrature(
-            k, grid.centers, np.full(grid.n, 64), lambda a, b: (z, w), lambda z, y: z):
-        out[a:b] = sums.sum(axis=1)
-    return out
+    (sums,) = _panel_sums(k.daughter, grid.centers, 64, lambda a, b: (z, w),
+                          lambda z, y: z)
+    return sums.sum(axis=1)
 
 
 def _integrability_coefficients(
@@ -294,19 +269,10 @@ def _integrability_coefficients(
     of weight per unit size from parent to daughters above the minimum
     size, and the weighted mass handed to the monomer pool.  Both are
     non-negative for a convex weight vanishing at zero."""
-    c, y0 = grid.centers, grid.y0
-    t = np.linspace(0.0, 1.0, 33)
-
-    def panels(a, b):   # 32 equal panels on (y0, parent)
-        edges = y0 + (c[a:b, None] - y0) * t
-        return _gauss_panels(edges[:, :-1], edges[:, 1:])
-
-    n1 = np.empty(grid.n)
-    for a, b, (sums,) in _daughter_quadrature(
-            k, c, np.full(grid.n, 32), panels,
-            lambda z, y: (weight(y) / y - weight(z) / z) * z):
-        n1[a:b] = sums.sum(axis=1)
-    return n1, _small_fragment_mass(k, grid) * (weight(c) / c)
+    c = grid.centers
+    (sums,) = _panel_sums(k.daughter, c, 32, _equal_panels(grid.y0, c, 32),
+                          lambda z, y: (weight(y) / y - weight(z) / z) * z)
+    return sums.sum(axis=1), _small_fragment_mass(k, grid) * (weight(c) / c)
 
 
 # -- fragmentation ---------------------------------------------------------
@@ -339,7 +305,7 @@ class FragTables:
 
         deposit = np.zeros((n, n))
         for a, b, (k0, k1) in _daughter_quadrature(
-                k, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
+                k.daughter, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
                 lambda z, y: 1.0, lambda z, y: z):
             live = k0 > 0.0
             lo, hi = (x[live] for x in sub_intervals(a, b))
@@ -425,26 +391,24 @@ def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
     moment of the deposit (pair holds the sizes in table coordinates).
     A pair whose structured target is the last cell only needs to reach
     the last center, where the bracketing split clamps it.  Also checks
-    what apply relies on: geometric offsets fall by one cell from run
-    to run, and uniform pairs i + j >= n, which have no table entry,
-    are stray."""
+    what apply relies on: uniform pairs i + j >= n, which have no table
+    entry, are stray."""
     c, n = grid.centers, grid.n
     c_ext = np.concatenate((c, np.full(n, c[-1])))
     gap_ext = np.append(np.diff(c_ext), 0.0)
     if geometric:
-        layout_ok = np.all(np.isin(np.diff(idx), (-1, 0)))
         # table coordinates (d, m): pair (m, m - d) lands at m + idx[d]
         deposit = sliding_window_view(gap_ext, n)[idx]
         deposit *= (1.0 - frac)[:, None]
         deposit += sliding_window_view(c_ext, n)[idx]
     else:
-        layout_ok = np.all(beyond_domain <= n - np.arange(n))
         # table coordinates (i, s): pair (i, s - i) lands at s + idx[0]
         deposit = (c_ext + (1.0 - frac[0]) * gap_ext)[idx[0]:idx[0] + n]
     err = np.minimum(pair, c[-1])
     err -= deposit
     np.copyto(err, 0.0, where=drop)
     err /= c[None, :]
+    layout_ok = geometric or np.all(beyond_domain <= n - np.arange(n))
     if not (layout_ok and err.max() <= SHIFT_RTOL and err.min() >= -SHIFT_RTOL):
         raise ValueError(
             f"joining pair targets on this {grid.spacing} grid are not "
@@ -456,28 +420,31 @@ def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
 class JoiningTables:
     """Shift-structured tables for the joining mechanism.
 
-    rate[i, j] is the joining rate at the pair of cell centers (i, j);
-    each ordered pair deposits its mass flux at the exact pair size,
-    split between the bracketing centers.  The split only depends on
-    the diagonal (geometric grid) or the anti-diagonal (uniform grid).
-    skew holds the rates of the pairs inside the domain, sheared so
-    that rows share their targets:
+    rate[i, j] is the joining rate at the pair of cell centers (i, j),
+    symmetric as the loss 2 u (rate @ w) needs: build refuses an
+    asymmetry above the validator's join_symmetry tolerance (1e-8 of the
+    largest rate) and symmetrizes one below it.  Each ordered pair
+    deposits its mass flux at the exact pair size, split between the
+    bracketing centers.  The split only depends on the diagonal
+    (geometric grid) or the anti-diagonal (uniform grid).  skew holds
+    the rates of the pairs inside the domain, sheared so that rows
+    share their targets:
 
     * geometric: skew[d, m] = rate[m, m - d], halved on d = 0 because
       the pair (m - d, m) is counted in the same row.  It lands
       frac[d] at cell m + idx[d] and the rest one cell up.
-      skew_upper holds rate[m - d, m] when the rate is not symmetric.
     * uniform: skew[i, s] = rate[i, s - i], landing frac[0] at cell
       s + idx[0] and the rest one cell up.
 
     blocks lists the runs of table rows with one offset (a single run
-    on the uniform grid), with their shares.  Pairs landing at or beyond the last center are clamped
-    onto the last cell.  Pairs beyond the domain end are stray; for row
-    i they are the columns from beyond_domain[i] on, and far_rate[i] is
-    their largest rate.  Their flux is dropped, which is legitimate
-    while it is negligible (rounding-level leakage from the
-    support-doubling gain) and a hard error once it carries real
-    mass."""
+    on the uniform grid), with their shares; targets holds the cell of
+    every share of every row, so the gain is one bincount.  Pairs
+    landing at or beyond the last center are clamped onto the last
+    cell.  Pairs beyond the domain end are stray; for row i they are
+    the columns from beyond_domain[i] on, and far_rate[i] is their
+    largest rate.  Their flux is dropped, which is legitimate while it
+    is negligible (rounding-level leakage from the support-doubling
+    gain) and a hard error once it carries real mass."""
 
     grid: SizeGrid
     rate: np.ndarray = field(repr=False)
@@ -486,13 +453,19 @@ class JoiningTables:
     beyond_domain: np.ndarray = field(repr=False)
     far_rate: np.ndarray = field(repr=False)
     skew: np.ndarray = field(repr=False)
-    skew_upper: Optional[np.ndarray] = field(repr=False)
-    blocks: Tuple[Tuple[np.ndarray, int, int, int], ...] = field(repr=False)
+    blocks: Tuple[Tuple[np.ndarray, int, int], ...] = field(repr=False)
+    targets: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid) -> "JoiningTables":
         c, n = grid.centers, grid.n
         rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
+        if not np.array_equal(rate, rate.T):   # refuse all but rounding
+            asym = float(np.max(np.abs(rate - rate.T)))
+            if asym > 1e-8 * float(np.max(np.abs(rate))):
+                raise ValueError(
+                    f"joining rate is not symmetric: max |rate - rate.T| {asym:.3g}")
+            rate = 0.5 * (rate + rate.T)
         far = np.add.outer(c, c) > grid.ymax
         beyond_domain = n - np.count_nonzero(far, axis=1)
         far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
@@ -502,12 +475,8 @@ class JoiningTables:
         pair = (c[None, :] if geometric else c[:, None]) + _skew(c, pad=np.inf)
         drop = pair > grid.ymax
         skew = np.where(drop, 0.0, _sheared(rate, geometric))
-        skew_upper = None
         if geometric:
             skew[0] *= 0.5
-            if not np.array_equal(rate, rate.T):
-                skew_upper = np.where(drop, 0.0, _sheared(rate.T, True))
-                skew_upper[0] *= 0.5
             lowest = c + c[0]          # pair (d, 0), the lowest of diagonal d
         else:
             lowest = np.array([2.0 * c[0]])
@@ -524,11 +493,15 @@ class JoiningTables:
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
         stops = np.append(starts[1:], n)
         shares = np.vstack((frac, 1.0 - frac))
-        blocks = tuple((np.ascontiguousarray(shares[:, a:b]), a, b, int(idx[a]))
+        blocks = tuple((np.ascontiguousarray(shares[:, a:b]), a, b)
                        for a, b in zip(starts, stops))
+        # row m of block b: lower share to m + idx[start_b], upper share
+        # one cell up, both clamped onto the last cell
+        targets = np.minimum(np.arange(n) + idx[starts, None, None]
+                             + np.arange(2)[:, None], n - 1).ravel()
         return cls(grid=grid, rate=rate, idx=idx, frac=frac,
                    beyond_domain=beyond_domain, far_rate=far_rate, skew=skew,
-                   skew_upper=skew_upper, blocks=blocks)
+                   blocks=blocks, targets=targets)
 
     def _check_stray(self, mu: np.ndarray, mw: np.ndarray) -> None:
         """PairOutOfRange if the largest stray pair flux exceeds
@@ -547,11 +520,11 @@ class JoiningTables:
                 "enlarge the grid or cut the joining rate"
             )
 
-    def _block_sums(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """sums[b] = shares_b @ (table * skew(x)) over the rows of block b."""
-        product = table * _skew(x)
+    def _block_sums(self, x: np.ndarray) -> np.ndarray:
+        """sums[b] = shares_b @ (skew * _skew(x)) over the rows of block b."""
+        product = self.skew * _skew(x)
         sums = np.empty((len(self.blocks), 2, self.grid.n))
-        for b, (shares, start, stop, _) in enumerate(self.blocks):
+        for b, (shares, start, stop) in enumerate(self.blocks):
             np.matmul(shares, product[start:stop], out=sums[b])
         return sums
 
@@ -564,35 +537,19 @@ class JoiningTables:
         """Joining of u with w; loss_rate, when the caller has it, is
         loss_rate(w_values), so the GEMV is not repeated."""
         g = self.grid
-        n = g.n
         mu = u_values * g.widths
         mw = mu if w_values is u_values else w_values * g.widths
         self._check_stray(mu, mw)
         if g.spacing != "geometric":
-            sums = (self.blocks[0][0] * (mu @ (self.skew * _skew(mw))))[None]
-        elif mw is mu and self.skew_upper is None:
-            sums = self._block_sums(self.skew, mu)
+            sums = self.blocks[0][0] * (mu @ (self.skew * _skew(mw)))
+        elif mw is mu:
+            sums = self._block_sums(mu)
             sums *= 2.0 * mu
         else:
-            upper = self.skew if self.skew_upper is None else self.skew_upper
-            sums = self._block_sums(self.skew, mw)
+            sums = self._block_sums(mw)
             sums *= mu
-            sums += self._block_sums(upper, mu) * mw
-        # Block b lands its lower shares at offset idx[0] - b and its
-        # upper shares one cell up, with the lower shares of block b - 1.
-        # Row r of the padded stack lands at offset idx[0] + 1 - r, so
-        # its diagonals are the target cells.
-        blocks = len(self.blocks)
-        stack = np.zeros((blocks + 1, n + 2 * blocks))
-        stack[:-1, blocks:blocks + n] = sums[:, 1]
-        stack[1:, blocks:blocks + n] += sums[:, 0]
-        step = stack.shape[1] + 1
-        diagonals = sliding_window_view(stack.ravel(), blocks * step + 1)
-        lowest = self.blocks[-1][3]
-        ext = np.zeros(2 * n)
-        ext[lowest:lowest + n + blocks] = diagonals[:n + blocks, ::step].sum(axis=1)
-        gain = ext[:n]
-        gain[-1] += ext[n:].sum()
+            sums += self._block_sums(mu) * mw
+        gain = np.bincount(self.targets, sums.ravel(), g.n)
         if loss_rate is None:
             loss_rate = self.loss_rate(w_values)
         return gain / g.widths - u_values * loss_rate

@@ -120,18 +120,38 @@ def test_matches_dense_reference(spacing, n, rate):
 
 
 @pytest.mark.parametrize("n", (8, 64, 400))
-def test_asymmetric_rate_matches_dense_reference(spacing, n):
+def test_asymmetric_rate_is_refused(spacing, n):
+    """The loss term 2 u (rate @ w) holds only for a symmetric rate."""
     base = make_special_family(1.0, 0.1, 0.5, 0.2)
     k = dataclasses.replace(
         base, join=lambda y, z: 0.1 + 0.01 * np.asarray(y) / (1.0 + np.asarray(z)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        JoiningTables.build(k, build_grid(1.0, YMAX, n, spacing))
+
+
+def ratio_rate(y, z):
+    """Symmetric in exact arithmetic; log(y/z) and log(z/y) round apart."""
+    return 0.2 * np.exp(-np.abs(np.log(np.asarray(y) / np.asarray(z))))
+
+
+@pytest.mark.parametrize("n", (8, 64, 400))
+def test_rate_symmetric_to_rounding_is_symmetrized(spacing, n):
+    base = make_special_family(1.0, 0.1, 0.5, 0.2)
+    k = dataclasses.replace(base, join=ratio_rate)
+    symmetric = dataclasses.replace(
+        base, join=lambda y, z: 0.5 * (ratio_rate(y, z) + ratio_rate(z, y)))
     grid = build_grid(1.0, YMAX, n, spacing)
+    c = grid.centers
+    rate = ratio_rate(c[:, None], c[None, :])
+    assert not np.array_equal(rate, rate.T)
     tables = JoiningTables.build(k, grid)
-    if spacing == "geometric":
-        assert tables.skew_upper is not None
     for name, (u, w) in densities(grid, 7).items():
         got = tables.apply(u, w)
-        want = dense_reference_apply(k, grid, u, w)
+        want = dense_reference_apply(symmetric, grid, u, w)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        if name == "low":
+            m_scale = first_moment_scale(grid, want)
+            assert abs(moment(grid, got, 1)) <= 1e-12 * m_scale
 
 
 @pytest.mark.parametrize("n", (5, 64, 400))
@@ -171,12 +191,11 @@ def test_tables_hold_one_sheared_rate_table(spacing):
     tables = JoiningTables.build(RATES["constant"], grid)
     n = grid.n
     assert tables.rate.shape == tables.skew.shape == (n, n)
-    assert tables.skew_upper is None
     for name in ("idx", "frac", "beyond_domain", "far_rate"):
         assert getattr(tables, name).size <= n, name
     if spacing == "geometric":
         # one run of diagonals per offset, the offsets falling by one
-        offsets = [block[3] for block in tables.blocks]
+        offsets = [tables.idx[start] for _, start, _ in tables.blocks]
         assert len(offsets) == 53
         assert np.all(np.diff(offsets) == -1)
     else:

@@ -19,6 +19,8 @@ from prionpde.grid import GridFunction, build_grid, project
 from prionpde.kernels import (
     _MOLLIFY_W,
     _MOLLIFY_X,
+    _graded_rule,
+    _panel_rule,
     HypothesisFamily,
     KernelSet,
     ModelParams,
@@ -129,6 +131,107 @@ class TestFamilies:
         report = validate_kernel_set(k, samples=24)
         assert report.family is HypothesisFamily.BOUNDED_CLASSICAL
         assert report.all_passed, report.format()
+
+
+def reference_daughter_residuals(k, samples=64):
+    """The per-probe loops validate_kernel_set replaced: one daughter call
+    per probe parent (per probe set for the small-set flux), each
+    integral one dot product over its composite rule.  Returns
+    {check name: (passed, residual)} for the checks they fed."""
+    y0 = k.params.min_size
+    ys = y0 * 1024.0 ** ((np.arange(samples) + 1.0) / samples)
+    frag_v = np.asarray(k.frag(ys), dtype=float)
+    gc = k.growth_constants
+    tol = 1e-8
+    out = {}
+    num_res, mass_res = 0.0, 0.0
+    for y in ys:
+        nodes, weights = _graded_rule(float(y))
+        dv = k.daughter(nodes, np.full_like(nodes, y))
+        num_res = max(num_res, abs(float(np.dot(weights, dv)) - 1.0))
+        mass_res = max(mass_res, abs(2.0 * float(np.dot(weights, nodes * dv)) - y) / y)
+    out["daughter_number_normalization"] = (num_res <= tol, num_res)
+    out["daughter_mass_normalization"] = (mass_res <= tol, mass_res)
+    total = gc.join_exp_total
+    if (k.hypothesis_family is HypothesisFamily.WEAK_UNBOUNDED and total is not None
+            and total > 1.0 and gc.daughter_mass_fraction is not None):
+        res = 0.0
+        for y in ys[ys >= 4.0 * y0]:
+            nodes, weights = _panel_rule(y0, float(y), 64)
+            dv = k.daughter(nodes, np.full_like(nodes, y))
+            frac_mass = 2.0 * float(np.dot(weights, nodes * dv)) / y
+            res = max(res, frac_mass - gc.daughter_mass_fraction)
+        out["daughter_large_size_mass"] = (res <= tol, max(res, 0.0))
+    series = []
+    for kk in range(2, 9):
+        worst = 0.0
+        for y, fv in zip(ys, frag_v):
+            w = y / 2.0**kk
+            for a0 in np.linspace(0.0, y - w, 16):
+                nodes, weights = _panel_rule(a0, a0 + w, 4)
+                dv = k.daughter(nodes, np.full_like(nodes, y))
+                worst = max(worst, fv * float(np.dot(weights, dv)))
+        series.append(worst)
+    decays = all(series[i + 1] <= series[i] * (1.0 + 1e-12) for i in range(len(series) - 1))
+    shrinks = series[-1] <= 0.5 * series[0] + 1e-300
+    out["frag_flux_small_sets"] = (decays and shrinks,
+                                   series[-1] / series[0] if series[0] > 0 else 0.0)
+    if gc.daughter_spread_from is not None and gc.daughter_spread_floor is not None:
+        y1, floor = gc.daughter_spread_from, gc.daughter_spread_floor
+        res, seen = 0.0, False
+        for y in ys[ys >= 2.0 * y1]:
+            seen = True
+            nodes, weights = _panel_rule(y1, float(y), 64)
+            dv = k.daughter(nodes, np.full_like(nodes, y))
+            res = max(res, floor - float(np.dot(weights, (1.0 - nodes / y) * dv)))
+        out["daughter_spread_floor"] = (seen and res <= tol, max(res, 0.0))
+    return out
+
+
+VALIDATED_FAMILIES = {
+    "special": lambda: make_special_family(1.0, 0.1, 0.5, 0.2),
+    "k0-parabolic": lambda: make_k0_family(lambda s: 6.0 * s * (1.0 - s),
+                                           growth_value=1.0, frag_slope=0.5),
+    "powerlaw": lambda: make_powerlaw_family(),
+    "bounded": lambda: make_bounded_family(1.0, 0.05, 0.1, 0.05),
+    "bounded-no-frag": lambda: make_bounded_family(1.0, 0.05, 0.0, 0.05),
+    "failing": lambda: failing_daughter_family(),
+}
+
+
+def failing_daughter_family():
+    """Normalization off by 0.01/y and a spread floor no uniform daughter
+    meets, so those residuals are far from zero."""
+    base = make_special_family(1.0, 0.1, 0.5, 0.2)
+
+    def daughter(z, y):
+        return (1.0 + 0.01 / np.asarray(y, dtype=float)) * base.daughter(z, y)
+
+    constants = dataclasses.replace(base.growth_constants, daughter_spread_floor=0.6)
+    return dataclasses.replace(base, daughter=daughter, growth_constants=constants)
+
+
+class TestValidatorQuadrature:
+    @pytest.mark.parametrize("family", sorted(VALIDATED_FAMILIES))
+    def test_matches_the_per_probe_loops(self, family):
+        k = VALIDATED_FAMILIES[family]()
+        report = validate_kernel_set(k)
+        want = reference_daughter_residuals(k)
+        for name, (passed, residual) in want.items():
+            check = check_by_name(report, name)
+            assert check.passed == passed, name
+            assert abs(check.residual - residual) <= 1e-12, name
+
+    def test_daughter_nonfinite_off_the_probe_lattice_raises(self):
+        base = make_special_family(1.0, 0.1, 0.5, 0.2)
+
+        def daughter(z, y):
+            z, y = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                       np.asarray(y, dtype=float))
+            return np.where(z < 1e-3 * y, np.nan, base.daughter(z, y))
+
+        with pytest.raises(NonEvaluableKernel):
+            validate_kernel_set(dataclasses.replace(base, daughter=daughter))
 
 
 class TestCutoffs:
@@ -307,6 +410,21 @@ class TestTruncation:
         y = np.array([lv.rate_cutoff * 0.99, lv.rate_cutoff * 1.01, 150.0])
         assert kn.death(y)[0] > 0 and kn.death(y)[1] == 0.0 and kn.death(y)[2] == 0.0
         assert kn.frag(y)[0] > 0 and kn.frag(y)[1] == 0.0
+
+    def test_truncated_rates_match_their_formulas_bitwise(self):
+        k = make_powerlaw_family(death_value=0.1, frag_slope=1.0)
+        lv = plan_truncation_levels(k, self.u0, 2.0, 1.0, [2])[0]
+        kn, _ = truncate(k, lv, 1.0, self.u0, 2.0)
+        rc = lv.rate_cutoff
+        y = np.sort(np.append(np.linspace(1.0, 200.0, 397),
+                              [rc, np.nextafter(rc, 0.0), np.nextafter(rc, np.inf)]))
+        for got, base in ((kn.death, k.death), (kn.frag, k.frag)):
+            want = np.where(y <= rc, base(y), 0.0)
+            assert np.array_equal(got(y), want)
+        yy, zz = y[:, None], y[None, :]
+        want = k.join(yy, zz) * smooth_cut(yy + zz, lv.pair_cutoff, lv.mollifier_width)
+        assert np.array_equal(kn.join(yy, zz), want)
+        assert kn.join_zero_beyond == lv.pair_cutoff
 
     def test_truncated_join_vanishes_beyond_pair_cutoff(self):
         lv = TruncationLevel(index=1, pair_cutoff=4.0, rate_cutoff=60.0,

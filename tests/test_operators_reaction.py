@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prionpde import operators
+from prionpde import kernels, operators
 from prionpde.diagnostics import vallee_poussin_weight
 from prionpde.errors import PairOutOfRange
 from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, build_grid, moment
@@ -416,7 +416,7 @@ class TestDaughterQuadrature:
         weight = flat_weight(grid)
         default = quadratures(k, grid, weight)
         for chunk in (1, 10 ** 9):   # one row per chunk, every row in one
-            monkeypatch.setattr(operators, "QUAD_CHUNK", chunk)
+            monkeypatch.setattr(kernels, "QUAD_CHUNK", chunk)
             for got, want in zip(quadratures(k, grid, weight), default):
                 assert np.array_equal(got, want)
 
