@@ -147,20 +147,20 @@ def _run_from_config(cfg: RunConfig):
     return k, grid, u0, v0, cfg.solver_config()
 
 
-def _oracle_for(cfg: RunConfig, k, u0, v0):
-    rates = rates_from_kernel_set(k)
+def _oracle_for(cfg: RunConfig, rates, u0, v0):
     state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
     t_end = cfg["solver.t_end"]
     dt = min(cfg["oracle.dt"], t_end / 10.0)
-    return integrate_oracle(state0, rates, t_end, dt), rates
+    return integrate_oracle(state0, rates, t_end, dt)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     k, grid, u0, v0, scfg = _run_from_config(cfg)
-    result = run(u0, v0, k, scfg)
     oracle = cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0
+    rates = rates_from_kernel_set(k) if oracle else None  # refused before the solve
+    result = run(u0, v0, k, scfg)
     if oracle:  # it can fail, so it runs before the first file is written
-        traj, rates = _oracle_for(cfg, k, u0, v0)
+        traj = _oracle_for(cfg, rates, u0, v0)
         report = compare(result.ledger, traj, rates)
     out = Path(cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -195,6 +195,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     k, grid, u0, v0, _ = _run_from_config(cfg)
     out = Path(cfg["output.dir"])
     t_end = cfg["solver.t_end"]
+    rates = rates_from_kernel_set(k)
     if t_end == 0.0:
         state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
         out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +203,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                            "U1": [state0.U1]}, out / "oracle.csv")
         print(f"oracle: horizon 0, wrote initial state -> {out}")
         return 0
-    traj, rates = _oracle_for(cfg, k, u0, v0)
+    traj = _oracle_for(cfg, rates, u0, v0)
     ts_path = out / "timeseries.csv"
     # the comparison can fail, so it runs before the first file is written
     report = (compare(_CsvColumns(ts_path), traj, rates)

@@ -749,8 +749,8 @@ def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
     along that growth under the a priori speed bound.
 
     Every level's horizon ODE is integrated in one RK4 over a vector
-    state, with the arithmetic of rk4_solve: 256 steps of travel / 256
-    each.  Levels that travel nowhere keep their start."""
+    state, 256 rk4_step calls of travel / 256 each.  Levels that travel
+    nowhere keep their start."""
     floor = k.growth_constants.speed_floor
     growth_n = mollify_rate(k.growth, width,
                             floor=None if floor is None else 0.5 * floor)

@@ -14,17 +14,21 @@ corresponding mechanism; the derivation is spelled out term by term in
 the test suite.  Summing the first and third lines gives the total
 monomer count law (v + U1)' = lam - gamma*v - mu*U1, which the
 integrator must preserve exactly at the level of the right-hand side.
+
+integrate_oracle runs RK4 on three Python floats in the operation order
+of _ode.rk4_step.  Both are IEEE binary64 rounded to nearest and numpy
+fuses no multiply-add, so it matches the array RK4 over moment_ode_rhs
+(kept in the tests as the reference) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from dataclasses import astuple, dataclass
+from typing import Mapping
 
 import numpy as np
 
-from ._ode import rk4_solve
 from .errors import BlowUp, MismatchedRates
 from .kernels import KernelSet
 
@@ -44,13 +48,6 @@ class MomentOdeState:
     v: float
     U0: float
     U1: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.U0, self.U1])
-
-    @classmethod
-    def from_array(cls, a) -> "MomentOdeState":
-        return cls(v=float(a[0]), U0=float(a[1]), U1=float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -77,31 +74,45 @@ class MomentRates:
             raise ValueError("min_size must be positive")
 
 
+# probe sizes in units of min_size, the coefficients read at the first;
+# daughter sizes as fractions of the parent
+_PROBE_SIZES = np.array([2.0, 1.0, 1.5, 4.0, 7.3, 16.0, 64.0])
+_PROBE_FRACTIONS = np.array([0.01, 0.3, 0.5, 0.77, 0.99])
+
+
+def _require_constant(name: str, values, value=None) -> float:
+    """The value (the first of `values` unless given) all `values` equal to 1e-12."""
+    values = np.asarray(values, dtype=float)
+    value = values.flat[0] if value is None else value
+    if not np.allclose(values, value, rtol=1e-12, atol=0.0):
+        raise MismatchedRates(f"{name} is not {value!r} on every probe; the closed "
+                              "moment system does not describe this kernel set")
+    return float(value)
+
+
 def rates_from_kernel_set(k: KernelSet) -> MomentRates:
-    """Read the scalar coefficients off a kernel set by probing the
-    closures; only meaningful for the constant/linear family the closure
-    holds for."""
-    y = np.array([2.0 * k.params.min_size, 4.0 * k.params.min_size])
-    growth = float(np.asarray(k.growth(y), dtype=float)[0])
-    death = float(np.asarray(k.death(y), dtype=float)[0])
-    frag = np.asarray(k.frag(y), dtype=float)
-    slope = float(frag[1] - frag[0]) / float(y[1] - y[0])
-    join = float(np.asarray(k.join(y[:1], y[1:]), dtype=float)[0])
+    """Read the scalar coefficients off a kernel set by probing its
+    closures.  Raises MismatchedRates unless, to 1e-12 relative on every
+    probe, growth, death, frag(y)/y and join are constant and
+    daughter(z, y)*y is 1 on (0, y): the family whose moments close."""
+    y = k.params.min_size * _PROBE_SIZES
+    parents = y[:, None]
+    daughters = k.daughter(parents * _PROBE_FRACTIONS, parents)
+    _require_constant("daughter(z, y)*y", np.asarray(daughters) * parents, 1.0)
     return MomentRates(
         production=k.params.production,
         degradation=k.params.degradation,
         saturation=k.params.saturation,
-        growth=growth,
-        death=death,
-        frag_slope=slope,
-        join=join,
+        growth=_require_constant("growth", k.growth(y)),
+        death=_require_constant("death", k.death(y)),
+        frag_slope=_require_constant("frag(y)/y", np.asarray(k.frag(y)) / y),
+        join=_require_constant("join", k.join(parents, y)),
         min_size=k.params.min_size,
     )
 
 
-def moment_ode_rhs(state: MomentOdeState, rates: MomentRates) -> MomentOdeState:
-    v, u0, u1 = state.v, state.U0, state.U1
-    r = rates
+def _moment_derivatives(v, u0, u1, r: MomentRates):
+    """(v', U0', U1') at (v, U0, U1): the one formula of the closed system."""
     speed = v / (1.0 + r.saturation * u1)
     y0 = r.min_size
     dv = (r.production - r.degradation * v - speed * r.growth * u0
@@ -109,7 +120,11 @@ def moment_ode_rhs(state: MomentOdeState, rates: MomentRates) -> MomentOdeState:
     du0 = (-r.death * u0 + r.frag_slope * (u1 - 2.0 * y0 * u0)
            - r.join * u0 * u0)
     du1 = speed * r.growth * u0 - r.death * u1 - r.frag_slope * y0 * y0 * u0
-    return MomentOdeState(v=dv, U0=du0, U1=du1)
+    return dv, du0, du1
+
+
+def moment_ode_rhs(state: MomentOdeState, rates: MomentRates) -> MomentOdeState:
+    return MomentOdeState(*_moment_derivatives(state.v, state.U0, state.U1, rates))
 
 
 @dataclass(frozen=True)
@@ -128,14 +143,6 @@ class OracleTrajectory:
 
     def as_columns(self) -> Mapping[str, np.ndarray]:
         return {"t": self.times, "v": self.v, "U0": self.U0, "U1": self.U1}
-
-
-def _rhs_array(rates: MomentRates):
-    def f(t, a):
-        d = moment_ode_rhs(MomentOdeState.from_array(a), rates)
-        return d.as_array()
-
-    return f
 
 
 def integrate_oracle(
@@ -157,9 +164,26 @@ def integrate_oracle(
         raise ValueError("dt must be positive and at most t_end/10")
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    f = _rhs_array(rates)
-    coarse = rk4_solve(f, state0.as_array(), times)
-    fine = rk4_solve(f, state0.as_array(), times, substeps=2)
+    r = MomentRates(*map(float, astuple(rates)))
+    f, t = _moment_derivatives, times.tolist()
+    coarse, fine = np.empty((len(t), 3)), np.empty((len(t), 3))
+    try:
+        for substeps, out in ((1, coarse), (2, fine)):
+            v, u0, u1 = out[0] = float(state0.v), float(state0.U0), float(state0.U1)
+            for k in range(n_steps):
+                h = (t[k + 1] - t[k]) / substeps
+                half = 0.5 * h
+                for _ in range(substeps):  # _ode.rk4_step, in its operation order
+                    a0, a1, a2 = f(v, u0, u1, r)
+                    b0, b1, b2 = f(v + half * a0, u0 + half * a1, u1 + half * a2, r)
+                    c0, c1, c2 = f(v + half * b0, u0 + half * b1, u1 + half * b2, r)
+                    d0, d1, d2 = f(v + h * c0, u0 + h * c1, u1 + h * c2, r)
+                    v = v + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+                    u0 = u0 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+                    u1 = u1 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+                out[k + 1] = v, u0, u1
+    except ZeroDivisionError as exc:
+        raise BlowUp("moment system diverged: 1 + saturation*U1 reached 0") from exc
     if not np.all(np.isfinite(coarse)):
         raise BlowUp("moment system diverged; shrink dt or the horizon")
     scale = np.maximum(1.0, np.max(np.abs(coarse)))

@@ -8,7 +8,7 @@ import pytest
 
 from prionpde import cli, parse_config_text
 from prionpde.cli import main
-from prionpde.errors import BlowUp, ConfigParseError
+from prionpde.errors import BlowUp, ConfigParseError, MismatchedRates
 
 
 BASE = """
@@ -128,6 +128,22 @@ class TestSimulate:
         assert "oracle diverged" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family", ["bounded", "powerlaw", "k0"])
+    def test_refuses_other_families_before_the_solve(
+            self, family, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "run", no_solve)
+        cfg = write_cfg(tmp_path, BASE.replace("special", family)
+                        + "kernel.k0_profile = parabolic\n"
+                        + "oracle.enabled = true\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == cli.exit_code_for(
+            MismatchedRates("")) == 1
+        assert "MismatchedRates" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_overrides_config_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + f"output.dir = {tmp_path}/ignored\n")
         assert main(["simulate", "--config", cfg,
@@ -202,6 +218,15 @@ class TestOracle:
         assert set(errs) == {"v", "U0", "U1"}
         # coarse dt and coarse grid, so loose bound; just not garbage
         assert all(val < 1e-3 for val in errs.values())
+
+    @pytest.mark.parametrize("t_end", ["0.0", "0.1"])
+    def test_refuses_other_families(self, t_end, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE.replace("special", "bounded")
+                        .replace("solver.t_end = 0.1", f"solver.t_end = {t_end}")
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["oracle", "--config", cfg]) == 1
+        assert "MismatchedRates" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_short_horizon_comparison_leaves_no_outputs(self, tmp_path,
                                                         capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prionpde._ode import rk4_solve
 from prionpde.errors import (
     AsymmetricK0,
     LevelInconsistent,
@@ -37,6 +36,7 @@ from prionpde.kernels import (
     validate_kernel_set,
     with_join_cutoff,
 )
+from reference_ode import rk4_solve
 
 
 def check_by_name(report, name):

@@ -1,8 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from prionpde.errors import BlowUp
-from prionpde.kernels import ModelParams, make_special_family
+from prionpde.errors import BlowUp, MismatchedRates
+from prionpde.kernels import (
+    ModelParams,
+    make_bounded_family,
+    make_k0_family,
+    make_powerlaw_family,
+    make_special_family,
+    with_join_cutoff,
+)
 from prionpde.oracle import (
     MomentOdeState,
     MomentRates,
@@ -10,6 +20,40 @@ from prionpde.oracle import (
     moment_ode_rhs,
     rates_from_kernel_set,
 )
+from reference_ode import rk4_solve
+
+
+def reference_integrate_oracle(state0, rates, t_end, dt):
+    """integrate_oracle as first written: the generic array RK4 over an
+    array wrapper of moment_ode_rhs, with the same checks."""
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if dt <= 0.0 or dt > t_end / 10.0:
+        raise ValueError("dt must be positive and at most t_end/10")
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+
+    def f(t, a):
+        d = moment_ode_rhs(MomentOdeState(*(float(x) for x in a)), rates)
+        return np.array([d.v, d.U0, d.U1])
+
+    y_init = np.array([state0.v, state0.U0, state0.U1])
+    coarse = rk4_solve(f, y_init, times)
+    fine = rk4_solve(f, y_init, times, substeps=2)
+    if not np.all(np.isfinite(coarse)):
+        raise BlowUp("moment system diverged; shrink dt or the horizon")
+    scale = np.maximum(1.0, np.max(np.abs(coarse)))
+    halving = float(np.max(np.abs(coarse - fine)) / scale)
+    v, u0, u1 = coarse[:, 0], coarse[:, 1], coarse[:, 2]
+    floor = -1e-9 * float(scale)
+    if np.any(v < floor) or np.any(u0 < floor) or np.any(u1 < floor):
+        raise BlowUp("moment system left the positive cone")
+    return times, v, u0, u1, halving
+
+
+# the simulate-uniform benchmark workload's coefficients (demos/configs/basic.cfg)
+BASIC_RATES = MomentRates(production=1.0, degradation=0.5, growth=1.0,
+                          death=0.1, frag_slope=0.5, join=0.2)
 
 
 class TestRightHandSide:
@@ -163,3 +207,105 @@ class TestIntegration:
         cols = traj.as_columns()
         assert set(cols) == {"t", "v", "U0", "U1"}
         assert len(cols["t"]) == len(cols["v"]) == 21
+
+
+class TestFloatLoopMatchesArrayReference:
+    """integrate_oracle on Python floats against the array RK4 it
+    replaced: same operation order, so equal bit for bit."""
+
+    @pytest.mark.parametrize("state0, rates, t_end, dt", [
+        pytest.param(MomentOdeState(2.0, 0.4, 1.2), BASIC_RATES, 0.25, 1e-4,
+                     id="simulate-uniform"),
+        pytest.param(MomentOdeState(2.0, 0.4, 1.2),
+                     MomentRates(production=1.0, degradation=0.5,
+                                 saturation=0.3, growth=1.0, death=0.1,
+                                 frag_slope=0.5, join=0.2, min_size=0.7),
+                     0.5, 1e-3, id="saturation"),
+        pytest.param(MomentOdeState(v=0.0, U0=2.0, U1=5.0),
+                     MomentRates(join=0.8, growth=1.0), 1.0, 1e-3,
+                     id="pure-joining"),
+        pytest.param(MomentOdeState(v=0.1, U0=0.0, U1=0.0),
+                     MomentRates(production=2.0, degradation=0.5, growth=1.0),
+                     40.0, 1e-2, id="zero-polymer-equilibrium"),
+        pytest.param(MomentOdeState(v=2, U0=1, U1=3),
+                     MomentRates(production=1, degradation=1, saturation=1,
+                                 growth=2, death=1, frag_slope=1, join=1,
+                                 min_size=1),
+                     1.0, 1e-2, id="integer-valued"),
+    ])
+    def test_bit_identical(self, state0, rates, t_end, dt):
+        traj = integrate_oracle(state0, rates, t_end, dt)
+        times, v, u0, u1, halving = reference_integrate_oracle(
+            state0, rates, t_end, dt)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.v, v)
+        assert np.array_equal(traj.U0, u0)
+        assert np.array_equal(traj.U1, u1)
+        assert traj.step_halving_error == halving
+
+    @pytest.mark.parametrize("state0, rates, t_end, dt, error", [
+        pytest.param(MomentOdeState(v=0.0, U0=1.0, U1=1e3),
+                     MomentRates(growth=1.0, frag_slope=50.0), 5.0, 0.05,
+                     BlowUp, id="blowup"),
+        pytest.param(MomentOdeState(1.0, 1.0, 1.0), MomentRates(growth=1.0),
+                     1.0, 0.2, ValueError, id="coarse-step"),
+    ])
+    def test_same_failure(self, state0, rates, t_end, dt, error):
+        with pytest.raises(error):
+            reference_integrate_oracle(state0, rates, t_end, dt)
+        with pytest.raises(error):
+            integrate_oracle(state0, rates, t_end, dt)
+
+    def test_vanishing_saturation_denominator_is_blowup(self):
+        # 1 + saturation*U1 == 0 divides by zero on floats; the oracle
+        # reports it as divergence, not as a bare ZeroDivisionError
+        r = MomentRates(saturation=0.5, growth=1.0)
+        with pytest.raises(BlowUp) as info:
+            integrate_oracle(MomentOdeState(v=1.0, U0=1.0, U1=-2.0), r,
+                             t_end=1.0, dt=0.01)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+PARAMS = ModelParams(production=1.0, degradation=0.5, saturation=0.1,
+                     min_size=0.7)
+
+
+def uniform_profile(s):
+    return np.ones_like(np.asarray(s, dtype=float))
+
+
+def parabolic_profile(s):
+    s = np.asarray(s, dtype=float)
+    return 6.0 * s * (1.0 - s)
+
+
+class TestRatesRefuseOtherKernelSets:
+    def test_closed_families_pass(self):
+        special = make_special_family(1.0, 0.1, 0.5, 0.2, PARAMS)
+        uniform_k0 = make_k0_family(uniform_profile, PARAMS, 1.0, 0.1,
+                                    0.5, 0.2)
+        assert rates_from_kernel_set(uniform_k0) == rates_from_kernel_set(special)
+
+    @pytest.mark.parametrize("kernel, what", [
+        pytest.param(make_bounded_family(1.0, 0.1, 0.5, 0.2, PARAMS),
+                     "frag", id="bounded"),
+        pytest.param(make_powerlaw_family(1.0, 0.1, 0.5, 0.2, params=PARAMS),
+                     "join", id="powerlaw"),
+        pytest.param(make_k0_family(parabolic_profile, PARAMS, 1.0,
+                                    0.1, 0.5, 0.2),
+                     "daughter", id="k0-parabolic"),
+        pytest.param(with_join_cutoff(
+            make_special_family(1.0, 0.1, 0.5, 0.2, PARAMS), 40.0),
+            "join", id="join-cutoff"),
+    ])
+    def test_other_kernel_sets_raise(self, kernel, what):
+        with pytest.raises(MismatchedRates, match=what):
+            rates_from_kernel_set(kernel)
+
+    def test_non_constant_growth_and_death_raise(self):
+        k = make_special_family(1.0, 0.1, 0.5, 0.2, PARAMS)
+        for name in ("growth", "death"):
+            bent = dataclasses.replace(
+                k, **{name: lambda y: 1.0 + 1e-9 * np.asarray(y, dtype=float)})
+            with pytest.raises(MismatchedRates, match=name):
+                rates_from_kernel_set(bent)
