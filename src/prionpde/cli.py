@@ -27,6 +27,7 @@ from .errors import (
     EtaCutoffViolated,
     LevelInconsistent,
     MassEscape,
+    MismatchedRates,
     NegativeMonomer,
     PairOutOfRange,
     PositivityError,
@@ -59,6 +60,7 @@ EXIT_CODES = {
     EtaCutoffViolated: 9,
     SupportExceedsGrid: 10,
     PositivityError: 11,
+    MismatchedRates: 12,
 }
 
 

@@ -20,15 +20,18 @@ Discretization notes, load-bearing for the conservation tests:
   built-in grids the split is shift-invariant: on a geometric grid the
   pair (m, m-d) lands at cell m + idx[d] with lower share frac[d], and
   on a uniform grid the pair (i, j) lands at i + j + idx[0] with one
-  share.  The rate must be symmetric up to rounding.  It is kept in a
-  sheared copy, one row per diagonal d (geometric) or per first
-  partner i (uniform), which a sliding-window view of the cell counts
-  lines up with.  One elementwise product then feeds small GEMVs: one
-  per run of diagonals with the same offset on the geometric grid, one
-  over the anti-diagonals on the uniform grid.  One bincount adds
-  their sums at the targets of their rows.  ``build`` checks every
-  pair's deposit against the bracketing split of its exact size, and a
-  grid without the structure is refused there.  Pairs between the last
+  share.  The rate must be symmetric up to rounding.  It is sheared,
+  one row per diagonal d (geometric) or per first partner i (uniform),
+  into a table that is zero below its diagonal, and stored as
+  staircase tiles: row bands that keep only the columns from their
+  first row on, the triangle plus a small overhang.  A zero-copy
+  sheared view of the cell counts lines up with each tile.  On the
+  geometric grid one GEMM per tile, against a share matrix with a row
+  per target offset, sums the fluxes of all the tile's diagonals; on
+  the uniform grid a GEMV reduces each band by the first partner's
+  counts.  One bincount adds the sums at their targets.  ``build``
+  checks every pair's deposit against the bracketing split of its
+  exact size, and a grid without the structure is refused there.  Pairs between the last
   center and the domain end are clamped: their whole flux stays in the
   last cell.  Pairs beyond the domain end are stray.  They have no
   entry in the sheared rates, so their flux is dropped, and ``apply``
@@ -357,13 +360,16 @@ def fragmentation_apply(
 
 STRAY_FLUX_RTOL = 1e-12   # stray flux dropped, relative to the largest pair flux
 SHIFT_RTOL = 1e-13        # pair-size mismatch the shift structure may carry
+TILE_ROWS = 40            # least rows of a joining tile, set by timing apply
 
 
 def _skew(x: np.ndarray, pad: float = 0.0) -> np.ndarray:
     """Zero-copy view S[q, r] = x[r - q] for q <= r, and pad below the
     diagonal."""
     n = len(x)
-    return sliding_window_view(np.concatenate((np.full(n - 1, pad), x)), n)[::-1]
+    padded = np.concatenate((np.full(n - 1, pad), x))
+    step = padded.itemsize
+    return np.ndarray((n, n), padded.dtype, padded, (n - 1) * step, (-step, step))
 
 
 def _sheared(a: np.ndarray, by_diagonal: bool) -> np.ndarray:
@@ -426,25 +432,33 @@ class JoiningTables:
     largest rate) and symmetrizes one below it.  Each ordered pair
     deposits its mass flux at the exact pair size, split between the
     bracketing centers.  The split only depends on the diagonal
-    (geometric grid) or the anti-diagonal (uniform grid).  skew holds
-    the rates of the pairs inside the domain, sheared so that rows
-    share their targets:
+    (geometric grid) or the anti-diagonal (uniform grid).  The rates of
+    the pairs inside the domain are sheared so that rows share their
+    targets, into a table T that is zero below its diagonal:
 
-    * geometric: skew[d, m] = rate[m, m - d], halved on d = 0 because
-      the pair (m - d, m) is counted in the same row.  It lands
-      frac[d] at cell m + idx[d] and the rest one cell up.
-    * uniform: skew[i, s] = rate[i, s - i], landing frac[0] at cell
-      s + idx[0] and the rest one cell up.
+    * geometric: T[d, m] = rate[m, m - d], halved on d = 0 because the
+      pair (m - d, m) is counted in the same row.  It lands frac[d] at
+      cell m + idx[d] and the rest one cell up.  A run of diagonals
+      with one offset is a block.
+    * uniform: T[i, s] = rate[i, s - i], landing frac[0] at cell
+      s + idx[0] and the rest one cell up; all rows are one block.
 
-    blocks lists the runs of table rows with one offset (a single run
-    on the uniform grid), with their shares; targets holds the cell of
-    every share of every row, so the gain is one bincount.  Pairs
-    landing at or beyond the last center are clamped onto the last
-    cell.  Pairs beyond the domain end are stray; for row i they are
-    the columns from beyond_domain[i] on, and far_rate[i] is their
-    largest rate.  Their flux is dropped, which is legitimate while it
-    is negligible (rounding-level leakage from the support-doubling
-    gain) and a hard error once it carries real mass."""
+    tiles holds T cut into row bands (g0, table, shares), with table =
+    T[g0:g1, g0:]: the triangle plus the band's overhang below it.  A
+    band starts at the first block start (any row on the uniform grid)
+    at least TILE_ROWS rows below the last, so geometric bands hold
+    whole blocks.  There shares has one row per target offset r, the
+    share of each of the band's diagonals that lands at m + r, and
+    shares @ (table * x[m - d]) sums all the band's diagonals in one
+    GEMM; on the uniform grid shares is None and the band is reduced by
+    the first partner's counts.  targets holds the cell of every such
+    sum, so the gain is one bincount.  Pairs landing at or beyond the
+    last center are clamped onto the last cell.  Pairs beyond the
+    domain end are stray; for row i they are the columns from
+    beyond_domain[i] on, and far_rate[i] is their largest rate.  Their
+    flux is dropped, which is legitimate while it is negligible
+    (rounding-level leakage from the support-doubling gain) and a hard
+    error once it carries real mass."""
 
     grid: SizeGrid
     rate: np.ndarray = field(repr=False)
@@ -452,8 +466,7 @@ class JoiningTables:
     frac: np.ndarray = field(repr=False)
     beyond_domain: np.ndarray = field(repr=False)
     far_rate: np.ndarray = field(repr=False)
-    skew: np.ndarray = field(repr=False)
-    blocks: Tuple[Tuple[np.ndarray, int, int], ...] = field(repr=False)
+    tiles: Tuple[Tuple[int, np.ndarray, Optional[np.ndarray]], ...] = field(repr=False)
     targets: np.ndarray = field(repr=False)
 
     @classmethod
@@ -474,9 +487,7 @@ class JoiningTables:
         # pair sizes in table coordinates, infinite below the diagonal
         pair = (c[None, :] if geometric else c[:, None]) + _skew(c, pad=np.inf)
         drop = pair > grid.ymax
-        skew = np.where(drop, 0.0, _sheared(rate, geometric))
         if geometric:
-            skew[0] *= 0.5
             lowest = c + c[0]          # pair (d, 0), the lowest of diagonal d
         else:
             lowest = np.array([2.0 * c[0]])
@@ -490,18 +501,43 @@ class JoiningTables:
             idx[first:] = idx[first - 1] if first > 0 else n - 1
             frac[first:] = 1.0
         _check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric)
+        del pair
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        stops = np.append(starts[1:], n)
-        shares = np.vstack((frac, 1.0 - frac))
-        blocks = tuple((np.ascontiguousarray(shares[:, a:b]), a, b)
-                       for a, b in zip(starts, stops))
-        # row m of block b: lower share to m + idx[start_b], upper share
-        # one cell up, both clamped onto the last cell
-        targets = np.minimum(np.arange(n) + idx[starts, None, None]
-                             + np.arange(2)[:, None], n - 1).ravel()
+        # a tile starts at the first block start (any row on the uniform
+        # grid) at least TILE_ROWS rows below the start of the last one
+        cuts = [0]
+        for a in (starts if geometric else range(n)):
+            if a - cuts[-1] >= TILE_ROWS:
+                cuts.append(a)
+        cuts.append(n)
+        sheared = _sheared(rate, geometric)
+        tiles, targets = [], []
+        for g0, g1 in zip(cuts[:-1], cuts[1:]):
+            table = np.where(drop[g0:g1, g0:], 0.0, sheared[g0:g1, g0:])
+            shares = None
+            if geometric:
+                if g0 == 0:
+                    table[0] *= 0.5
+                firsts = starts[(starts >= g0) & (starts < g1)]
+                # row r of the band's sums lands at m + top - r, so a
+                # block's lower share goes on row top - idx and its
+                # upper share on the row above
+                top = idx[firsts[0]] + 1
+                shares = np.zeros((top - idx[firsts[-1]] + 1, g1 - g0))
+                for a, b in zip(firsts, np.append(firsts[1:], g1)):
+                    shares[top - idx[a], a - g0:b - g0] = frac[a:b]
+                    shares[top - idx[a] - 1, a - g0:b - g0] = 1.0 - frac[a:b]
+                offsets = top - np.arange(shares.shape[0])
+                targets.append(np.minimum(np.arange(g0, n) + offsets[:, None],
+                                          n - 1))
+            tiles.append((int(g0), table, shares))
+        if not geometric:
+            targets.append(np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None],
+                                      n - 1))
+        targets = np.concatenate([t.ravel() for t in targets])
         return cls(grid=grid, rate=rate, idx=idx, frac=frac,
-                   beyond_domain=beyond_domain, far_rate=far_rate, skew=skew,
-                   blocks=blocks, targets=targets)
+                   beyond_domain=beyond_domain, far_rate=far_rate,
+                   tiles=tuple(tiles), targets=targets)
 
     def _check_stray(self, mu: np.ndarray, mw: np.ndarray) -> None:
         """PairOutOfRange if the largest stray pair flux exceeds
@@ -520,12 +556,18 @@ class JoiningTables:
                 "enlarge the grid or cut the joining rate"
             )
 
-    def _block_sums(self, x: np.ndarray) -> np.ndarray:
-        """sums[b] = shares_b @ (skew * _skew(x)) over the rows of block b."""
-        product = self.skew * _skew(x)
-        sums = np.empty((len(self.blocks), 2, self.grid.n))
-        for b, (shares, start, stop) in enumerate(self.blocks):
-            np.matmul(shares, product[start:stop], out=sums[b])
+    def _tile_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Geometric grid: per tile, shares @ (table * _skew(x)[g0:g1, g0:])
+        weighted by y over its columns, flattened in tile order."""
+        sheared_x = _skew(x)
+        sums = np.empty(self.targets.size)
+        start = 0
+        for g0, table, shares in self.tiles:
+            out = sums[start:start + shares.shape[0] * table.shape[1]]
+            out = out.reshape(shares.shape[0], table.shape[1])
+            np.matmul(shares, table * sheared_x[g0:g0 + table.shape[0], g0:], out=out)
+            out *= y[g0:]
+            start += out.size
         return sums
 
     def loss_rate(self, w_values: np.ndarray) -> np.ndarray:
@@ -541,14 +583,17 @@ class JoiningTables:
         mw = mu if w_values is u_values else w_values * g.widths
         self._check_stray(mu, mw)
         if g.spacing != "geometric":
-            sums = self.blocks[0][0] * (mu @ (self.skew * _skew(mw)))
+            sheared_w = _skew(mw)
+            pairs = np.zeros(g.n)
+            for g0, table, _ in self.tiles:
+                g1 = g0 + table.shape[0]
+                pairs[g0:] += mu[g0:g1] @ (table * sheared_w[g0:g1, g0:])
+            sums = np.multiply.outer((self.frac[0], 1.0 - self.frac[0]), pairs)
         elif mw is mu:
-            sums = self._block_sums(mu)
-            sums *= 2.0 * mu
+            sums = self._tile_sums(mu, 2.0 * mu)
         else:
-            sums = self._block_sums(mw)
-            sums *= mu
-            sums += self._block_sums(mu) * mw
+            sums = self._tile_sums(mw, mu)
+            sums += self._tile_sums(mu, mw)
         gain = np.bincount(self.targets, sums.ravel(), g.n)
         if loss_rate is None:
             loss_rate = self.loss_rate(w_values)

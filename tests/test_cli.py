@@ -140,7 +140,7 @@ class TestSimulate:
                         + "oracle.enabled = true\n"
                         + f"output.dir = {tmp_path}/out\n")
         assert main(["simulate", "--config", cfg]) == cli.exit_code_for(
-            MismatchedRates("")) == 1
+            MismatchedRates("")) == 12
         assert "MismatchedRates" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -224,7 +224,7 @@ class TestOracle:
         cfg = write_cfg(tmp_path, BASE.replace("special", "bounded")
                         .replace("solver.t_end = 0.1", f"solver.t_end = {t_end}")
                         + f"output.dir = {tmp_path}/out\n")
-        assert main(["oracle", "--config", cfg]) == 1
+        assert main(["oracle", "--config", cfg]) == 12
         assert "MismatchedRates" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -186,20 +186,88 @@ def test_out_of_range_raised_exactly_like_dense(spacing, n, rate):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_tables_hold_one_sheared_rate_table(spacing):
+def sheared_rates(tables):
+    """The sheared table T of JoiningTables, in full, from its rate:
+    zero below the diagonal and on pairs beyond the domain end."""
+    grid = tables.grid
+    c, n = grid.centers, grid.n
+    table = np.zeros((n, n))
+    for q in range(n):
+        for r in range(q, n):
+            if grid.spacing == "geometric":   # (d, m): pair (m, m - d)
+                i, j = r, r - q
+            else:                             # (i, s): pair (i, s - i)
+                i, j = q, r - q
+            if c[i] + c[j] <= grid.ymax:
+                table[q, r] = tables.rate[i, j]
+    if grid.spacing == "geometric":
+        table[0] *= 0.5
+    return table
+
+
+def test_tables_hold_the_sheared_triangle_in_tiles(spacing):
     grid = build_grid(1.0, YMAX, 400, spacing)
     tables = JoiningTables.build(RATES["constant"], grid)
     n = grid.n
-    assert tables.rate.shape == tables.skew.shape == (n, n)
+    assert tables.rate.shape == (n, n)
     for name in ("idx", "frac", "beyond_domain", "far_rate"):
         assert getattr(tables, name).size <= n, name
+    starts = np.flatnonzero(np.diff(tables.idx, prepend=-1))
+    bounds = [g0 for g0, _, _ in tables.tiles] + [n]
+    assert bounds[0] == 0 and np.all(np.diff(bounds) > 0)
+    full = sheared_rates(tables)
+    stored = 0
+    for (g0, table, shares), g1 in zip(tables.tiles, bounds[1:]):
+        # only the columns m >= g0: everything left of them is zero
+        assert table.shape == (g1 - g0, n - g0)
+        assert not np.any(full[g0:g1, :g0])
+        assert np.array_equal(table, full[g0:g1, g0:])
+        stored += table.size
+        if spacing == "geometric":
+            # each diagonal's two shares, on the rows of its offsets
+            assert shares.shape[1] == g1 - g0
+            np.testing.assert_allclose(shares.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        else:
+            assert shares is None
+    assert stored < 0.6 * n * n
     if spacing == "geometric":
+        # every block's rows lie in one tile: tiles start at block starts
+        assert set(bounds[:-1]) <= set(starts)
         # one run of diagonals per offset, the offsets falling by one
-        offsets = [tables.idx[start] for _, start, _ in tables.blocks]
+        offsets = tables.idx[starts]
         assert len(offsets) == 53
         assert np.all(np.diff(offsets) == -1)
+        assert len(tables.tiles) < len(starts)
     else:
-        assert len(tables.blocks) == 1
+        assert len(starts) == 1
+
+
+@pytest.mark.parametrize("rate", ("constant", "truncated"))
+def test_every_two_cell_density_lands_like_dense(spacing, rate):
+    """u = one or two occupied cells, every pair i <= j, so each (d, m)
+    entry of every tile carries the only flux of some density (n = 64
+    holds one geometric tile and two uniform ones; the tile boundaries
+    of larger grids are covered by test_matches_dense_reference).  The
+    quadratic and bilinear branches agree on equal arrays."""
+    k = RATES[rate]
+    grid = build_grid(1.0, YMAX, 64, spacing)
+    tables = JoiningTables.build(k, grid)
+    for i in range(grid.n):
+        for j in range(i, grid.n):
+            u = np.zeros(grid.n)
+            u[i] += 1.0
+            u[j] += 0.5
+            try:
+                want = dense_reference_apply(k, grid, u, u)
+            except PairOutOfRange:
+                with pytest.raises(PairOutOfRange):
+                    tables.apply(u, u)
+                continue
+            got = tables.apply(u, u)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (i, j)
+            bilinear = tables.apply(u, u.copy())
+            assert np.max(np.abs(bilinear - got)) <= 1e-15 * scale, (i, j)
 
 
 def test_grid_without_shift_structure_is_refused():
