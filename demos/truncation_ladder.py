@@ -15,6 +15,7 @@ felt by mass that matters - which is exactly why the ladder converges.
 import numpy as np
 
 from prionpde import (
+    GridTables,
     ModelParams,
     SolverConfig,
     build_grid,
@@ -51,10 +52,11 @@ for lv in levels:
     print(f"  level {lv.index}: {lv.pair_cutoff:g} / {lv.rate_cutoff:.2f}")
 
 cfg = SolverConfig(dt=2e-3, t_end=1.0)
-results = []
-for lv in levels:
-    kn, u0n = truncate(k, lv, 1.0, u0, v0)
-    results.append(run(u0n, v0, kn, cfg))
+# every level keeps the daughter and the grid, so the rate-free tables
+# are built once for the ladder
+shared = GridTables.build(k.daughter, grid)
+results = [run(u0n, v0, kn, cfg, shared)
+           for kn, u0n in truncate(k, levels, 1.0, u0, v0)]
 
 print(f"\n{'levels':>8} {'sup|dv|':>11} {'sup|dU0|':>11} {'sup|dU1|':>11}")
 for (la, ra), (lb, rb) in zip(zip(levels, results),

@@ -36,6 +36,7 @@ from .errors import (
     ValidationFailed,
 )
 from .kernels import plan_truncation_levels, truncate, validate_kernel_set
+from .operators import GridTables
 from .oracle import (
     MomentOdeState,
     compare,
@@ -232,11 +233,13 @@ def cmd_truncation(cfg: RunConfig) -> int:
         pair_base=cfg["truncation.pair_base"],
         pair_step=cfg["truncation.pair_step"])
     out = Path(cfg["output.dir"])
-    # levels run one after another; --threads is accepted and ignored
-    results = []
-    for level in levels:
-        kn, u0n = truncate(k, level, scfg.t_end, u0, v0)
-        results.append((level, run(u0n, v0, kn, scfg)))
+    # one horizon verification for the whole ladder, and one set of the
+    # tables no rate enters: truncation keeps the daughter and the grid.
+    # Levels run one after another; --threads is accepted and ignored
+    truncated = truncate(k, levels, scfg.t_end, u0, v0)
+    shared = GridTables.build(k.daughter, grid, joining=not scfg.skip_joining)
+    results = [(level, run(u0n, v0, kn, scfg, shared))
+               for level, (kn, u0n) in zip(levels, truncated)]
 
     out.mkdir(parents=True, exist_ok=True)
     for level, result in results:

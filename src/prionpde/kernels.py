@@ -793,54 +793,71 @@ def _cut_beyond(rate: RateFn, hi: float) -> RateFn:
 
 def truncate(
     k: KernelSet,
-    level: TruncationLevel,
+    levels: Sequence[TruncationLevel],
     horizon_T: float,
     u0: GridFunction,
     v0: float,
 ):
-    """Cut the kernel set to the given level and restrict the initial
-    density accordingly.
+    """Cut the kernel set to each of the given levels and restrict the
+    initial density accordingly; returns one (kernel set, initial
+    density) per level, in order.  A single level is passed as [level].
 
     death and frag are cut sharply to zero beyond the rate cutoff,
     join is smoothly cut at the pair cutoff, growth is mollified and
     floored at half its declared floor; the initial density is smoothly
-    cut at the pair cutoff.  Raises LevelInconsistent when the rate
-    cutoff is below the size horizon reachable within horizon_T under
-    the a priori speed bound, so a consistent level certifies that the
-    truncated run keeps its support below rate_cutoff up to horizon_T.
+    cut at the pair cutoff.  Raises LevelInconsistent when a level's
+    pair cutoff is not above twice the minimum size or its rate cutoff
+    is below the size horizon reachable within horizon_T under the a
+    priori speed bound, so a consistent level certifies that the
+    truncated run keeps its support below rate_cutoff up to horizon_T;
+    SupportExceedsGrid when the rate cutoff lies beyond the grid end.
+
+    The levels, at least one, must share one mollifier width, as the
+    levels of a planned ladder do (ValueError otherwise): their
+    horizons are solved in one _truncated_start call, and each level's
+    reach is the one a call for that level alone returns.
     """
     y0 = k.params.min_size
-    if level.pair_cutoff <= 2.0 * y0:
-        raise LevelInconsistent(
-            f"pair cutoff {level.pair_cutoff} must exceed {2.0 * y0}"
-        )
-    width = level.mollifier_width
-    growth_n, (u0n_vals,), (reach,) = _truncated_start(
-        k, u0, v0, horizon_T, [level.pair_cutoff], width)
-    if level.rate_cutoff < reach * (1.0 - 1e-9):
-        raise LevelInconsistent(
-            f"rate cutoff {level.rate_cutoff:.6g} below horizon reach {reach:.6g}"
-        )
-    if level.rate_cutoff > u0.grid.ymax:
-        raise SupportExceedsGrid(
-            f"rate cutoff {level.rate_cutoff:.6g} beyond grid end {u0.grid.ymax}"
-        )
+    for level in levels:
+        if level.pair_cutoff <= 2.0 * y0:
+            raise LevelInconsistent(
+                f"pair cutoff {level.pair_cutoff} must exceed {2.0 * y0}"
+            )
+    widths = {level.mollifier_width for level in levels}
+    if len(widths) != 1:
+        raise ValueError(f"levels truncated together need one mollifier width, "
+                         f"got {sorted(widths)}")
+    (width,) = widths
+    growth_n, u0n, reaches = _truncated_start(
+        k, u0, v0, horizon_T, [level.pair_cutoff for level in levels], width)
 
     floor = k.growth_constants.speed_floor
     constants = dataclasses.replace(
         k.growth_constants,
         speed_floor=None if floor is None else 0.5 * floor,
     )
-    kn = dataclasses.replace(
-        with_join_cutoff(k, level.pair_cutoff, width),
-        growth=growth_n,
-        death=_cut_beyond(k.death, level.rate_cutoff),
-        frag=_cut_beyond(k.frag, level.rate_cutoff),
-        hypothesis_family=HypothesisFamily.BOUNDED_CLASSICAL,
-        growth_constants=constants,
-        label=k.label + f"+level{level.index}",
-    )
-    return kn, GridFunction(u0.grid, u0n_vals)
+    out = []
+    for level, u0n_vals, reach in zip(levels, u0n, reaches):
+        if level.rate_cutoff < reach * (1.0 - 1e-9):
+            raise LevelInconsistent(
+                f"level {level.index}: rate cutoff {level.rate_cutoff:.6g} "
+                f"below horizon reach {reach:.6g}"
+            )
+        if level.rate_cutoff > u0.grid.ymax:
+            raise SupportExceedsGrid(
+                f"rate cutoff {level.rate_cutoff:.6g} beyond grid end {u0.grid.ymax}"
+            )
+        kn = dataclasses.replace(
+            with_join_cutoff(k, level.pair_cutoff, width),
+            growth=growth_n,
+            death=_cut_beyond(k.death, level.rate_cutoff),
+            frag=_cut_beyond(k.frag, level.rate_cutoff),
+            hypothesis_family=HypothesisFamily.BOUNDED_CLASSICAL,
+            growth_constants=constants,
+            label=k.label + f"+level{level.index}",
+        )
+        out.append((kn, GridFunction(u0.grid, u0n_vals)))
+    return out
 
 
 def plan_truncation_levels(
@@ -857,7 +874,8 @@ def plan_truncation_levels(
 
     Pair cutoffs grow linearly in the level index; each rate cutoff is
     the running maximum of the horizon reaches, so every returned level
-    passes the consistency check in truncate()."""
+    passes the consistency check in truncate(), which verifies the whole
+    ladder in one more horizon solve."""
     if not indices or any(i < 1 for i in indices):
         raise LevelInconsistent("level indices must be >= 1")
     indices = sorted(set(int(i) for i in indices))

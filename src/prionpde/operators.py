@@ -24,7 +24,10 @@ Discretization notes, load-bearing for the conservation tests:
   one row per diagonal d (geometric) or per first partner i (uniform),
   into a table that is zero below its diagonal, and stored as
   staircase tiles: row bands that keep only the columns from their
-  first row on, the triangle plus a small overhang.  A zero-copy
+  first row on, the triangle plus a small overhang, and none beyond
+  the last column that holds a non-zero rate, so a rate cut at a pair
+  size (a truncation level) stores and multiplies only its support;
+  the loss GEMV likewise runs over the rate's support.  A zero-copy
   sheared view of the cell counts lines up with each tile.  On the
   geometric grid one GEMM per tile, against a share matrix with a row
   per target offset, sums the fluxes of all the tile's diagonals; on
@@ -36,7 +39,8 @@ Discretization notes, load-bearing for the conservation tests:
   last cell.  Pairs beyond the domain end are stray.  They have no
   entry in the sheared rates, so their flux is dropped, and ``apply``
   raises PairOutOfRange when the largest stray flux exceeds 1e-12 of
-  the largest pair flux.
+  the largest pair flux; tables whose rate vanishes on every stray
+  pair skip that check.
 
 * The fragmentation gain is tabulated per source cell over destination
   sub-intervals; each sub-interval's deposit lands at its own centroid,
@@ -47,6 +51,12 @@ Discretization notes, load-bearing for the conservation tests:
   daughter density whose mass normalization holds.  Every per-parent
   daughter integral goes through ``kernels._daughter_quadrature``:
   chunks of whole rows, and Gauss panel sums in a fixed order.
+
+* What depends on the grid and the daughter density alone (the
+  fragmentation deposit and monomer coefficients, and the joining
+  ``JoinLayout``: targets, shares, bands and the stray boundary) is a
+  ``GridTables``.  A build makes its own unless it is handed one, so
+  the levels of a truncation ladder share one set.
 
 * ``ReactionOperator`` holds both tables, the growth rate at the centers
   and the saturation constant.  It is the only source of the reaction
@@ -66,7 +76,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
-from .kernels import (KernelSet, RateFn, _daughter_quadrature, _equal_panels,
+from .kernels import (KernelSet, PairFn, RateFn, _daughter_quadrature, _equal_panels,
                       _gauss_panels, _graded_rule, _panel_sums)
 
 __all__ = [
@@ -78,6 +88,8 @@ __all__ = [
     "transport_remap",
     "FragTables",
     "fragmentation_apply",
+    "GridTables",
+    "JoinLayout",
     "JoiningTables",
     "joining_apply",
     "g_functional",
@@ -280,6 +292,39 @@ def _integrability_coefficients(
 
 # -- fragmentation ---------------------------------------------------------
 
+def _frag_deposit(daughter: PairFn, grid: SizeGrid) -> np.ndarray:
+    """deposit[j, i]: the daughter count of parent cell j landing in cell
+    i per unit source intensity, each sub-interval's deposit split at its
+    centroid between the bracketing centers."""
+    n, c, edges = grid.n, grid.centers, grid.edges
+
+    def sub_intervals(a, b):
+        # parent j: the cells below j, then (edges[j], c_j); the cells
+        # above j are empty panels at c_j
+        top = c[a:b, None]
+        return np.minimum(edges[:b], top), np.minimum(edges[1:b + 1], top)
+
+    deposit = np.zeros((n, n))
+    for a, b, (k0, k1) in _daughter_quadrature(
+            daughter, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
+            lambda z, y: 1.0, lambda z, y: z):
+        live = k0 > 0.0
+        lo, hi = (x[live] for x in sub_intervals(a, b))
+        k0 = k0[live]
+        rows, cells = np.nonzero(live)
+        # a live panel's centroid lies in its own cell, so the last
+        # center below it is that cell's or the one before
+        pos = np.clip(k1[live] / k0, lo, hi)
+        idx, frac = split_targets(c, pos, cells - (pos <= c[cells]))
+        # each row's targets are monotone, so one bincount adds the
+        # lower, then the upper shares in panel order
+        at = rows * n + idx
+        deposit[a:b] = np.bincount(
+            np.concatenate((at, at + 1)), np.concatenate((k0 * frac, k0 * (1.0 - frac))),
+            (b - a) * n).reshape(b - a, n)
+    return deposit
+
+
 @dataclass(frozen=True)
 class FragTables:
     """Per-source-cell deposit tables for the splitting gain.
@@ -288,7 +333,9 @@ class FragTables:
     source intensity 2*frag(c_j)*u_j*w_j; monomer_coeff[j] is half the
     parent size minus the deposited first moment, i.e. exactly the
     monomer mass per unit intensity that keeps total monomer count
-    conserved under the mass normalization of the daughter density."""
+    conserved under the mass normalization of the daughter density.
+    Both depend on the daughter and the grid alone and come from a
+    GridTables; only the rates at the centers are the kernel set's."""
 
     grid: SizeGrid
     deposit: np.ndarray = field(repr=False)
@@ -297,37 +344,19 @@ class FragTables:
     death_at_centers: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, k: KernelSet, grid: SizeGrid) -> "FragTables":
-        n, c, edges = grid.n, grid.centers, grid.edges
-
-        def sub_intervals(a, b):
-            # parent j: the cells below j, then (edges[j], c_j); the cells
-            # above j are empty panels at c_j
-            top = c[a:b, None]
-            return np.minimum(edges[:b], top), np.minimum(edges[1:b + 1], top)
-
-        deposit = np.zeros((n, n))
-        for a, b, (k0, k1) in _daughter_quadrature(
-                k.daughter, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
-                lambda z, y: 1.0, lambda z, y: z):
-            live = k0 > 0.0
-            lo, hi = (x[live] for x in sub_intervals(a, b))
-            k0 = k0[live]
-            rows, cells = np.nonzero(live)
-            # a live panel's centroid lies in its own cell, so the last
-            # center below it is that cell's or the one before
-            pos = np.clip(k1[live] / k0, lo, hi)
-            idx, frac = split_targets(c, pos, cells - (pos <= c[cells]))
-            # each row's targets are monotone, so one bincount adds the
-            # lower, then the upper shares in panel order
-            at = rows * n + idx
-            deposit[a:b] = np.bincount(
-                np.concatenate((at, at + 1)), np.concatenate((k0 * frac, k0 * (1.0 - frac))),
-                (b - a) * n).reshape(b - a, n)
+    def build(cls, k: KernelSet, grid: SizeGrid,
+              shared: Optional["GridTables"] = None) -> "FragTables":
+        """Tables of k on grid; shared, when given, supplies deposit and
+        monomer_coeff (ValueError if built for another grid or
+        daughter), else they are built here."""
+        if shared is None:
+            shared = GridTables.build(k.daughter, grid, joining=False)
+        shared.check(k, grid)
+        c = grid.centers
         return cls(
             grid=grid,
-            deposit=deposit,
-            monomer_coeff=0.5 * c - deposit @ c,
+            deposit=shared.deposit,
+            monomer_coeff=shared.monomer_coeff,
             frag_at_centers=np.asarray(k.frag(c), dtype=float),
             death_at_centers=np.asarray(k.death(c), dtype=float),
         )
@@ -423,66 +452,33 @@ def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
 
 
 @dataclass(frozen=True)
-class JoiningTables:
-    """Shift-structured tables for the joining mechanism.
+class JoinLayout:
+    """Where the pairs of one grid land: the rate-free part of
+    JoiningTables, built from the grid alone.
 
-    rate[i, j] is the joining rate at the pair of cell centers (i, j),
-    symmetric as the loss 2 u (rate @ w) needs: build refuses an
-    asymmetry above the validator's join_symmetry tolerance (1e-8 of the
-    largest rate) and symmetrizes one below it.  Each ordered pair
-    deposits its mass flux at the exact pair size, split between the
-    bracketing centers.  The split only depends on the diagonal
-    (geometric grid) or the anti-diagonal (uniform grid).  The rates of
-    the pairs inside the domain are sheared so that rows share their
-    targets, into a table T that is zero below its diagonal:
-
-    * geometric: T[d, m] = rate[m, m - d], halved on d = 0 because the
-      pair (m - d, m) is counted in the same row.  It lands frac[d] at
-      cell m + idx[d] and the rest one cell up.  A run of diagonals
-      with one offset is a block.
-    * uniform: T[i, s] = rate[i, s - i], landing frac[0] at cell
-      s + idx[0] and the rest one cell up; all rows are one block.
-
-    tiles holds T cut into row bands (g0, table, shares), with table =
-    T[g0:g1, g0:]: the triangle plus the band's overhang below it.  A
-    band starts at the first block start (any row on the uniform grid)
-    at least TILE_ROWS rows below the last, so geometric bands hold
-    whole blocks.  There shares has one row per target offset r, the
-    share of each of the band's diagonals that lands at m + r, and
-    shares @ (table * x[m - d]) sums all the band's diagonals in one
-    GEMM; on the uniform grid shares is None and the band is reduced by
-    the first partner's counts.  targets holds the cell of every such
-    sum, so the gain is one bincount.  Pairs landing at or beyond the
-    last center are clamped onto the last cell.  Pairs beyond the
-    domain end are stray; for row i they are the columns from
-    beyond_domain[i] on, and far_rate[i] is their largest rate.  Their
-    flux is dropped, which is legitimate while it is negligible
-    (rounding-level leakage from the support-doubling gain) and a hard
-    error once it carries real mass."""
+    idx and frac give each diagonal's (geometric) or every pair's
+    (uniform) target offset and lower share; beyond_domain[i] is the
+    first partner of cell i whose pair lies beyond the domain end.
+    inside marks the entries of the sheared table, on or above its
+    diagonal, whose pair lies inside the domain.  bands holds the row
+    bands (g0, g1, shares) of the tiles, and targets the pairs (g0,
+    cells): cells[r, m - g0] is the cell of the sum in row r and column
+    m of one band's products on the geometric grid (one per band), of
+    the lower (r = 0) and upper share of anti-diagonal m on the uniform
+    grid (one, with g0 = 0)."""
 
     grid: SizeGrid
-    rate: np.ndarray = field(repr=False)
     idx: np.ndarray = field(repr=False)
     frac: np.ndarray = field(repr=False)
     beyond_domain: np.ndarray = field(repr=False)
-    far_rate: np.ndarray = field(repr=False)
-    tiles: Tuple[Tuple[int, np.ndarray, Optional[np.ndarray]], ...] = field(repr=False)
-    targets: np.ndarray = field(repr=False)
+    inside: np.ndarray = field(repr=False)
+    bands: Tuple[Tuple[int, int, Optional[np.ndarray]], ...] = field(repr=False)
+    targets: Tuple[Tuple[int, np.ndarray], ...] = field(repr=False)
 
     @classmethod
-    def build(cls, k: KernelSet, grid: SizeGrid) -> "JoiningTables":
+    def build(cls, grid: SizeGrid) -> "JoinLayout":
         c, n = grid.centers, grid.n
-        rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
-        if not np.array_equal(rate, rate.T):   # refuse all but rounding
-            asym = float(np.max(np.abs(rate - rate.T)))
-            if asym > 1e-8 * float(np.max(np.abs(rate))):
-                raise ValueError(
-                    f"joining rate is not symmetric: max |rate - rate.T| {asym:.3g}")
-            rate = 0.5 * (rate + rate.T)
-        far = np.add.outer(c, c) > grid.ymax
-        beyond_domain = n - np.count_nonzero(far, axis=1)
-        far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
-        del far
+        beyond_domain = n - np.count_nonzero(np.add.outer(c, c) > grid.ymax, axis=1)
         geometric = grid.spacing == "geometric"
         # pair sizes in table coordinates, infinite below the diagonal
         pair = (c[None, :] if geometric else c[:, None]) + _skew(c, pad=np.inf)
@@ -503,21 +499,17 @@ class JoiningTables:
         _check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric)
         del pair
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        # a tile starts at the first block start (any row on the uniform
+        # a band starts at the first block start (any row on the uniform
         # grid) at least TILE_ROWS rows below the start of the last one
         cuts = [0]
         for a in (starts if geometric else range(n)):
             if a - cuts[-1] >= TILE_ROWS:
                 cuts.append(a)
         cuts.append(n)
-        sheared = _sheared(rate, geometric)
-        tiles, targets = [], []
+        bands, targets = [], []
         for g0, g1 in zip(cuts[:-1], cuts[1:]):
-            table = np.where(drop[g0:g1, g0:], 0.0, sheared[g0:g1, g0:])
             shares = None
             if geometric:
-                if g0 == 0:
-                    table[0] *= 0.5
                 firsts = starts[(starts >= g0) & (starts < g1)]
                 # row r of the band's sums lands at m + top - r, so a
                 # block's lower share goes on row top - idx and its
@@ -528,16 +520,168 @@ class JoiningTables:
                     shares[top - idx[a], a - g0:b - g0] = frac[a:b]
                     shares[top - idx[a] - 1, a - g0:b - g0] = 1.0 - frac[a:b]
                 offsets = top - np.arange(shares.shape[0])
-                targets.append(np.minimum(np.arange(g0, n) + offsets[:, None],
-                                          n - 1))
-            tiles.append((int(g0), table, shares))
+                targets.append((int(g0), np.minimum(np.arange(g0, n) + offsets[:, None],
+                                                    n - 1)))
+            bands.append((int(g0), int(g1), shares))
         if not geometric:
-            targets.append(np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None],
-                                      n - 1))
-        targets = np.concatenate([t.ravel() for t in targets])
-        return cls(grid=grid, rate=rate, idx=idx, frac=frac,
-                   beyond_domain=beyond_domain, far_rate=far_rate,
-                   tiles=tuple(tiles), targets=targets)
+            targets.append((0, np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None],
+                                          n - 1)))
+        return cls(grid=grid, idx=idx, frac=frac, beyond_domain=beyond_domain,
+                   inside=~drop, bands=tuple(bands), targets=tuple(targets))
+
+
+@dataclass(frozen=True)
+class GridTables:
+    """The tables of one (daughter, grid) pair that no rate enters: the
+    fragmentation deposit and monomer coefficients of FragTables, and
+    the JoinLayout of JoiningTables (None when built without joining).
+
+    Every kernel set that keeps the daughter, such as each level of a
+    truncation ladder, can share one; a build handed tables made for
+    another grid or daughter refuses them with ValueError."""
+
+    grid: SizeGrid
+    daughter: PairFn = field(repr=False)
+    deposit: np.ndarray = field(repr=False)
+    monomer_coeff: np.ndarray = field(repr=False)
+    join: Optional[JoinLayout] = field(repr=False)
+
+    @classmethod
+    def build(cls, daughter: PairFn, grid: SizeGrid, joining: bool = True) -> "GridTables":
+        deposit = _frag_deposit(daughter, grid)
+        return cls(grid=grid, daughter=daughter, deposit=deposit,
+                   monomer_coeff=0.5 * grid.centers - deposit @ grid.centers,
+                   join=JoinLayout.build(grid) if joining else None)
+
+    def check(self, k: KernelSet, grid: SizeGrid) -> None:
+        """ValueError unless built for k's daughter on grid."""
+        if not (self.grid == grid and np.array_equal(self.grid.edges, grid.edges)):
+            raise ValueError("shared tables were built for another grid")
+        if self.daughter is not k.daughter:
+            raise ValueError("shared tables were built for another daughter density")
+
+
+@dataclass(frozen=True)
+class JoiningTables:
+    """Shift-structured tables for the joining mechanism.
+
+    rate[i, j] is the joining rate at the pair of cell centers (i, j),
+    symmetric as the loss 2 u (rate @ w) needs: build refuses an
+    asymmetry above the validator's join_symmetry tolerance (1e-8 of the
+    largest rate) and symmetrizes one below it.  Every non-zero rate
+    lies in rate[:support, :support], the block the loss multiplies.
+    Each ordered pair deposits its mass flux at the exact pair size,
+    split between the bracketing centers.  The split only depends on
+    the diagonal (geometric grid) or the anti-diagonal (uniform grid);
+    layout holds it, with everything else the grid alone fixes.  The
+    rates of the pairs inside the domain are sheared so that rows share
+    their targets, into a table T that is zero below its diagonal:
+
+    * geometric: T[d, m] = rate[m, m - d], halved on d = 0 because the
+      pair (m - d, m) is counted in the same row.  It lands frac[d] at
+      cell m + idx[d] and the rest one cell up.  A run of diagonals
+      with one offset is a block.
+    * uniform: T[i, s] = rate[i, s - i], landing frac[0] at cell
+      s + idx[0] and the rest one cell up; all rows are one block.
+
+    tiles holds T cut into row bands (g0, table, shares), with table =
+    T[g0:g1, g0:columns]: the triangle plus the band's overhang below
+    it, trimmed to the rate's support.  columns is one past the last
+    column of T whose rate is not zero, counting pairs beyond the domain
+    end (n for a rate with full support, which keeps every column).
+    Bands that start at or beyond it are left out, so an identically
+    zero rate has no tiles.  A band starts at the first block start
+    (any row on the uniform grid) at least TILE_ROWS rows below the
+    last, so geometric bands hold whole blocks.  There shares has one
+    row per target offset r, the share of each of the band's diagonals
+    that lands at m + r, and shares @ (table * x[m - d]) sums all the
+    band's diagonals in one GEMM; on the uniform grid shares is None and the band is reduced by
+    the first partner's counts.  targets holds the cell of every such
+    sum, so the gain is one bincount.  Pairs landing at or beyond the
+    last center are clamped onto the last cell.  Pairs beyond the
+    domain end are stray; for row i they are the columns from
+    beyond_domain[i] on, and far_rate[i] is their largest rate.  Their
+    flux is dropped, which is legitimate while it is negligible
+    (rounding-level leakage from the support-doubling gain) and a hard
+    error once it carries real mass.  strays is False when every
+    far_rate is zero, and apply then skips the check."""
+
+    grid: SizeGrid
+    rate: np.ndarray = field(repr=False)
+    layout: JoinLayout = field(repr=False)
+    far_rate: np.ndarray = field(repr=False)
+    strays: bool
+    support: int
+    columns: int
+    tiles: Tuple[Tuple[int, np.ndarray, Optional[np.ndarray]], ...] = field(repr=False)
+    targets: np.ndarray = field(repr=False)
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self.layout.idx
+
+    @property
+    def frac(self) -> np.ndarray:
+        return self.layout.frac
+
+    @property
+    def beyond_domain(self) -> np.ndarray:
+        return self.layout.beyond_domain
+
+    @classmethod
+    def build(cls, k: KernelSet, grid: SizeGrid,
+              shared: Optional[GridTables] = None) -> "JoiningTables":
+        """Tables of k on grid; shared, when given, supplies the layout
+        (ValueError if built for another grid or daughter, or without
+        joining), else it is built here."""
+        if shared is None:
+            layout = JoinLayout.build(grid)
+        else:
+            shared.check(k, grid)
+            if shared.join is None:
+                raise ValueError("shared tables were built without joining")
+            layout = shared.join
+        c, n = grid.centers, grid.n
+        rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
+        if not np.array_equal(rate, rate.T):   # refuse all but rounding
+            asym = float(np.max(np.abs(rate - rate.T)))
+            if asym > 1e-8 * float(np.max(np.abs(rate))):
+                raise ValueError(
+                    f"joining rate is not symmetric: max |rate - rate.T| {asym:.3g}")
+            rate = 0.5 * (rate + rate.T)
+        nonzero = rate != 0.0
+        live = np.flatnonzero(np.any(nonzero, axis=1))
+        support = int(live[-1]) + 1 if live.size else 0
+        far = np.arange(n)[None, :] >= layout.beyond_domain[:, None]
+        far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
+        del far
+        geometric = grid.spacing == "geometric"
+        # columns: one past the last column of T with a non-zero rate on
+        # or above the diagonal, whether its pair strays or not, so a
+        # rate with full support keeps every column.  Geometric column m
+        # holds row m of the rate up to the diagonal, so for a symmetric
+        # rate it is the support; a uniform column is an anti-diagonal
+        if geometric:
+            columns = support
+        else:
+            live = np.flatnonzero(np.any(np.triu(_sheared(nonzero, False)), axis=0))
+            columns = int(live[-1]) + 1 if live.size else 0
+        del nonzero
+        sheared = _sheared(rate, geometric)
+        tiles = []
+        for g0, g1, shares in layout.bands:
+            if g0 >= columns:
+                break
+            table = np.where(layout.inside[g0:g1, g0:columns], sheared[g0:g1, g0:columns], 0.0)
+            if geometric and g0 == 0:
+                table[0] *= 0.5
+            tiles.append((g0, table, shares))
+        targets = [cells[:, :columns - g0].ravel()
+                   for g0, cells in layout.targets if g0 < columns]
+        return cls(grid=grid, rate=rate, layout=layout, far_rate=far_rate,
+                   strays=bool(np.any(far_rate != 0.0)), support=support,
+                   columns=columns, tiles=tuple(tiles),
+                   targets=np.concatenate(targets) if targets else np.zeros(0, np.intp))
 
     def _check_stray(self, mu: np.ndarray, mw: np.ndarray) -> None:
         """PairOutOfRange if the largest stray pair flux exceeds
@@ -557,22 +701,28 @@ class JoiningTables:
             )
 
     def _tile_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Geometric grid: per tile, shares @ (table * _skew(x)[g0:g1, g0:])
+        """Geometric grid: per tile, shares @ (table * _skew(x)[g0:g1, g0:columns])
         weighted by y over its columns, flattened in tile order."""
         sheared_x = _skew(x)
+        end = self.columns
         sums = np.empty(self.targets.size)
         start = 0
         for g0, table, shares in self.tiles:
             out = sums[start:start + shares.shape[0] * table.shape[1]]
             out = out.reshape(shares.shape[0], table.shape[1])
-            np.matmul(shares, table * sheared_x[g0:g0 + table.shape[0], g0:], out=out)
-            out *= y[g0:]
+            np.matmul(shares, table * sheared_x[g0:g0 + table.shape[0], g0:end], out=out)
+            out *= y[g0:end]
             start += out.size
         return sums
 
     def loss_rate(self, w_values: np.ndarray) -> np.ndarray:
-        """Per-cell joining loss rate against partners w: one n² GEMV."""
-        return 2.0 * (self.rate @ (w_values * self.grid.widths))
+        """Per-cell joining loss rate against partners w: one GEMV over
+        the rate's support, zero beyond it."""
+        m = self.support
+        out = np.zeros(self.grid.n)
+        np.matmul(self.rate[:m, :m], w_values[:m] * self.grid.widths[:m], out=out[:m])
+        out[:m] *= 2.0
+        return out
 
     def apply(self, u_values: np.ndarray, w_values: np.ndarray,
               loss_rate: Optional[np.ndarray] = None) -> np.ndarray:
@@ -581,13 +731,14 @@ class JoiningTables:
         g = self.grid
         mu = u_values * g.widths
         mw = mu if w_values is u_values else w_values * g.widths
-        self._check_stray(mu, mw)
+        if self.strays:
+            self._check_stray(mu, mw)
         if g.spacing != "geometric":
             sheared_w = _skew(mw)
-            pairs = np.zeros(g.n)
+            pairs = np.zeros(self.columns)
             for g0, table, _ in self.tiles:
                 g1 = g0 + table.shape[0]
-                pairs[g0:] += mu[g0:g1] @ (table * sheared_w[g0:g1, g0:])
+                pairs[g0:] += mu[g0:g1] @ (table * sheared_w[g0:g1, g0:self.columns])
             sums = np.multiply.outer((self.frac[0], 1.0 - self.frac[0]), pairs)
         elif mw is mu:
             sums = self._tile_sums(mu, 2.0 * mu)
@@ -641,17 +792,19 @@ class ReactionOperator:
     saturation: float
 
     @classmethod
-    def build(cls, k: KernelSet, grid: SizeGrid,
-              skip_joining: bool) -> "ReactionOperator":
-        join = None if skip_joining else JoiningTables.build(k, grid)
-        return cls(grid=grid, frag=FragTables.build(k, grid), join=join,
+    def build(cls, k: KernelSet, grid: SizeGrid, skip_joining: bool,
+              shared: Optional[GridTables] = None) -> "ReactionOperator":
+        """The operator of k on grid; shared, when given, supplies the
+        rate-free tables of both mechanisms (see GridTables)."""
+        join = None if skip_joining else JoiningTables.build(k, grid, shared)
+        return cls(grid=grid, frag=FragTables.build(k, grid, shared), join=join,
                    growth_at_centers=np.asarray(k.growth(grid.centers), dtype=float),
                    saturation=k.params.saturation)
 
     @property
     def joins(self) -> bool:
         """Joining is on and its rate is not identically zero."""
-        return self.join is not None and bool(np.any(self.join.rate != 0.0))
+        return self.join is not None and self.join.support > 0
 
     def join_loss(self, u_values: np.ndarray) -> Optional[np.ndarray]:
         """Per-cell joining loss rate at u; None when joining is skipped."""

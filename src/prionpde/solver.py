@@ -54,6 +54,7 @@ from .grid import GridFunction, moment
 from .kernels import KernelSet
 from .operators import (
     CharacteristicMap,
+    GridTables,
     ReactionOperator,
     characteristic_map,
     transport_remap,
@@ -108,11 +109,14 @@ class Machinery:
 
 
 def build_machinery(k: KernelSet, grid, cfg: SolverConfig,
-                    initial_peak: float) -> Machinery:
+                    initial_peak: float,
+                    shared: Optional[GridTables] = None) -> Machinery:
+    """shared, when given, holds the rate-free tables (see GridTables)."""
     floor = (cfg.positivity_tolerance if cfg.positivity_tolerance is not None
              else 1e-12 * max(initial_peak, 1e-300))
-    return Machinery(reaction=ReactionOperator.build(k, grid, cfg.skip_joining),
-                     positivity_floor=floor)
+    return Machinery(
+        reaction=ReactionOperator.build(k, grid, cfg.skip_joining, shared),
+        positivity_floor=floor)
 
 
 def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
@@ -211,10 +215,14 @@ def run(
     v0: float,
     k: KernelSet,
     cfg: SolverConfig,
+    shared: Optional[GridTables] = None,
 ) -> RunResult:
     """Integrate from the initial pair to the horizon, recording one
     ledger row per step and snapshots at the steps nearest the requested
-    times (the initial and final states are always kept).
+    times (the initial and final states are always kept).  shared, when
+    given, holds the rate-free tables of k's daughter on u0's grid, built
+    once for runs that share them (the levels of a truncation ladder);
+    the run builds its own otherwise.
 
     On a solver error the exception carries the work so far in its
     partial_result attribute."""
@@ -222,7 +230,8 @@ def run(
     if v0 < 0.0:
         raise NegativeMonomer(f"initial monomer count {v0} is negative")
     mach = build_machinery(k, grid, cfg,
-                           float(np.max(u0.values)) if u0.values.size else 0.0)
+                           float(np.max(u0.values)) if u0.values.size else 0.0,
+                           shared)
     cm = characteristic_map(k, grid)
     weight = None
     if cfg.uniform_integrability:

@@ -111,8 +111,7 @@ def truncation_runs():
                                     pair_base=6.0, pair_step=6.0)
     cfg = SolverConfig(dt=2e-3, t_end=1.0)
     results = []
-    for level in levels:
-        kn, u0n = truncate(k, level, 1.0, u0, V0)
+    for kn, u0n in truncate(k, levels, 1.0, u0, V0):
         results.append(run(u0n, V0, kn, cfg))
     return levels, results
 

@@ -59,7 +59,7 @@ def _truncated():
                  * np.exp(-0.5 * ((y - 3.0) / 0.3) ** 2), grid)
     level = plan_truncation_levels(base, u0, 2.0, 1.0, (2,),
                                    pair_base=6.0, pair_step=6.0)[0]
-    return truncate(base, level, 1.0, u0, 2.0)[0]
+    return truncate(base, [level], 1.0, u0, 2.0)[0][0]
 
 
 RATES = {
@@ -280,3 +280,118 @@ def test_grid_without_shift_structure_is_refused():
                     widths=np.diff(edges))
     with pytest.raises(ValueError, match="shift-invariant"):
         JoiningTables.build(RATES["constant"], grid)
+
+
+def last_live_column(tables):
+    """One past the last sheared column with a non-zero rate, from the
+    rate's non-zero pairs: column max(i, j) on the geometric grid, i + j
+    (below n) on the uniform grid."""
+    i, j = np.nonzero(tables.rate)
+    if tables.grid.spacing == "geometric":
+        cols = np.maximum(i, j)
+    else:
+        cols = (i + j)[i + j < tables.grid.n]
+    return int(cols.max()) + 1 if cols.size else 0
+
+
+# just above 2 y0 (no center pair is that small), a few pairs, mid-grid,
+# at ymax and above ymax
+PAIR_CUTOFFS = (2.0 + 1e-9, 2.5, 100.0, YMAX, 300.0)
+
+
+@pytest.mark.parametrize("n", (5, 64, 192, 400))
+@pytest.mark.parametrize("cutoff", PAIR_CUTOFFS)
+def test_trimmed_tables_match_dense_reference(spacing, n, cutoff):
+    k = with_join_cutoff(RATES["constant"], cutoff)
+    grid = build_grid(1.0, YMAX, n, spacing)
+    tables = JoiningTables.build(k, grid)
+    columns = last_live_column(tables)
+    assert tables.columns == columns
+    full = sheared_rates(tables)
+    assert not np.any(full[:, columns:])
+    bounds = [g0 for g0, _, _ in tables.tiles] + [n]
+    sums = 0
+    for (g0, table, shares), g1 in zip(tables.tiles, bounds[1:]):
+        # no stored column at or beyond the last live one
+        assert g0 < columns and table.shape[1] == columns - g0
+        assert np.array_equal(table, full[g0:g0 + table.shape[0], g0:columns])
+        sums += table.shape[1] * (2 if shares is None else shares.shape[0])
+    if spacing == "uniform":
+        sums = 2 * columns if tables.tiles else 0
+    assert tables.targets.size == sums
+    live = np.flatnonzero(np.any(tables.rate != 0.0, axis=1))
+    assert tables.support == (live[-1] + 1 if live.size else 0)
+    assert tables.strays == bool(np.any(tables.far_rate))
+    for name, (u, w) in densities(grid, n).items():
+        got = tables.apply(u, w)
+        want = dense_reference_apply(k, grid, u, w)
+        if not np.any(want):
+            assert np.array_equal(got, np.zeros(n)), name
+            continue
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+        m_scale = first_moment_scale(grid, want)
+        assert abs(moment(grid, got, 1) - moment(grid, want, 1)) <= 1e-12 * m_scale
+        if name == "low":
+            assert abs(moment(grid, got, 1)) <= 1e-12 * m_scale, name
+
+
+def test_truncated_ladder_tables_are_trimmed():
+    """Every level of a planned ladder: the pair cutoff leaves most of
+    the sheared columns without a rate, none of its pairs strays, and
+    apply still lands like the dense scatter."""
+    base = make_special_family(1.0, 0.1, 1.0, 0.2)
+    grid = build_grid(1.0, YMAX, 192, "geometric")
+    u0 = project(lambda y: np.exp(-0.5 * ((y - 3.0) / 0.3) ** 2), grid)
+    levels = plan_truncation_levels(base, u0, 2.0, 1.0, (1, 2, 4, 8),
+                                    pair_base=6.0, pair_step=6.0)
+    for kn, _ in truncate(base, levels, 1.0, u0, 2.0):
+        tables = JoiningTables.build(kn, grid)
+        assert tables.columns == tables.support == last_live_column(tables)
+        assert tables.columns < grid.n // 2 + 50
+        assert not tables.strays
+        for name, (u, w) in densities(grid, 5).items():
+            want = dense_reference_apply(kn, grid, u, w)
+            assert np.max(np.abs(tables.apply(u, w) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", (5, 64, 192, 400))
+def test_full_support_keeps_every_column(spacing, n):
+    """A constant rate keeps the tables the untrimmed build made: every
+    column of every band, and the targets of all of them."""
+    grid = build_grid(1.0, YMAX, n, spacing)
+    tables = JoiningTables.build(RATES["constant"], grid)
+    assert tables.columns == tables.support == n
+    assert tables.strays
+    idx = tables.idx
+    bounds = [g0 for g0, _, _ in tables.tiles] + [n]
+    full = sheared_rates(tables)
+    targets = []
+    for (g0, table, shares), g1 in zip(tables.tiles, bounds[1:]):
+        assert np.array_equal(table, full[g0:g1, g0:])
+        if spacing == "geometric":
+            offsets = idx[g0] + 1 - np.arange(shares.shape[0])
+            targets.append(np.minimum(np.arange(g0, n) + offsets[:, None], n - 1))
+    if spacing == "uniform":
+        targets.append(np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None], n - 1))
+    assert bounds[-2] < n
+    assert np.array_equal(tables.targets, np.concatenate([t.ravel() for t in targets]))
+
+
+def test_stray_check_runs_only_when_a_pair_can_stray(monkeypatch):
+    """apply skips the stray check for tables whose far rates are all
+    zero, and keeps it for the others."""
+    calls = []
+    check = JoiningTables._check_stray
+
+    def counted(self, mu, mw):
+        calls.append(self.strays)
+        return check(self, mu, mw)
+
+    monkeypatch.setattr(JoiningTables, "_check_stray", counted)
+    grid = build_grid(1.0, YMAX, 64, "geometric")
+    u = (grid.centers <= 0.3 * YMAX).astype(float)
+    for rate in ("constant", "cutoff", "truncated"):
+        tables = JoiningTables.build(RATES[rate], grid)
+        tables.apply(u, u)
+    assert calls == [True]

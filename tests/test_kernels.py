@@ -18,8 +18,10 @@ from prionpde.grid import GridFunction, build_grid, project
 from prionpde.kernels import (
     _MOLLIFY_W,
     _MOLLIFY_X,
+    _cut_beyond,
     _graded_rule,
     _panel_rule,
+    _truncated_start,
     HypothesisFamily,
     KernelSet,
     ModelParams,
@@ -36,6 +38,8 @@ from prionpde.kernels import (
     validate_kernel_set,
     with_join_cutoff,
 )
+from prionpde.operators import FragTables, GridTables, JoiningTables, ReactionOperator
+from prionpde.solver import SolverConfig, run
 from reference_ode import rk4_solve
 
 
@@ -321,6 +325,57 @@ def counted(fn):
     return wrapped
 
 
+def reference_truncate(k, level, horizon_T, u0, v0):
+    """The per-level truncate that the ladder form replaced: one horizon
+    solve for the one level."""
+    y0 = k.params.min_size
+    if level.pair_cutoff <= 2.0 * y0:
+        raise LevelInconsistent(
+            f"pair cutoff {level.pair_cutoff} must exceed {2.0 * y0}")
+    width = level.mollifier_width
+    growth_n, (u0n_vals,), (reach,) = _truncated_start(
+        k, u0, v0, horizon_T, [level.pair_cutoff], width)
+    if level.rate_cutoff < reach * (1.0 - 1e-9):
+        raise LevelInconsistent(
+            f"rate cutoff {level.rate_cutoff:.6g} below horizon reach {reach:.6g}")
+    if level.rate_cutoff > u0.grid.ymax:
+        raise SupportExceedsGrid(
+            f"rate cutoff {level.rate_cutoff:.6g} beyond grid end {u0.grid.ymax}")
+    floor = k.growth_constants.speed_floor
+    constants = dataclasses.replace(
+        k.growth_constants, speed_floor=None if floor is None else 0.5 * floor)
+    kn = dataclasses.replace(
+        with_join_cutoff(k, level.pair_cutoff, width),
+        growth=growth_n,
+        death=_cut_beyond(k.death, level.rate_cutoff),
+        frag=_cut_beyond(k.frag, level.rate_cutoff),
+        hypothesis_family=HypothesisFamily.BOUNDED_CLASSICAL,
+        growth_constants=constants,
+        label=k.label + f"+level{level.index}",
+    )
+    return kn, GridFunction(u0.grid, u0n_vals)
+
+
+def assert_tables_equal(a, b):
+    """Every array and scalar field of two table objects is equal."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "tiles":
+            assert len(x) == len(y)
+            for (g0, table, shares), (h0, other, other_shares) in zip(x, y):
+                assert g0 == h0 and np.array_equal(table, other)
+                assert (shares is None and other_shares is None
+                        or np.array_equal(shares, other_shares))
+        elif f.name == "layout":
+            for name in ("idx", "frac", "beyond_domain", "inside"):
+                assert np.array_equal(getattr(x, name), getattr(y, name)), name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
 class TestTruncation:
     def setup_method(self):
         self.grid = build_grid(1.0, 200.0, 128, "geometric")
@@ -337,7 +392,7 @@ class TestTruncation:
         assert all(a < b for a, b in zip(pair, pair[1:]))
         assert all(a <= b for a, b in zip(rate, rate[1:]))
         for lv in levels:
-            kn, u0n = truncate(self.k, lv, 1.0, self.u0, 2.0)
+            kn, u0n = truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
             assert kn.hypothesis_family is HypothesisFamily.BOUNDED_CLASSICAL
             assert kn.join_zero_beyond == lv.pair_cutoff
 
@@ -382,7 +437,7 @@ class TestTruncation:
         # level that travels nowhere reaches exactly its pair cutoff
         levels = plan_truncation_levels(self.k, self.u0, 2.0, 0.0, [1, 2, 4, 8])
         assert [lv.rate_cutoff for lv in levels] == [6.0, 8.0, 12.0, 20.0]
-        truncate(self.k, levels[-1], 0.0, self.u0, 2.0)
+        truncate(self.k, levels[-1:], 0.0, self.u0, 2.0)
 
     def test_one_horizon_solve_for_the_whole_ladder(self):
         calls = []
@@ -395,18 +450,18 @@ class TestTruncation:
     def test_truncate_solves_its_horizon_once(self):
         lv = plan_truncation_levels(self.k, self.u0, 2.0, 1.0, [8])[0]
         k = dataclasses.replace(self.k, growth=counted(self.k.growth))
-        truncate(k, lv, 1.0, self.u0, 2.0)
+        truncate(k, [lv], 1.0, self.u0, 2.0)[0]
         assert k.growth.calls <= 1024
 
     def test_truncated_set_passes_bounded_validation(self):
         lv = plan_truncation_levels(self.k, self.u0, 2.0, 1.0, [2])[0]
-        kn, _ = truncate(self.k, lv, 1.0, self.u0, 2.0)
+        kn, _ = truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
         report = validate_kernel_set(kn, samples=24, probe_max=200.0)
         assert report.all_passed, report.format()
 
     def test_truncated_rates_cut_sharply(self):
         lv = plan_truncation_levels(self.k, self.u0, 2.0, 1.0, [1])[0]
-        kn, _ = truncate(self.k, lv, 1.0, self.u0, 2.0)
+        kn, _ = truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
         y = np.array([lv.rate_cutoff * 0.99, lv.rate_cutoff * 1.01, 150.0])
         assert kn.death(y)[0] > 0 and kn.death(y)[1] == 0.0 and kn.death(y)[2] == 0.0
         assert kn.frag(y)[0] > 0 and kn.frag(y)[1] == 0.0
@@ -414,7 +469,7 @@ class TestTruncation:
     def test_truncated_rates_match_their_formulas_bitwise(self):
         k = make_powerlaw_family(death_value=0.1, frag_slope=1.0)
         lv = plan_truncation_levels(k, self.u0, 2.0, 1.0, [2])[0]
-        kn, _ = truncate(k, lv, 1.0, self.u0, 2.0)
+        kn, _ = truncate(k, [lv], 1.0, self.u0, 2.0)[0]
         rc = lv.rate_cutoff
         y = np.sort(np.append(np.linspace(1.0, 200.0, 397),
                               [rc, np.nextafter(rc, 0.0), np.nextafter(rc, np.inf)]))
@@ -429,7 +484,7 @@ class TestTruncation:
     def test_truncated_join_vanishes_beyond_pair_cutoff(self):
         lv = TruncationLevel(index=1, pair_cutoff=4.0, rate_cutoff=60.0,
                              mollifier_width=0.5)
-        kn, _ = truncate(self.k, lv, 1.0, self.u0, 2.0)
+        kn, _ = truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
         y = np.linspace(1.0, 10.0, 30)
         vals = kn.join(y[:, None], y[None, :])
         assert np.all(vals[(y[:, None] + y[None, :]) >= 4.0] == 0.0)
@@ -439,7 +494,7 @@ class TestTruncation:
         k = dataclasses.replace(self.k, join=lambda y, z: np.zeros(
             np.broadcast_shapes(np.shape(y), np.shape(z))))
         lv = plan_truncation_levels(k, self.u0, 2.0, 1.0, [1])[0]
-        kn, _ = truncate(k, lv, 1.0, self.u0, 2.0)
+        kn, _ = truncate(k, [lv], 1.0, self.u0, 2.0)[0]
         y = np.linspace(1.0, 100.0, 20)
         assert np.all(kn.join(y[:, None], y[None, :]) == 0.0)
 
@@ -447,27 +502,133 @@ class TestTruncation:
         lv = TruncationLevel(index=1, pair_cutoff=10.0, rate_cutoff=10.5,
                              mollifier_width=0.5)
         with pytest.raises(LevelInconsistent):
-            truncate(self.k, lv, 1.0, self.u0, 2.0)
+            truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
 
     def test_pair_cutoff_below_twice_min_size_rejected(self):
         lv = TruncationLevel(index=1, pair_cutoff=1.5, rate_cutoff=60.0,
                              mollifier_width=0.5)
         with pytest.raises(LevelInconsistent):
-            truncate(self.k, lv, 1.0, self.u0, 2.0)
+            truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
 
     def test_cutoff_beyond_grid_rejected(self):
         lv = TruncationLevel(index=1, pair_cutoff=4.0, rate_cutoff=300.0,
                              mollifier_width=0.5)
         with pytest.raises(SupportExceedsGrid):
-            truncate(self.k, lv, 1.0, self.u0, 2.0)
+            truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
 
     def test_initial_density_cut_at_pair_cutoff(self):
         lv = TruncationLevel(index=1, pair_cutoff=4.0, rate_cutoff=60.0,
                              mollifier_width=0.5)
-        _, u0n = truncate(self.k, lv, 1.0, self.u0, 2.0)
+        _, u0n = truncate(self.k, [lv], 1.0, self.u0, 2.0)[0]
         assert np.all(u0n.values[self.grid.centers >= 4.0] == 0.0)
         keep = self.grid.centers <= 4.0 - 0.5
         assert np.allclose(u0n.values[keep], self.u0.values[keep], rtol=1e-14)
+
+    def ladder(self, k=None):
+        return plan_truncation_levels(k or self.k, self.u0, 2.0, 1.0, [1, 2, 4, 8])
+
+    def test_ladder_verifies_in_one_horizon_solve(self):
+        levels = self.ladder()
+        k = dataclasses.replace(self.k, growth=counted(self.k.growth))
+        assert len(truncate(k, levels, 1.0, self.u0, 2.0)) == 4
+        assert k.growth.calls <= 1024
+
+    @pytest.mark.parametrize("lowered", [0, 2, 3])
+    def test_one_low_rate_cutoff_in_a_ladder_is_rejected(self, lowered):
+        levels = self.ladder()
+        lv = levels[lowered]
+        levels[lowered] = dataclasses.replace(lv, rate_cutoff=0.9 * lv.rate_cutoff)
+        with pytest.raises(LevelInconsistent, match=f"level {lv.index}:"):
+            truncate(self.k, levels, 1.0, self.u0, 2.0)
+
+    def test_ladder_checks_every_level(self):
+        levels = self.ladder()
+        with pytest.raises(SupportExceedsGrid):
+            truncate(self.k, levels[:3] + [dataclasses.replace(levels[3], rate_cutoff=300.0)],
+                     1.0, self.u0, 2.0)
+        with pytest.raises(LevelInconsistent):
+            truncate(self.k, [levels[0], dataclasses.replace(levels[1], pair_cutoff=1.5)],
+                     1.0, self.u0, 2.0)
+
+    def test_levels_of_two_widths_are_refused_together(self):
+        levels = self.ladder()
+        levels[1] = dataclasses.replace(levels[1], mollifier_width=0.4)
+        with pytest.raises(ValueError, match="one mollifier width"):
+            truncate(self.k, levels, 1.0, self.u0, 2.0)
+        assert len(truncate(self.k, levels[1:2], 1.0, self.u0, 2.0)) == 1
+        with pytest.raises(ValueError, match="one mollifier width"):
+            truncate(self.k, [], 1.0, self.u0, 2.0)
+
+    @pytest.mark.parametrize("family", ["special", "powerlaw"])
+    def test_ladder_equals_the_per_level_reference(self, family):
+        k = self.k if family == "special" else make_powerlaw_family(
+            death_value=0.1, frag_slope=1.0, params=self.k.params)
+        levels = self.ladder(k)
+        y = np.linspace(1.0, 200.0, 801)
+        for lv, (kn, u0n) in zip(levels, truncate(k, levels, 1.0, self.u0, 2.0)):
+            ref, ref_u0n = reference_truncate(k, lv, 1.0, self.u0, 2.0)
+            assert np.array_equal(u0n.values, ref_u0n.values)
+            for name in ("growth", "death", "frag"):
+                assert np.array_equal(getattr(kn, name)(y), getattr(ref, name)(y)), name
+            yy, zz = y[::8, None], y[None, ::8]
+            assert np.array_equal(kn.join(yy, zz), ref.join(yy, zz))
+            assert np.array_equal(kn.daughter(yy / 4.0, yy), ref.daughter(yy / 4.0, yy))
+            for name in ("params", "hypothesis_family", "growth_constants",
+                         "join_zero_beyond", "label"):
+                assert getattr(kn, name) == getattr(ref, name), name
+
+    def test_shared_tables_equal_tables_built_alone(self):
+        shared = GridTables.build(self.k.daughter, self.grid)
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        levels = self.ladder()
+        for kn, u0n in truncate(self.k, levels, 1.0, self.u0, 2.0):
+            assert_tables_equal(FragTables.build(kn, self.grid, shared),
+                                FragTables.build(kn, self.grid))
+            assert_tables_equal(JoiningTables.build(kn, self.grid, shared),
+                                JoiningTables.build(kn, self.grid))
+            with_shared = run(u0n, 2.0, kn, cfg, shared).ledger
+            alone = run(u0n, 2.0, kn, cfg).ledger
+            for name in alone.column_order():
+                assert np.array_equal(with_shared.column(name), alone.column(name)), name
+
+    def test_shared_tables_for_another_grid_or_daughter_are_refused(self):
+        k = self.k
+        other_grid = build_grid(1.0, 200.0, 96, "geometric")
+        edges = self.grid.edges.copy()
+        edges[1:-1] *= 1.0 + 1e-3
+        moved = dataclasses.replace(self.grid, edges=edges)
+        assert moved == self.grid   # equal size rules, other cells
+        other_daughter = make_k0_family(lambda s: np.ones_like(s), frag_slope=1.0)
+        for shared in (GridTables.build(k.daughter, other_grid),
+                       GridTables.build(k.daughter, moved),
+                       GridTables.build(other_daughter.daughter, self.grid)):
+            for build in (FragTables.build, JoiningTables.build):
+                with pytest.raises(ValueError, match="another"):
+                    build(k, self.grid, shared)
+            with pytest.raises(ValueError, match="another"):
+                ReactionOperator.build(k, self.grid, False, shared)
+        no_join = GridTables.build(k.daughter, self.grid, joining=False)
+        assert no_join.join is None
+        with pytest.raises(ValueError, match="without joining"):
+            JoiningTables.build(k, self.grid, no_join)
+        assert ReactionOperator.build(k, self.grid, True, no_join).join is None
+
+    @pytest.mark.parametrize("spacing", ["geometric", "uniform"])
+    def test_zero_join_builds_without_tiles(self, spacing):
+        k = dataclasses.replace(self.k, join=lambda y, z: np.zeros(
+            np.broadcast_shapes(np.shape(y), np.shape(z))))
+        grid = build_grid(1.0, 200.0, 128, spacing)
+        u0 = project(lambda y: np.exp(-0.5 * ((y - 3.0) / 0.3) ** 2), grid)
+        (lv,) = plan_truncation_levels(k, u0, 2.0, 1.0, [1])
+        ((kn, _),) = truncate(k, [lv], 1.0, u0, 2.0)
+        tables = JoiningTables.build(kn, grid)
+        assert tables.tiles == () and tables.targets.size == 0
+        assert tables.columns == tables.support == 0 and not tables.strays
+        u = np.linspace(2.0, 0.0, grid.n)
+        for w in (u, u[::-1].copy()):
+            assert np.array_equal(tables.apply(u, w), np.zeros(grid.n))
+            assert np.array_equal(tables.loss_rate(w), np.zeros(grid.n))
+        assert not ReactionOperator.build(kn, grid, False).joins
 
 
 @settings(max_examples=8, deadline=None)
