@@ -109,7 +109,10 @@ def _parse_value(key: str, raw: str, kind: str):
         if kind == "floatlist":
             if not raw:
                 return ()
-            return tuple(float(part) for part in raw.split(","))
+            vals = tuple(float(part) for part in raw.split(","))
+            if not all(math.isfinite(val) for val in vals):
+                raise ValueError("entries must be finite")
+            return vals
         if kind == "intlist":
             if not raw:
                 return ()

@@ -29,7 +29,7 @@ from .errors import (
 from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
 from .kernels import HypothesisFamily, KernelSet
-from .operators import ReactionOperator, _integrability_coefficients
+from .operators import Evaluation, ReactionOperator, _integrability_coefficients
 
 __all__ = [
     "TestFunction",
@@ -123,8 +123,9 @@ def _cosine_taper(a: float, b: float):
 def select_test_functions(grid: SizeGrid, k: KernelSet,
                           names: Optional[Sequence[str]]
                           ) -> Optional[Tuple[TestFunction, ...]]:
-    """The built-in test functions with the given names, in that order;
-    None (the accumulator's default, all of them) when names is None."""
+    """The built-in test functions with the given names, in that order,
+    each named once; None (the accumulator's default, all of them) when
+    names is None."""
     if names is None:
         return None
     available = {tf.name: tf for tf in builtin_test_functions(grid, k)}
@@ -133,6 +134,8 @@ def select_test_functions(grid: SizeGrid, k: KernelSet,
         raise ValueError(
             f"unknown test functions {unknown}; "
             f"choose from {sorted(available)}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeated test functions in {list(names)}")
     return tuple(available[name] for name in names)
 
 
@@ -209,6 +212,7 @@ class DiagnosticsLedger:
         self.uniform_integrability = bool(uniform_integrability)
         self._columns: Dict[str, List[float]] = {
             name: [] for name in self.column_order()}
+        self._keys = frozenset(self._columns)
         self.meta: Dict[str, object] = {}
 
     def column_order(self) -> Tuple[str, ...]:
@@ -221,10 +225,9 @@ class DiagnosticsLedger:
         return tuple(order)
 
     def record(self, row: Mapping[str, float]) -> None:
-        expected = set(self.column_order())
-        if set(row) != expected:
-            missing = expected - set(row)
-            extra = set(row) - expected
+        if row.keys() != self._keys:
+            missing = self._keys - set(row)
+            extra = set(row) - self._keys
             raise ValueError(f"row keys mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
         for name, value in row.items():
@@ -260,10 +263,11 @@ class LedgerAccumulator:
 
     The weak-form fluxes need each state's reaction right-hand side.
     The solver evaluates it once per state for its own stepping and
-    hands it to start and advance; a replay passes none, and the
-    accumulator evaluates it from the stored state with the same
-    operator.  Either way the value is the same floats, so replay stays
-    independent of the run and still bit-identical to it."""
+    hands it, as ReactionOperator.rhs returns it, to start and advance;
+    a replay passes none, and the accumulator evaluates it from the
+    stored state with the same operator.  Either way the value is the
+    same floats, so replay stays independent of the run and still
+    bit-identical to it."""
 
     def __init__(
         self,
@@ -295,13 +299,13 @@ class LedgerAccumulator:
     # per-state quantities -------------------------------------------------
 
     def _fluxes(self, speed: float, u: np.ndarray,
-                rhs: Optional[np.ndarray]) -> np.ndarray:
+                rhs: Optional[Evaluation]) -> np.ndarray:
         out = np.empty(len(self.tfs))
         if not self.tfs:
             return out
         w = self.grid.widths
         grown = self.reaction.growth_at_centers * u * w
-        reacted = (self.reaction.rhs(u) if rhs is None else rhs) * w
+        reacted = (self.reaction.rhs(u) if rhs is None else rhs)[0] * w
         for i in range(len(self.tfs)):
             transport = speed * float(np.dot(self._phi_slopes[i], grown))
             out[i] = transport + float(np.dot(self._phi_vals[i], reacted))
@@ -335,11 +339,11 @@ class LedgerAccumulator:
 
     def start(self, t: float, v: float, u: GridFunction,
               envelope_start: Optional[float] = None,
-              rhs: Optional[np.ndarray] = None) -> Mapping[str, float]:
+              rhs: Optional[Evaluation] = None) -> Mapping[str, float]:
         """First row.  The support envelope starts at the numeric support
         or the pair cutoff (infinite for uncut joining); envelope_start,
         when given, raises that start (replacing an infinite one).  rhs,
-        when given, is the reaction right-hand side at u."""
+        when given, is self.reaction.rhs(u.values)."""
         if self._started:
             raise RuntimeError("accumulator already started")
         self._started = True
@@ -369,8 +373,8 @@ class LedgerAccumulator:
         return row
 
     def advance(self, t: float, v: float, u: GridFunction,
-                rhs: Optional[np.ndarray] = None) -> Mapping[str, float]:
-        """Next row; rhs, when given, is the reaction right-hand side at u."""
+                rhs: Optional[Evaluation] = None) -> Mapping[str, float]:
+        """Next row; rhs, when given, is self.reaction.rhs(u.values)."""
         if not self._started:
             raise RuntimeError("call start first")
         dt = t - self._t

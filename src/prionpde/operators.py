@@ -34,13 +34,13 @@ Discretization notes, load-bearing for the conservation tests:
   the uniform grid a GEMV reduces each band by the first partner's
   counts.  One bincount adds the sums at their targets.  ``build``
   checks every pair's deposit against the bracketing split of its
-  exact size, and a grid without the structure is refused there.  Pairs between the last
-  center and the domain end are clamped: their whole flux stays in the
-  last cell.  Pairs beyond the domain end are stray.  They have no
-  entry in the sheared rates, so their flux is dropped, and ``apply``
-  raises PairOutOfRange when the largest stray flux exceeds 1e-12 of
-  the largest pair flux; tables whose rate vanishes on every stray
-  pair skip that check.
+  exact size, and a grid without the structure is refused there.
+  Pairs between the last center and the domain end are clamped: their
+  whole flux stays in the last cell.  Pairs beyond the domain end are
+  stray.  They have no entry in the sheared rates, so their flux is
+  dropped, and ``apply`` raises PairOutOfRange when the largest stray
+  flux exceeds 1e-12 of the largest pair flux; tables whose rate
+  vanishes on every stray pair skip that check.
 
 * The fragmentation gain is tabulated per source cell over destination
   sub-intervals; each sub-interval's deposit lands at its own centroid,
@@ -59,11 +59,13 @@ Discretization notes, load-bearing for the conservation tests:
   the levels of a truncation ladder share one set.
 
 * ``ReactionOperator`` holds both tables, the growth rate at the centers
-  and the saturation constant.  It is the only source of the reaction
+  and the model parameters.  It is the only source of the reaction
   right-hand side, the transport speed, the monomer drain and the death
   moment, which the solver, the ledger and every replay path share; the
   saturation factor of speed and drain is written once, in its
-  ``_saturated``.
+  ``_saturated``.  ``rhs`` returns the right-hand side with its largest
+  per-cell loss rate, so one evaluation (one joining-loss GEMV) serves
+  a step, its substep rule and the ledger.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
-from .kernels import (KernelSet, PairFn, RateFn, _daughter_quadrature, _equal_panels,
-                      _gauss_panels, _graded_rule, _panel_sums)
+from .kernels import (KernelSet, ModelParams, PairFn, RateFn, _daughter_quadrature,
+                      _equal_panels, _gauss_panels, _graded_rule, _panel_sums)
 
 __all__ = [
     "CharacteristicMap",
@@ -595,9 +597,9 @@ class JoiningTables:
     last, so geometric bands hold whole blocks.  There shares has one
     row per target offset r, the share of each of the band's diagonals
     that lands at m + r, and shares @ (table * x[m - d]) sums all the
-    band's diagonals in one GEMM; on the uniform grid shares is None and the band is reduced by
-    the first partner's counts.  targets holds the cell of every such
-    sum, so the gain is one bincount.  Pairs landing at or beyond the
+    band's diagonals in one GEMM; on the uniform grid shares is None
+    and the band is reduced by the first partner's counts.  targets
+    holds the cell of every such sum, so the gain is one bincount.  Pairs landing at or beyond the
     last center are clamped onto the last cell.  Pairs beyond the
     domain end are stray; for row i they are the columns from
     beyond_domain[i] on, and far_rate[i] is their largest rate.  Their
@@ -779,17 +781,20 @@ def g_functional(k: KernelSet, u: GridFunction) -> float:
 
 # -- the reaction operator -------------------------------------------------
 
+Evaluation = Tuple[np.ndarray, float]  # rhs: right-hand side, largest loss rate
+
+
 @dataclass(frozen=True)
 class ReactionOperator:
     """Degradation, splitting and joining on one (kernel set, grid),
-    with the scalars that couple them to the monomer and to transport.
-    join is None when joining is skipped."""
+    with the growth rate and model parameters that couple them to the
+    monomer and to transport.  join is None when joining is skipped."""
 
     grid: SizeGrid
     frag: FragTables
     join: Optional[JoiningTables]
     growth_at_centers: np.ndarray = field(repr=False)
-    saturation: float
+    params: ModelParams
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid, skip_joining: bool,
@@ -799,37 +804,28 @@ class ReactionOperator:
         join = None if skip_joining else JoiningTables.build(k, grid, shared)
         return cls(grid=grid, frag=FragTables.build(k, grid, shared), join=join,
                    growth_at_centers=np.asarray(k.growth(grid.centers), dtype=float),
-                   saturation=k.params.saturation)
+                   params=k.params)
 
     @property
     def joins(self) -> bool:
         """Joining is on and its rate is not identically zero."""
         return self.join is not None and self.join.support > 0
 
-    def join_loss(self, u_values: np.ndarray) -> Optional[np.ndarray]:
-        """Per-cell joining loss rate at u; None when joining is skipped."""
-        return None if self.join is None else self.join.loss_rate(u_values)
-
-    def rhs(self, u_values: np.ndarray,
-            join_loss: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reaction right-hand side at u; join_loss, when given, is
-        join_loss(u_values)."""
+    def rhs(self, u_values: np.ndarray) -> Evaluation:
+        """Reaction right-hand side at u and its largest per-cell loss
+        rate, the scale of the solver's substep rule; one loss GEMV
+        serves both."""
         out = self.frag.apply(u_values)
-        if self.join is not None:
-            out = out + self.join.apply(u_values, u_values, loss_rate=join_loss)
-        return out
-
-    def loss_scale(self, join_loss: Optional[np.ndarray]) -> float:
-        """Largest per-cell loss rate of a density with the given
-        join_loss."""
         rate = self.frag.death_at_centers + self.frag.frag_at_centers
-        if join_loss is not None:
-            rate = rate + join_loss
-        return float(np.max(rate))
+        if self.join is not None:
+            loss = self.join.loss_rate(u_values)
+            out = out + self.join.apply(u_values, u_values, loss_rate=loss)
+            rate = rate + loss
+        return out, float(np.max(rate))
 
     def _saturated(self, x: float, u_values: np.ndarray) -> float:
         """x damped by the saturation of the bound mass."""
-        return x / (1.0 + self.saturation * moment(self.grid, u_values, 1))
+        return x / (1.0 + self.params.saturation * moment(self.grid, u_values, 1))
 
     def speed(self, v: float, u_values: np.ndarray) -> float:
         """Effective transport speed: the monomer count, saturated."""

@@ -18,11 +18,13 @@ The state between steps is a diagnostics.Snapshot (t, v, u).  The run
 integrals that the ledger's balance needs (monomer and death moment)
 are accumulated by diagnostics.LedgerAccumulator alone.
 
-Each accepted state's reaction right-hand side is evaluated once, the
-"first same as last" reuse of explicit Runge-Kutta pairs carried across
-the step boundary: run evaluates it at the initial state, each step at
-its new state after the step's checks, and the array goes to the
-ledger's weak-form fluxes and to the next step as its first stage.  It
+Each run builds one Machinery (reaction operator, characteristic map,
+positivity floor) and evaluates each accepted state once, the "first
+same as last" reuse of explicit Runge-Kutta pairs carried across the
+step boundary: run evaluates the initial state, each step its new state
+after the step's checks.  The evaluation, ReactionOperator.rhs's
+right-hand side and largest loss rate, goes to the ledger's weak-form
+fluxes and to the next step as its first stage and substep scale.  It
 is passed explicitly, never cached; Snapshot stays a pure state record,
 and a replay of the ledger evaluates its own.  A run without test
 functions has no ledger reader, so each step evaluates its own start
@@ -54,6 +56,7 @@ from .grid import GridFunction, moment
 from .kernels import KernelSet
 from .operators import (
     CharacteristicMap,
+    Evaluation,
     GridTables,
     ReactionOperator,
     characteristic_map,
@@ -98,24 +101,32 @@ class SolverConfig:
                 f"reaction_integrator must be one of {REACTION_INTEGRATORS}")
         if self.positivity_tolerance is not None and self.positivity_tolerance < 0:
             raise ValueError("positivity_tolerance must be non-negative")
+        if not all(math.isfinite(ts) for ts in self.snapshot_times):
+            raise ValueError("snapshot_times must be finite")
+        if self.extra_moment is not None and not math.isfinite(self.extra_moment):
+            raise ValueError("extra_moment must be finite")
 
 
 @dataclass(frozen=True)
 class Machinery:
-    """Precomputed per-(kernel set, grid) apparatus for stepping."""
+    """The apparatus of one run: reaction, transport and clipping floor."""
 
     reaction: ReactionOperator
+    transport: CharacteristicMap
     positivity_floor: float
 
 
-def build_machinery(k: KernelSet, grid, cfg: SolverConfig,
-                    initial_peak: float,
+def build_machinery(k: KernelSet, u0: GridFunction, cfg: SolverConfig,
                     shared: Optional[GridTables] = None) -> Machinery:
-    """shared, when given, holds the rate-free tables (see GridTables)."""
+    """The apparatus of k on u0's grid; the default positivity floor
+    scales with u0's peak.  shared, when given, holds the rate-free
+    tables (see GridTables)."""
+    peak = float(np.max(u0.values)) if u0.values.size else 0.0
     floor = (cfg.positivity_tolerance if cfg.positivity_tolerance is not None
-             else 1e-12 * max(initial_peak, 1e-300))
+             else 1e-12 * max(peak, 1e-300))
     return Machinery(
-        reaction=ReactionOperator.build(k, grid, cfg.skip_joining, shared),
+        reaction=ReactionOperator.build(k, u0.grid, cfg.skip_joining, shared),
+        transport=characteristic_map(k, u0.grid),
         positivity_floor=floor)
 
 
@@ -129,32 +140,29 @@ def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
     return u
 
 
-def _react(v: float, u: np.ndarray, h: float, k: KernelSet,
-           mach: Machinery, cfg: SolverConfig,
-           f0: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig,
+           start: Optional[Evaluation] = None) -> Tuple[float, np.ndarray]:
     """Advance density and monomer over a reaction interval of length h.
-    f0, when given, is the right-hand side at u."""
+    start, when given, is mach.reaction.rhs(u)."""
     r = mach.reaction
     drain0 = r.drain(u)
     gain0 = r.frag.monomer_gain(u)
-    join_loss = r.join_loss(u)
-    substeps = max(1, int(math.ceil(h * r.loss_scale(join_loss) / 0.5)))
+    f0, scale = r.rhs(u) if start is None else start
+    substeps = max(1, int(math.ceil(h * scale / 0.5)))
     hs = h / substeps
-    if f0 is None:
-        f0 = r.rhs(u, join_loss)
     for i in range(substeps):
         if i > 0:
-            f0 = r.rhs(u)
+            f0, _ = r.rhs(u)
         if cfg.reaction_integrator == "euler":
             u = _clip_positive(u + hs * f0, mach.positivity_floor)
         else:
             pred = _clip_positive(u + hs * f0, mach.positivity_floor)
-            f1 = r.rhs(pred)
+            f1, _ = r.rhs(pred)
             u = _clip_positive(u + 0.5 * hs * (f0 + f1), mach.positivity_floor)
     drain1 = r.drain(u)
     gain1 = r.frag.monomer_gain(u)
-    a = k.params.degradation + 0.5 * (drain0 + drain1)
-    b = k.params.production + 0.5 * (gain0 + gain1)
+    a = r.params.degradation + 0.5 * (drain0 + drain1)
+    b = r.params.production + 0.5 * (gain0 + gain1)
     if a > 0.0:
         v_new = (v - b / a) * math.exp(-a * h) + b / a
     else:
@@ -164,30 +172,27 @@ def _react(v: float, u: np.ndarray, h: float, k: KernelSet,
 
 def step(
     state: Snapshot,
-    k: KernelSet,
-    cm: CharacteristicMap,
     cfg: SolverConfig,
     mach: Machinery,
     dt: Optional[float] = None,
-    f_start: Optional[np.ndarray] = None,
-) -> Tuple[Snapshot, Optional[np.ndarray]]:
+    start: Optional[Evaluation] = None,
+) -> Tuple[Snapshot, Optional[Evaluation]]:
     """One splitting step from the given state.
 
-    f_start, when given, is the reaction right-hand side at state.u and
-    serves as the first stage; the step then also returns the right-hand
-    side at the new state's density (None otherwise), evaluated after
-    the step's checks, for the caller to hand to the ledger and to the
-    next step."""
+    start, when given, is mach.reaction.rhs(state.u.values) and serves
+    as the first stage; the step then also returns the evaluation at the
+    new state's density (None otherwise), made after the step's checks,
+    for the caller to hand to the ledger and to the next step."""
     grid = state.u.grid
     h = cfg.dt if dt is None else dt
     strang = cfg.splitting == "strang"
-    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, k, mach,
-                  cfg, f_start)
+    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, mach,
+                  cfg, start)
     moved, esc_count, _esc_mass = transport_remap(
-        cm, GridFunction(grid, u), mach.reaction.speed(v, u) * h)
+        mach.transport, GridFunction(grid, u), mach.reaction.speed(v, u) * h)
     u = moved.values
     if strang:
-        v, u = _react(v, u, 0.5 * h, k, mach, cfg)
+        v, u = _react(v, u, 0.5 * h, mach, cfg)
     if esc_count > 0.0:
         raise MassEscape(
             f"{esc_count:g} polymers crossed the grid end during transport")
@@ -197,7 +202,7 @@ def step(
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
     new = Snapshot(t=state.t + h, v=max(v, 0.0), u=GridFunction(grid, u))
-    if f_start is None:
+    if start is None:
         return new, None
     return new, mach.reaction.rhs(new.u.values)
 
@@ -229,10 +234,7 @@ def run(
     grid = u0.grid
     if v0 < 0.0:
         raise NegativeMonomer(f"initial monomer count {v0} is negative")
-    mach = build_machinery(k, grid, cfg,
-                           float(np.max(u0.values)) if u0.values.size else 0.0,
-                           shared)
-    cm = characteristic_map(k, grid)
+    mach = build_machinery(k, u0, cfg, shared)
     weight = None
     if cfg.uniform_integrability:
         weight = vallee_poussin_weight(u0)
@@ -250,13 +252,13 @@ def run(
                else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
     snap_steps = _snapshot_steps(cfg, n_steps)
     snapshots = [state]
-    # the right-hand side of the current state, when the ledger reads it
+    # the evaluation of the current state, when the ledger reads it
     f = mach.reaction.rhs(state.u.values) if acc.tfs else None
     row = acc.start(state.t, state.v, state.u, rhs=f)
     try:
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
-            state, f = step(state, k, cm, cfg, mach, dt=h, f_start=f)
+            state, f = step(state, cfg, mach, dt=h, start=f)
             row = acc.advance(state.t, state.v, state.u, rhs=f)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape(

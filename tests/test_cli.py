@@ -181,6 +181,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 1
         assert "unknown test functions" in capsys.readouterr().err
 
+    def test_repeated_test_function_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE
+                        + "diagnostics.test_functions = one,one\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "repeated test functions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["solver.snapshot_times = nan",
+                                      "solver.snapshot_times = 0.05,inf",
+                                      "diagnostics.sigma = inf"])
+    def test_non_finite_list_entry_exit_2(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, BASE.replace("solver.snapshot_times = 0.05\n", "")
+                        + line + "\n" + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_valid_kernel_exit_0(self, tmp_path, capsys):

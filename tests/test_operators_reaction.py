@@ -131,8 +131,9 @@ class TestJoining:
 
     @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
     def test_shared_loss_rate_changes_nothing(self, spacing):
-        """The reaction operator hands its loss GEMV to apply and to the
-        substep rule; both must read what they computed on their own."""
+        """One loss GEMV serves the joining apply and the substep scale
+        of an evaluation; both must read what they computed on their
+        own."""
         grid = build_grid(1.0, 200.0, 64, spacing=spacing)
         k = with_join_cutoff(
             make_special_family(growth_value=1.0, death_value=0.1,
@@ -143,14 +144,15 @@ class TestJoining:
         u, w = random_density(grid, 31).values, random_density(grid, 32).values
         assert np.array_equal(r.join.apply(u, w, loss_rate=r.join.loss_rate(w)),
                               r.join.apply(u, w))
-        assert np.array_equal(r.rhs(u, r.join_loss(u)), r.rhs(u))
-        direct = (r.frag.death_at_centers + r.frag.frag_at_centers
-                  + 2.0 * (r.join.rate @ (u * grid.widths)))
-        assert r.loss_scale(r.join_loss(u)) == float(np.max(direct))
+        f, scale = r.rhs(u)
+        assert np.array_equal(f, r.frag.apply(u) + r.join.apply(u, u))
+        linear = r.frag.death_at_centers + r.frag.frag_at_centers
+        assert scale == float(np.max(
+            linear + 2.0 * (r.join.rate @ (u * grid.widths))))
         skip = ReactionOperator.build(k, grid, skip_joining=True)
-        assert skip.join_loss(u) is None
-        assert skip.loss_scale(None) == float(np.max(
-            r.frag.death_at_centers + r.frag.frag_at_centers))
+        f, scale = skip.rhs(u)
+        assert np.array_equal(f, skip.frag.apply(u))
+        assert scale == float(np.max(linear))
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))

@@ -31,7 +31,7 @@ from prionpde.solver import (
     run,
     step,
 )
-from prionpde.operators import JoiningTables, characteristic_map
+from prionpde.operators import JoiningTables
 
 
 def closed_family(join_value=0.2):
@@ -82,6 +82,18 @@ with the rk2 reaction integrator, and for Strang with euler.
     return out
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("options", [
+        {"snapshot_times": (0.1, math.nan)},
+        {"snapshot_times": (math.inf,)},
+        {"extra_moment": math.nan},
+        {"extra_moment": -math.inf},
+    ])
+    def test_refuses_non_finite_entries(self, options):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(dt=0.1, t_end=1.0, **options)
+
+
 class TestStepping:
     def test_two_manual_steps_match_run(self, small_setup):
         k, grid, u0 = small_setup
@@ -89,11 +101,10 @@ class TestStepping:
         res = run(u0, 2.0, k, cfg)
         fin = res.snapshots[-1]
 
-        mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
-        cm = characteristic_map(k, grid)
+        mach = build_machinery(k, u0, cfg)
         state = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        state, _ = step(state, k, cm, cfg, mach)
-        state, _ = step(state, k, cm, cfg, mach)
+        state, _ = step(state, cfg, mach)
+        state, _ = step(state, cfg, mach)
         assert state.t == fin.t
         assert state.v == fin.v
         assert np.array_equal(state.u.values, fin.u.values)
@@ -101,10 +112,9 @@ class TestStepping:
     def test_accumulators_are_endpoint_trapezoids(self, small_setup):
         k, grid, u0 = small_setup
         cfg = SolverConfig(dt=5e-3, t_end=5e-3)
-        mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
-        cm = characteristic_map(k, grid)
+        mach = build_machinery(k, u0, cfg)
         before = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        after, _ = step(before, k, cm, cfg, mach)
+        after, _ = step(before, cfg, mach)
         acc = LedgerAccumulator(k, mach.reaction, test_functions=())
         acc.start(before.t, before.v, before.u)
         acc.advance(after.t, after.v, after.u)
@@ -255,8 +265,7 @@ def reference_run(u0, v0, k, cfg):
     step evaluates every stage itself and the ledger evaluates each
     state's right-hand side by itself."""
     grid = u0.grid
-    mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
-    cm = characteristic_map(k, grid)
+    mach = build_machinery(k, u0, cfg)
     weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
     acc = LedgerAccumulator(
         k, mach.reaction,
@@ -275,7 +284,7 @@ def reference_run(u0, v0, k, cfg):
     try:
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
-            state, _ = step(state, k, cm, cfg, mach, dt=h)
+            state, _ = step(state, cfg, mach, dt=h)
             row = acc.advance(state.t, state.v, state.u)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape("tail mass")
@@ -359,16 +368,17 @@ class TestRightHandSideHandover:
     def test_step_hands_back_the_new_right_hand_side(self, small_setup):
         k, grid, u0 = small_setup
         cfg = SolverConfig(dt=5e-3, t_end=5e-3)
-        mach = build_machinery(k, grid, cfg, float(np.max(u0.values)))
-        cm = characteristic_map(k, grid)
-        start = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        plain, nothing = step(start, k, cm, cfg, mach)
+        mach = build_machinery(k, u0, cfg)
+        begin = Snapshot(t=0.0, v=2.0, u=u0.copy())
+        plain, nothing = step(begin, cfg, mach)
         assert nothing is None
-        new, f_end = step(start, k, cm, cfg, mach,
-                          f_start=mach.reaction.rhs(u0.values))
+        new, (f_end, scale_end) = step(begin, cfg, mach,
+                                       start=mach.reaction.rhs(u0.values))
         assert new.t == plain.t and new.v == plain.v
         assert np.array_equal(new.u.values, plain.u.values)
-        assert np.array_equal(f_end, mach.reaction.rhs(new.u.values))
+        f_fresh, scale_fresh = mach.reaction.rhs(new.u.values)
+        assert np.array_equal(f_end, f_fresh)
+        assert scale_end == scale_fresh
 
     @pytest.mark.parametrize("option", sorted(OPTIONS))
     def test_each_state_is_evaluated_once(self, small_setup, monkeypatch,
@@ -381,9 +391,10 @@ class TestRightHandSideHandover:
         assert len(calls) == APPLIES_PER_STEP[option] * n + 1
 
     def test_loss_gemv_is_shared(self, small_setup, monkeypatch):
-        """The substep rule reads the loss GEMV of the evaluation at the
-        same state; only the handed-over start of a step pays one of its
-        own: 5 GEMVs per Strang step with Heun, against 7 unshared."""
+        """Each evaluation makes one loss GEMV, which serves its joining
+        apply and the substep rule, and the handed-over start of a step
+        carries its scale: 4 GEMVs per Strang step with Heun, one per
+        joining apply."""
         k, _, u0 = small_setup
         n = 6
         calls = []
@@ -395,7 +406,7 @@ class TestRightHandSideHandover:
 
         monkeypatch.setattr(JoiningTables, "loss_rate", counted)
         run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
-        assert len(calls) == 5 * n + 1
+        assert len(calls) == 4 * n + 1
 
     def test_final_state_is_not_evaluated_without_test_functions(
             self, small_setup, monkeypatch):
@@ -437,7 +448,7 @@ class TestRightHandSideHandover:
         cfg = SolverConfig(t_end=n * 0.05, **options)
         res = run(u0, 2.0, k, cfg)
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
-        mach = build_machinery(k, u0.grid, cfg, float(np.max(u0.values)))
+        mach = build_machinery(k, u0, cfg)
         with pytest.raises(PairOutOfRange):
             mach.reaction.rhs(res.snapshots[-1].u.values)
 
