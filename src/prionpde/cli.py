@@ -13,7 +13,10 @@ manifest is itself a loadable config that reproduces the run.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -118,6 +121,61 @@ def _write_sigma_moments(result, sigmas, path: Path) -> None:
             fh.write(",".join(f"{x:.17g}" for x in vals) + "\n")
 
 
+@contextmanager
+def _replacing_dir(out: Path):
+    """Yield a fresh directory for every file of a run; on a clean exit
+    it replaces `out` whole.
+
+    The fresh directory sits next to `out`. The old `out` is moved aside,
+    the fresh one renamed into place and the old one removed, so a
+    failure at any point leaves the old directory or the new one, never
+    a mix, and no temporary directory. Only a run directory (one holding
+    a `run_manifest`) or an empty one is replaced; anything else is
+    refused before it is touched.
+    """
+    if out.exists() and not out.is_dir():
+        raise ConfigParseError(f"output path {out} is not a directory")
+    if (out.is_dir() and not (out / "run_manifest").exists()
+            and any(out.iterdir())):
+        raise ConfigParseError(
+            f"output directory {out} is not empty and holds no run_manifest; "
+            "refusing to replace it")
+    target = Path(os.path.abspath(out))
+    fresh = target.with_name(f".{target.name}.new-{os.getpid()}")
+    old = target.with_name(f".{target.name}.old-{os.getpid()}")
+    fresh.mkdir(parents=True)
+    try:
+        yield fresh
+        if target.exists():
+            os.replace(target, old)
+        try:
+            os.replace(fresh, target)
+        except OSError:
+            if old.exists():
+                os.replace(old, target)
+            raise
+    finally:
+        for path in (fresh, old):
+            if path.exists():
+                shutil.rmtree(path, ignore_errors=True)
+
+
+def _replace_files(out: Path, writers) -> None:
+    """Add files to `out`: each `name: write` pair writes its file under
+    a temporary name, and only when all are written are they
+    os.replace'd into place."""
+    out.mkdir(parents=True, exist_ok=True)
+    staged = {name: out / f".{name}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(staged[name])
+        for name, tmp in staged.items():
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+
+
 class _CsvColumns:
     """Minimal column reader so the oracle comparison can consume a
     previously written time-series file."""
@@ -135,12 +193,6 @@ class _CsvColumns:
 
 
 # -- subcommands -----------------------------------------------------------
-
-def _resolve_out(cfg: RunConfig, out_flag: Optional[str]) -> RunConfig:
-    if out_flag is not None:
-        cfg = cfg.with_overrides(**{"output__dir": out_flag})
-    return cfg
-
 
 def _run_from_config(cfg: RunConfig):
     k = cfg.build_kernel()
@@ -166,17 +218,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
         traj = _oracle_for(cfg, rates, u0, v0)
         report = compare(result.ledger, traj, rates)
     out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    result.ledger.to_csv(out / "timeseries.csv")
-    for snap in result.snapshots:
-        _write_density(snap, out / _density_filename(snap.t))
-    _write_manifest(cfg, out / "run_manifest")
     sigmas = cfg["diagnostics.sigma"]
-    if sigmas:
-        _write_sigma_moments(result, sigmas, out / "sigma_moments.csv")
-    if oracle:
-        _write_oracle_csv(traj.as_columns(), out / "oracle.csv")
-        _write_compare(report, out / "compare.txt")
+    with _replacing_dir(out) as fresh:
+        result.ledger.to_csv(fresh / "timeseries.csv")
+        for snap in result.snapshots:
+            _write_density(snap, fresh / _density_filename(snap.t))
+        _write_manifest(cfg, fresh / "run_manifest")
+        if sigmas:
+            _write_sigma_moments(result, sigmas, fresh / "sigma_moments.csv")
+        if oracle:
+            _write_oracle_csv(traj.as_columns(), fresh / "oracle.csv")
+            _write_compare(report, fresh / "compare.txt")
     led = result.ledger
     print(f"simulate: {len(led)} rows, {len(result.snapshots)} snapshots "
           f"-> {out}")
@@ -201,9 +253,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
     rates = rates_from_kernel_set(k)
     if t_end == 0.0:
         state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
-        out.mkdir(parents=True, exist_ok=True)
-        _write_oracle_csv({"t": [0.0], "v": [state0.v], "U0": [state0.U0],
-                           "U1": [state0.U1]}, out / "oracle.csv")
+        columns = {"t": [0.0], "v": [state0.v], "U0": [state0.U0],
+                   "U1": [state0.U1]}
+        _replace_files(out, {
+            "oracle.csv": lambda path: _write_oracle_csv(columns, path)})
         print(f"oracle: horizon 0, wrote initial state -> {out}")
         return 0
     traj = _oracle_for(cfg, rates, u0, v0)
@@ -211,12 +264,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
     # the comparison can fail, so it runs before the first file is written
     report = (compare(_CsvColumns(ts_path), traj, rates)
               if ts_path.exists() else None)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_oracle_csv(traj.as_columns(), out / "oracle.csv")
+    writers = {"oracle.csv":
+               lambda path: _write_oracle_csv(traj.as_columns(), path)}
+    if report is not None:
+        writers["compare.txt"] = lambda path: _write_compare(report, path)
+    _replace_files(out, writers)
     print(f"oracle: {traj.times.size} rows, self error "
           f"{traj.step_halving_error:.3e} -> {out}")
     if report is not None:
-        _write_compare(report, out / "compare.txt")
         print(f"  vs run: v {report['v']:.3e}  U0 {report['U0']:.3e}  "
               f"U1 {report['U1']:.3e}")
     return 0
@@ -241,13 +296,6 @@ def cmd_truncation(cfg: RunConfig) -> int:
     results = [(level, run(u0n, v0, kn, scfg, shared))
                for level, (kn, u0n) in zip(levels, truncated)]
 
-    out.mkdir(parents=True, exist_ok=True)
-    for level, result in results:
-        level_dir = out / f"level_{level.index}"
-        level_dir.mkdir(parents=True, exist_ok=True)
-        result.ledger.to_csv(level_dir / "timeseries.csv")
-    _write_manifest(cfg, out / "run_manifest")
-
     rows = []
     for (la, ra), (lb, rb) in zip(results, results[1:]):
         diffs = {}
@@ -255,11 +303,18 @@ def cmd_truncation(cfg: RunConfig) -> int:
             ca, cb = ra.ledger.column(name), rb.ledger.column(name)
             diffs[name] = float(np.max(np.abs(ca - cb)))
         rows.append((la.index, lb.index, diffs))
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("level_from,level_to,sup_dv,sup_dU0,sup_dU1\n")
-        for ia, ib, diffs in rows:
-            fh.write(f"{ia},{ib},{diffs['v']:.17g},{diffs['U0']:.17g},"
-                     f"{diffs['U1']:.17g}\n")
+
+    with _replacing_dir(out) as fresh:
+        for level, result in results:
+            level_dir = fresh / f"level_{level.index}"
+            level_dir.mkdir()
+            result.ledger.to_csv(level_dir / "timeseries.csv")
+        _write_manifest(cfg, fresh / "run_manifest")
+        with open(fresh / "convergence.csv", "w") as fh:
+            fh.write("level_from,level_to,sup_dv,sup_dU0,sup_dU1\n")
+            for ia, ib, diffs in rows:
+                fh.write(f"{ia},{ib},{diffs['v']:.17g},{diffs['U0']:.17g},"
+                         f"{diffs['U1']:.17g}\n")
 
     print(f"truncation: {len(results)} levels -> {out}")
     print(f"{'levels':>12} {'sup|dv|':>12} {'sup|dU0|':>12} {'sup|dU1|':>12}")
@@ -280,17 +335,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "size-structured aggregation model")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run the solver and write time series, density "
-                     "snapshots, and a reloadable manifest"),
-        ("validate", "check the configured kernel set against its declared "
-                     "hypotheses"),
-        ("oracle", "integrate the closed moment system; compare against an "
-                   "existing run if present"),
-        ("truncation", "run a ladder of nested cutoffs and report "
-                       "convergence of the moment histories"),
+    # built on every call, so a patched cmd_* function is the one dispatched
+    for name, command, help_text in (
+        ("simulate", cmd_simulate,
+         "run the solver and write time series, density snapshots, and a "
+         "reloadable manifest"),
+        ("validate", cmd_validate,
+         "check the configured kernel set against its declared hypotheses"),
+        ("oracle", cmd_oracle,
+         "integrate the closed moment system; compare against an existing "
+         "run if present"),
+        ("truncation", cmd_truncation,
+         "run a ladder of nested cutoffs and report convergence of the "
+         "moment histories"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run_command=command)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
@@ -302,17 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_out(load_config(args.config), args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        if args.command == "truncation":
-            return cmd_truncation(cfg)
-        raise ValueError(f"unhandled command {args.command!r}")
-    except (PrionPdeError, ValueError) as exc:
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg = cfg.with_overrides({"output.dir": args.out})
+        return args.run_command(cfg)
+    except (PrionPdeError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

@@ -1,10 +1,12 @@
 """Run configuration: flat dotted-key text files.
 
 One `key = value` per line, `#` starts a comment, values are scalars or
-comma lists.  Every key has a default; unknown keys are parse errors so
-that manifests and hand-written files stay honest.  `resolved_text`
-serializes the full key set with round-tripping float reprs, which is
-what makes a run manifest reproduce its run bit for bit.
+comma lists.  Every key has a default and carries its parser: files and
+`RunConfig.with_overrides` both turn raw text into values through it, so
+a `RunConfig` only ever holds parsed values.  Unknown keys are parse
+errors so that manifests and hand-written files stay honest.
+`resolved_text` serializes the full key set with round-tripping float
+reprs, which is what makes a run manifest reproduce its run bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigParseError
-from .grid import GridFunction, SizeGrid, build_grid, project
+from .grid import SPACINGS, GridFunction, SizeGrid, build_grid, project
 from .kernels import (
     KernelSet,
     ModelParams,
@@ -27,104 +29,114 @@ from .kernels import (
     make_special_family,
     with_join_cutoff,
 )
-from .solver import SolverConfig
+from .solver import REACTION_INTEGRATORS, SPLITTINGS, SolverConfig
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULTS"]
 
 FAMILIES = ("special", "k0", "powerlaw", "bounded")
-K0_PROFILES = ("uniform", "parabolic")
+K0_PROFILES: Mapping[str, Callable] = {
+    "uniform": lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    "parabolic": lambda s: 6.0 * np.asarray(s, dtype=float) * (
+        1.0 - np.asarray(s, dtype=float)),
+}
 
-# key -> (default string, parser kind)
-DEFAULTS: Tuple[Tuple[str, str, str], ...] = (
-    ("kernel.family", "special", "choice:" + ",".join(FAMILIES)),
-    ("kernel.growth", "1.0", "float"),
-    ("kernel.death", "0.1", "float"),
-    ("kernel.frag", "0.5", "float"),
-    ("kernel.join", "0.2", "float"),
-    ("kernel.join_exp_low", "0.5", "float"),
-    ("kernel.join_exp_high", "1.0", "float"),
-    ("kernel.join_cutoff", "none", "optfloat"),
-    ("kernel.k0_profile", "uniform", "choice:" + ",".join(K0_PROFILES)),
-    ("model.production", "1.0", "float"),
-    ("model.degradation", "0.5", "float"),
-    ("model.saturation", "0.0", "float"),
-    ("model.min_size", "1.0", "float"),
-    ("grid.n_cells", "400", "int"),
-    ("grid.ymax", "200.0", "float"),
-    ("grid.spacing", "geometric", "choice:uniform,geometric"),
-    ("initial.monomer", "2.0", "float"),
-    ("initial.center", "3.0", "float"),
-    ("initial.width", "0.3", "float"),
-    ("initial.count", "0.4", "float"),
-    ("initial.cut_sigmas", "none", "optfloat"),
-    ("solver.dt", "0.001", "float"),
-    ("solver.t_end", "1.0", "float"),
-    ("solver.splitting", "strang", "choice:lie,strang"),
-    ("solver.reaction_integrator", "rk2", "choice:euler,rk2"),
-    ("solver.snapshot_times", "", "floatlist"),
-    ("solver.tail_mass_bound", "none", "optfloat"),
-    ("solver.positivity_tolerance", "none", "optfloat"),
-    ("solver.skip_joining", "false", "bool"),
-    ("diagnostics.test_functions", "all", "str"),
-    ("diagnostics.sigma", "", "floatlist"),
-    ("diagnostics.uniform_integrability", "false", "bool"),
-    ("oracle.enabled", "false", "bool"),
-    ("oracle.dt", "0.0001", "float"),
-    ("output.dir", "out", "str"),
-    ("truncation.levels", "", "intlist"),
-    ("truncation.pair_base", "none", "optfloat"),
-    ("truncation.pair_step", "none", "optfloat"),
-    ("run.label", "", "str"),
+
+# -- parsers: raw text (stripped) -> value, ValueError on refusal ------------
+
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError("must be finite")
+    return val
+
+
+def _finite_where(rule: str, holds: Callable[[float], bool]) -> Callable:
+    def parse(raw: str) -> float:
+        val = _finite(raw)
+        if not holds(val):
+            raise ValueError(f"must be {rule}, got {raw!r}")
+        return val
+    return parse
+
+
+_positive = _finite_where("positive", lambda x: x > 0.0)
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1"):
+        return True
+    if raw.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _optional(parse: Callable) -> Callable:
+    return lambda raw: None if raw.lower() in ("none", "") else parse(raw)
+
+
+def _comma_list(parse: Callable) -> Callable:
+    return lambda raw: tuple(parse(part) for part in raw.split(",")) if raw else ()
+
+
+def _choice(options) -> Callable:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {list(options)}, got {raw!r}")
+        return raw
+    return parse
+
+
+# key -> (default text, parser)
+DEFAULTS: Tuple[Tuple[str, str, Callable], ...] = (
+    ("kernel.family", "special", _choice(FAMILIES)),
+    ("kernel.growth", "1.0", _finite),
+    ("kernel.death", "0.1", _finite),
+    ("kernel.frag", "0.5", _finite),
+    ("kernel.join", "0.2", _finite),
+    ("kernel.join_exp_low", "0.5", _finite),
+    ("kernel.join_exp_high", "1.0", _finite),
+    ("kernel.join_cutoff", "none", _optional(_finite)),
+    ("kernel.k0_profile", "uniform", _choice(K0_PROFILES)),
+    ("model.production", "1.0", _finite),
+    ("model.degradation", "0.5", _finite),
+    ("model.saturation", "0.0", _finite),
+    ("model.min_size", "1.0", _finite),
+    ("grid.n_cells", "400", int),
+    ("grid.ymax", "200.0", _finite),
+    ("grid.spacing", "geometric", _choice(SPACINGS)),
+    ("initial.monomer", "2.0", _finite),
+    ("initial.center", "3.0", _finite),
+    ("initial.width", "0.3", _positive),
+    ("initial.count", "0.4", _finite_where("non-negative", lambda x: x >= 0)),
+    ("initial.cut_sigmas", "none", _optional(_positive)),
+    ("solver.dt", "0.001", _finite),
+    ("solver.t_end", "1.0", _finite),
+    ("solver.splitting", "strang", _choice(SPLITTINGS)),
+    ("solver.reaction_integrator", "rk2", _choice(REACTION_INTEGRATORS)),
+    ("solver.snapshot_times", "", _comma_list(_finite)),
+    ("solver.tail_mass_bound", "none", _optional(_finite)),
+    ("solver.positivity_tolerance", "none", _optional(_finite)),
+    ("solver.skip_joining", "false", _bool),
+    ("diagnostics.test_functions", "all", str),
+    ("diagnostics.sigma", "", _comma_list(_finite)),
+    ("diagnostics.uniform_integrability", "false", _bool),
+    ("oracle.enabled", "false", _bool),
+    ("oracle.dt", "0.0001", _finite),
+    ("output.dir", "out", str),
+    ("truncation.levels", "", _comma_list(int)),
+    ("truncation.pair_base", "none", _optional(_finite)),
+    ("truncation.pair_step", "none", _optional(_finite)),
+    ("run.label", "", str),
 )
 
-_KEY_ORDER = tuple(key for key, _, _ in DEFAULTS)
-_KINDS = {key: kind for key, _, kind in DEFAULTS}
+_PARSERS = {key: parse for key, _, parse in DEFAULTS}
 
 
-def _parse_value(key: str, raw: str, kind: str):
-    raw = raw.strip()
+def _parse_value(key: str, raw: str):
     try:
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            val = float(raw)
-            if not math.isfinite(val):
-                raise ValueError("must be finite")
-            return val
-        if kind == "optfloat":
-            if raw.lower() in ("none", ""):
-                return None
-            val = float(raw)
-            if not math.isfinite(val):
-                raise ValueError("must be finite")
-            return val
-        if kind == "floatlist":
-            if not raw:
-                return ()
-            vals = tuple(float(part) for part in raw.split(","))
-            if not all(math.isfinite(val) for val in vals):
-                raise ValueError("entries must be finite")
-            return vals
-        if kind == "intlist":
-            if not raw:
-                return ()
-            return tuple(int(part) for part in raw.split(","))
-        if kind.startswith("choice:"):
-            options = kind.split(":", 1)[1].split(",")
-            if raw not in options:
-                raise ValueError(f"expected one of {options}, got {raw!r}")
-            return raw
+        return _PARSERS[key](raw.strip())
     except ValueError as exc:
         raise ConfigParseError(f"bad value for {key}: {exc}") from exc
-    raise ConfigParseError(f"unhandled kind {kind!r} for {key}")
 
 
 def _format_value(value) -> str:
@@ -151,16 +163,16 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         lines = [f"{key} = {_format_value(self.values[key])}"
-                 for key in _KEY_ORDER]
+                 for key in _PARSERS]
         return "\n".join(lines) + "\n"
 
-    def with_overrides(self, **dotted) -> "RunConfig":
+    def with_overrides(self, raw: Mapping[str, str]) -> "RunConfig":
+        """Copy with each dotted key's raw text parsed and set."""
         merged = dict(self.values)
-        for key, value in dotted.items():
-            key = key.replace("__", ".")
-            if key not in merged:
+        for key, text in raw.items():
+            if key not in _PARSERS:
                 raise ConfigParseError(f"unknown config key {key!r}")
-            merged[key] = value
+            merged[key] = _parse_value(key, text)
         return RunConfig(values=merged)
 
     # -- builders ----------------------------------------------------------
@@ -183,10 +195,9 @@ class RunConfig:
         if family == "special":
             k = make_special_family(growth, death, frag, join, params)
         elif family == "k0":
-            profile = _k0_profile(self["kernel.k0_profile"])
-            k = make_k0_family(profile, params, growth_value=growth,
-                               death_value=death, frag_slope=frag,
-                               join_value=join)
+            k = make_k0_family(K0_PROFILES[self["kernel.k0_profile"]], params,
+                               growth_value=growth, death_value=death,
+                               frag_slope=frag, join_value=join)
         elif family == "powerlaw":
             k = make_powerlaw_family(
                 growth_value=growth, death_value=death, frag_slope=frag,
@@ -194,10 +205,8 @@ class RunConfig:
                 join_exp_low=self["kernel.join_exp_low"],
                 join_exp_high=self["kernel.join_exp_high"],
                 params=params)
-        elif family == "bounded":
+        else:  # "bounded", the last of FAMILIES
             k = make_bounded_family(growth, death, frag, join, params)
-        else:
-            raise ConfigParseError(f"unknown kernel family {family!r}")
         cutoff = self["kernel.join_cutoff"]
         if cutoff is not None:
             k = with_join_cutoff(k, cutoff)
@@ -249,18 +258,9 @@ class RunConfig:
             raise ConfigParseError(f"bad solver settings: {exc}") from exc
 
 
-def _k0_profile(name: str) -> Callable:
-    if name == "uniform":
-        return lambda s: np.ones_like(np.asarray(s, dtype=float))
-    if name == "parabolic":
-        return lambda s: 6.0 * np.asarray(s, dtype=float) * (
-            1.0 - np.asarray(s, dtype=float))
-    raise ConfigParseError(f"unknown k0 profile {name!r}")
-
-
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     values: Dict[str, object] = {
-        key: _parse_value(key, default, kind) for key, default, kind in DEFAULTS}
+        key: _parse_value(key, default) for key, default, _ in DEFAULTS}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -271,12 +271,12 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                 f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _KINDS:
+        if key not in _PARSERS:
             raise ConfigParseError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigParseError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        values[key] = _parse_value(key, raw, _KINDS[key])
+        values[key] = _parse_value(key, raw)
     return RunConfig(values=values)
 
 

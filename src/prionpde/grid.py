@@ -11,7 +11,7 @@ the package is built around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 import numpy as np
 
@@ -24,6 +24,7 @@ GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 Spacing = Literal["uniform", "geometric"]
+SPACINGS = get_args(Spacing)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 manifest reproducibility."""
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prionpde import cli, parse_config_text
+from prionpde import cli, config, grid, load_config, parse_config_text, solver
 from prionpde.cli import main
 from prionpde.errors import BlowUp, ConfigParseError, MismatchedRates
+
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
 
 
 BASE = """
@@ -31,6 +35,64 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def tree(root):
+    """Relative path -> bytes for every file under root (None for dirs)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+# one value per key, none of them the default
+NON_DEFAULT = {
+    "kernel.family": "powerlaw",
+    "kernel.growth": "1.25",
+    "kernel.death": "0.0",
+    "kernel.frag": "0.75",
+    "kernel.join": "0.13",
+    "kernel.join_exp_low": "0.25",
+    "kernel.join_exp_high": "0.75",
+    "kernel.join_cutoff": "40.0",
+    "kernel.k0_profile": "parabolic",
+    "model.production": "1.5",
+    "model.degradation": "0.1",
+    "model.saturation": "0.3",
+    "model.min_size": "0.5",
+    "grid.n_cells": "64",
+    "grid.ymax": "129.0",
+    "grid.spacing": "uniform",
+    "initial.monomer": "0.1",
+    "initial.center": "8.0",
+    "initial.width": "1.5",
+    "initial.count": "0.0",
+    "initial.cut_sigmas": "6.0",
+    "solver.dt": "0.0071",
+    "solver.t_end": "0.5",
+    "solver.splitting": "lie",
+    "solver.reaction_integrator": "euler",
+    "solver.snapshot_times": "0.1,0.2",
+    "solver.tail_mass_bound": "1e-06",
+    "solver.positivity_tolerance": "1e-12",
+    "solver.skip_joining": "true",
+    "diagnostics.test_functions": "one,size",
+    "diagnostics.sigma": "1.5,2.5",
+    "diagnostics.uniform_integrability": "true",
+    "oracle.enabled": "true",
+    "oracle.dt": "0.001",
+    "output.dir": "elsewhere",
+    "truncation.levels": "1,2,4",
+    "truncation.pair_base": "6.0",
+    "truncation.pair_step": "8.0",
+    "run.label": "a label",
+}
+
+CHOICES = {
+    "kernel.family": config.FAMILIES,
+    "kernel.k0_profile": tuple(config.K0_PROFILES),
+    "grid.spacing": grid.SPACINGS,
+    "solver.splitting": solver.SPLITTINGS,
+    "solver.reaction_integrator": solver.REACTION_INTEGRATORS,
+}
 
 
 class TestConfigParsing:
@@ -69,6 +131,62 @@ class TestConfigParsing:
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigParseError, match="key = value"):
             parse_config_text("solver.dt 0.1\n")
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_round_trip(self, path):
+        cfg = load_config(path)
+        assert parse_config_text(cfg.resolved_text()).values == cfg.values
+
+    def test_every_key_round_trips_a_non_default_value(self):
+        keys = [key for key, _, _ in config.DEFAULTS]
+        assert sorted(NON_DEFAULT) == sorted(keys)
+        defaults = parse_config_text("")
+        cfg = parse_config_text("".join(f"{key} = {NON_DEFAULT[key]}\n"
+                                        for key in keys))
+        for key in keys:
+            assert cfg[key] != defaults[key], key
+        assert parse_config_text(cfg.resolved_text()).values == cfg.values
+
+    @pytest.mark.parametrize("key", sorted(CHOICES))
+    def test_choice_keys_accept_exactly_their_owners_list(self, key):
+        for option in CHOICES[key]:
+            assert parse_config_text(f"{key} = {option}\n")[key] == option
+        others = {opt for opts in CHOICES.values() for opt in opts}
+        others |= {"mystery", CHOICES[key][0].upper(), "none"}
+        for other in sorted(others - set(CHOICES[key])):
+            with pytest.raises(ConfigParseError, match=f"bad value for {key}"):
+                parse_config_text(f"{key} = {other}\n")
+
+    def test_overrides_are_parsed(self):
+        cfg = parse_config_text("").with_overrides(
+            {"solver.dt": "0.5", "truncation.levels": "1,3",
+             "output.dir": "there"})
+        assert cfg["solver.dt"] == 0.5
+        assert cfg["truncation.levels"] == (1, 3)
+        assert cfg["output.dir"] == "there"
+
+    def test_overrides_refuse_unknown_key(self):
+        with pytest.raises(ConfigParseError, match="unknown config key"):
+            parse_config_text("").with_overrides({"solver.dtt": "0.1"})
+
+    def test_overrides_refuse_bad_value(self):
+        with pytest.raises(ConfigParseError, match="bad value for grid.n_cells"):
+            parse_config_text("").with_overrides({"grid.n_cells": "many"})
+
+    @pytest.mark.parametrize("line", ["initial.width = 0",
+                                      "initial.width = -0.3",
+                                      "initial.count = -0.4",
+                                      "initial.cut_sigmas = -1",
+                                      "initial.cut_sigmas = 0"])
+    def test_bad_initial_value_exit_2_no_outputs(self, tmp_path, capsys,
+                                                 line):
+        cfg = write_cfg(tmp_path, BASE + line + "\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigParseError: bad value for "
+                              + line.split(" =")[0])
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -329,3 +447,126 @@ truncation.pair_step = 8.0
         cfg = write_cfg(tmp_path, text)
         assert main(["truncation", "--config", cfg]) == 7
         assert "LevelInconsistent" in capsys.readouterr().err
+
+
+class TestOutputReplacement:
+    """A rerun replaces the whole output directory; a failed one leaves
+    the previous directory as it was and no temporary files."""
+
+    FIRST = (BASE.replace("solver.snapshot_times = 0.05",
+                          "solver.snapshot_times = 0.03")
+             + "oracle.enabled = true\ndiagnostics.sigma = 1.5\n")
+    SECOND = BASE.replace("solver.snapshot_times = 0.05",
+                          "solver.snapshot_times = 0.04")
+
+    def test_simulate_rerun_leaves_only_its_own_files(self, tmp_path):
+        out = str(tmp_path / "out")
+        first = write_cfg(tmp_path, self.FIRST, name="first.cfg")
+        second = write_cfg(tmp_path, self.SECOND, name="second.cfg")
+        assert main(["simulate", "--config", first, "--out", out]) == 0
+        assert (tmp_path / "out" / "compare.txt").exists()
+        assert main(["simulate", "--config", second, "--out", out]) == 0
+        assert sorted(tree(tmp_path / "out")) == [
+            "density_t0.04.csv", "density_t0.1.csv", "density_t0.csv",
+            "run_manifest", "timeseries.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "first.cfg", "out", "second.cfg"]
+
+    def test_truncation_rerun_leaves_only_its_own_levels(self, tmp_path):
+        out = str(tmp_path / "out")
+        first = write_cfg(tmp_path, TestTruncation.TRUNC.replace(
+            "truncation.levels = 1,2,4", "truncation.levels = 1,2"),
+            name="first.cfg")
+        second = write_cfg(tmp_path, TestTruncation.TRUNC.replace(
+            "truncation.levels = 1,2,4", "truncation.levels = 3"),
+            name="second.cfg")
+        assert main(["truncation", "--config", first, "--out", out]) == 0
+        assert main(["truncation", "--config", second, "--out", out]) == 0
+        assert sorted(tree(tmp_path / "out")) == [
+            "convergence.csv", "level_3", "level_3/timeseries.csv",
+            "run_manifest"]
+
+    def test_failed_simulate_keeps_previous_directory(self, tmp_path, capsys,
+                                                      monkeypatch):
+        out = str(tmp_path / "out")
+        first = write_cfg(tmp_path, self.FIRST, name="first.cfg")
+        second = write_cfg(tmp_path, self.SECOND, name="second.cfg")
+        assert main(["simulate", "--config", first, "--out", out]) == 0
+        before = tree(tmp_path)
+        real, calls = cli._write_density, []
+
+        def fail_second(snapshot, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real(snapshot, path)
+
+        monkeypatch.setattr(cli, "_write_density", fail_second)
+        assert main(["simulate", "--config", second, "--out", out]) == 1
+        assert len(calls) == 2
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_failed_truncation_keeps_previous_directory(self, tmp_path,
+                                                        capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        first = write_cfg(tmp_path, TestTruncation.TRUNC, name="first.cfg")
+        second = write_cfg(tmp_path, TestTruncation.TRUNC.replace(
+            "truncation.levels = 1,2,4", "truncation.levels = 3"),
+            name="second.cfg")
+        assert main(["truncation", "--config", first, "--out", out]) == 0
+        before = tree(tmp_path)
+
+        def fail(cfg, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_manifest", fail)
+        assert main(["truncation", "--config", second, "--out", out]) == 1
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_failed_oracle_keeps_previous_files(self, tmp_path, capsys,
+                                                monkeypatch):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, BASE)
+        finer = write_cfg(tmp_path, BASE + "oracle.dt = 0.002\n",
+                          name="finer.cfg")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert main(["oracle", "--config", cfg, "--out", out]) == 0
+        before = tree(tmp_path)
+
+        def fail(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_compare", fail)
+        assert main(["oracle", "--config", finer, "--out", out]) == 1
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["simulate", "truncation"])
+    def test_refuses_a_directory_that_is_not_a_run(self, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("hand-written\n")
+        cfg = write_cfg(tmp_path, TestTruncation.TRUNC)
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "holds no run_manifest" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_refuses_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        cfg = write_cfg(tmp_path, BASE)
+        before = tree(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_empty_directory_is_used(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "run_manifest").exists()

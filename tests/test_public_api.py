@@ -1,18 +1,19 @@
-"""Public API guard: the demos import only names the package exports.
-
-The demos are not run by the test suite, so a removed or renamed public
-name would break them silently; this test reads their imports instead
-of running them."""
+"""Public API guard: the demos import only names the package exports,
+and each demo runs to completion against this checkout's package."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import prionpde
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def package_imports(path):
@@ -36,6 +37,17 @@ def test_demo_imports_are_public(path):
             assert name in prionpde.__all__, f"{path.name}: {name}"
         assert hasattr(importlib.import_module(module), name), \
             f"{path.name}: {module}.{name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == []  # the demos write no files
 
 
 def test_every_export_resolves():
