@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
+from .diagnostics import write_csv
 from .errors import (
     BlowUp,
     ConfigParseError,
@@ -82,10 +83,8 @@ def _density_filename(t: float) -> str:
 
 
 def _write_density(snapshot, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("y,u\n")
-        for y, u in zip(snapshot.u.grid.centers, snapshot.u.values):
-            fh.write(f"{y:.17g},{u:.17g}\n")
+    write_csv(path, ("y", "u"),
+              zip(snapshot.u.grid.centers, snapshot.u.values))
 
 
 def _write_manifest(cfg: RunConfig, path: Path) -> None:
@@ -96,11 +95,8 @@ def _write_manifest(cfg: RunConfig, path: Path) -> None:
 
 
 def _write_oracle_csv(traj_columns, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,v,U0,U1\n")
-        for row in zip(traj_columns["t"], traj_columns["v"],
-                       traj_columns["U0"], traj_columns["U1"]):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    names = ("t", "v", "U0", "U1")
+    write_csv(path, names, zip(*(traj_columns[name] for name in names)))
 
 
 def _write_compare(report: dict, path: Path) -> None:
@@ -113,12 +109,21 @@ def _write_compare(report: dict, path: Path) -> None:
 
 
 def _write_sigma_moments(result, sigmas, path: Path) -> None:
-    headers = ["t"] + [f"M_{s:g}" for s in sigmas]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for snap in result.snapshots:
-            vals = [snap.t] + [snap.u.moment(s) for s in sigmas]
-            fh.write(",".join(f"{x:.17g}" for x in vals) + "\n")
+    write_csv(path, ["t"] + [f"M_{s:g}" for s in sigmas],
+              ([snap.t] + [snap.u.moment(s) for s in sigmas]
+               for snap in result.snapshots))
+
+
+def _check_replaceable(out: Path) -> None:
+    """ConfigParseError unless `out` is absent, an empty directory or a
+    run directory (one holding a `run_manifest`)."""
+    if out.exists() and not out.is_dir():
+        raise ConfigParseError(f"output path {out} is not a directory")
+    if (out.is_dir() and not (out / "run_manifest").exists()
+            and any(out.iterdir())):
+        raise ConfigParseError(
+            f"output directory {out} is not empty and holds no run_manifest; "
+            "refusing to replace it")
 
 
 @contextmanager
@@ -129,17 +134,11 @@ def _replacing_dir(out: Path):
     The fresh directory sits next to `out`. The old `out` is moved aside,
     the fresh one renamed into place and the old one removed, so a
     failure at any point leaves the old directory or the new one, never
-    a mix, and no temporary directory. Only a run directory (one holding
-    a `run_manifest`) or an empty one is replaced; anything else is
-    refused before it is touched.
+    a mix, and no temporary directory. Only a directory that
+    _check_replaceable accepts is replaced; anything else is refused
+    before it is touched.
     """
-    if out.exists() and not out.is_dir():
-        raise ConfigParseError(f"output path {out} is not a directory")
-    if (out.is_dir() and not (out / "run_manifest").exists()
-            and any(out.iterdir())):
-        raise ConfigParseError(
-            f"output directory {out} is not empty and holds no run_manifest; "
-            "refusing to replace it")
+    _check_replaceable(out)
     target = Path(os.path.abspath(out))
     fresh = target.with_name(f".{target.name}.new-{os.getpid()}")
     old = target.with_name(f".{target.name}.old-{os.getpid()}")
@@ -210,6 +209,8 @@ def _oracle_for(cfg: RunConfig, rates, u0, v0):
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    out = Path(cfg["output.dir"])
+    _check_replaceable(out)  # again when the writes start; here to fail fast
     k, grid, u0, v0, scfg = _run_from_config(cfg)
     oracle = cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0
     rates = rates_from_kernel_set(k) if oracle else None  # refused before the solve
@@ -217,7 +218,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if oracle:  # it can fail, so it runs before the first file is written
         traj = _oracle_for(cfg, rates, u0, v0)
         report = compare(result.ledger, traj, rates)
-    out = Path(cfg["output.dir"])
     sigmas = cfg["diagnostics.sigma"]
     with _replacing_dir(out) as fresh:
         result.ledger.to_csv(fresh / "timeseries.csv")
@@ -278,6 +278,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 
 def cmd_truncation(cfg: RunConfig) -> int:
+    out = Path(cfg["output.dir"])
+    _check_replaceable(out)  # again when the writes start; here to fail fast
     k, grid, u0, v0, scfg = _run_from_config(cfg)
     indices = cfg["truncation.levels"]
     if not indices:
@@ -287,7 +289,6 @@ def cmd_truncation(cfg: RunConfig) -> int:
         k, u0, v0, scfg.t_end, indices,
         pair_base=cfg["truncation.pair_base"],
         pair_step=cfg["truncation.pair_step"])
-    out = Path(cfg["output.dir"])
     # one horizon verification for the whole ladder, and one set of the
     # tables no rate enters: truncation keeps the daughter and the grid.
     # Levels run one after another; --threads is accepted and ignored
@@ -310,11 +311,10 @@ def cmd_truncation(cfg: RunConfig) -> int:
             level_dir.mkdir()
             result.ledger.to_csv(level_dir / "timeseries.csv")
         _write_manifest(cfg, fresh / "run_manifest")
-        with open(fresh / "convergence.csv", "w") as fh:
-            fh.write("level_from,level_to,sup_dv,sup_dU0,sup_dU1\n")
-            for ia, ib, diffs in rows:
-                fh.write(f"{ia},{ib},{diffs['v']:.17g},{diffs['U0']:.17g},"
-                         f"{diffs['U1']:.17g}\n")
+        write_csv(fresh / "convergence.csv",
+                  ("level_from", "level_to", "sup_dv", "sup_dU0", "sup_dU1"),
+                  ((ia, ib, diffs["v"], diffs["U0"], diffs["U1"])
+                   for ia, ib, diffs in rows))
 
     print(f"truncation: {len(results)} levels -> {out}")
     print(f"{'levels':>12} {'sup|dv|':>12} {'sup|dU0|':>12} {'sup|dU1|':>12}")

@@ -12,13 +12,14 @@ reprs, which is what makes a run manifest reproduce its run bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigParseError
+from .errors import BadBounds, ConfigParseError, NonPositiveTau, TooFewCells
 from .grid import SPACINGS, GridFunction, SizeGrid, build_grid, project
 from .kernels import (
     KernelSet,
@@ -100,7 +101,7 @@ DEFAULTS: Tuple[Tuple[str, str, Callable], ...] = (
     ("model.production", "1.0", _finite),
     ("model.degradation", "0.5", _finite),
     ("model.saturation", "0.0", _finite),
-    ("model.min_size", "1.0", _finite),
+    ("model.min_size", "1.0", _positive),
     ("grid.n_cells", "400", int),
     ("grid.ymax", "200.0", _finite),
     ("grid.spacing", "geometric", _choice(SPACINGS)),
@@ -121,7 +122,7 @@ DEFAULTS: Tuple[Tuple[str, str, Callable], ...] = (
     ("diagnostics.sigma", "", _comma_list(_finite)),
     ("diagnostics.uniform_integrability", "false", _bool),
     ("oracle.enabled", "false", _bool),
-    ("oracle.dt", "0.0001", _finite),
+    ("oracle.dt", "0.0001", _positive),
     ("output.dir", "out", str),
     ("truncation.levels", "", _comma_list(int)),
     ("truncation.pair_base", "none", _optional(_finite)),
@@ -137,6 +138,15 @@ def _parse_value(key: str, raw: str):
         return _PARSERS[key](raw.strip())
     except ValueError as exc:
         raise ConfigParseError(f"bad value for {key}: {exc}") from exc
+
+
+@contextmanager
+def _refused_as_config_error(what: str):
+    """A builder's refusal of a configured value is a ConfigParseError."""
+    try:
+        yield
+    except (ValueError, BadBounds, TooFewCells, NonPositiveTau) as exc:
+        raise ConfigParseError(f"bad {what} settings: {exc}") from exc
 
 
 def _format_value(value) -> str:
@@ -186,35 +196,38 @@ class RunConfig:
         )
 
     def build_kernel(self) -> KernelSet:
-        params = self.model_params()
         family = self["kernel.family"]
         growth = self["kernel.growth"]
         death = self["kernel.death"]
         frag = self["kernel.frag"]
         join = self["kernel.join"]
-        if family == "special":
-            k = make_special_family(growth, death, frag, join, params)
-        elif family == "k0":
-            k = make_k0_family(K0_PROFILES[self["kernel.k0_profile"]], params,
-                               growth_value=growth, death_value=death,
-                               frag_slope=frag, join_value=join)
-        elif family == "powerlaw":
-            k = make_powerlaw_family(
-                growth_value=growth, death_value=death, frag_slope=frag,
-                join_scale=join,
-                join_exp_low=self["kernel.join_exp_low"],
-                join_exp_high=self["kernel.join_exp_high"],
-                params=params)
-        else:  # "bounded", the last of FAMILIES
-            k = make_bounded_family(growth, death, frag, join, params)
         cutoff = self["kernel.join_cutoff"]
-        if cutoff is not None:
-            k = with_join_cutoff(k, cutoff)
+        with _refused_as_config_error("kernel"):
+            params = self.model_params()
+            if family == "special":
+                k = make_special_family(growth, death, frag, join, params)
+            elif family == "k0":
+                k = make_k0_family(K0_PROFILES[self["kernel.k0_profile"]],
+                                   params, growth_value=growth,
+                                   death_value=death, frag_slope=frag,
+                                   join_value=join)
+            elif family == "powerlaw":
+                k = make_powerlaw_family(
+                    growth_value=growth, death_value=death, frag_slope=frag,
+                    join_scale=join,
+                    join_exp_low=self["kernel.join_exp_low"],
+                    join_exp_high=self["kernel.join_exp_high"],
+                    params=params)
+            else:  # "bounded", the last of FAMILIES
+                k = make_bounded_family(growth, death, frag, join, params)
+            if cutoff is not None:
+                k = with_join_cutoff(k, cutoff)
         return k
 
     def build_grid(self) -> SizeGrid:
-        return build_grid(self["model.min_size"], self["grid.ymax"],
-                          self["grid.n_cells"], self["grid.spacing"])
+        with _refused_as_config_error("grid"):
+            return build_grid(self["model.min_size"], self["grid.ymax"],
+                              self["grid.n_cells"], self["grid.spacing"])
 
     def build_initial(self, grid: Optional[SizeGrid] = None) -> GridFunction:
         grid = grid if grid is not None else self.build_grid()
@@ -240,7 +253,7 @@ class RunConfig:
         if tf_raw.strip().lower() != "all":
             tfs = tuple(part.strip() for part in tf_raw.split(",")
                         if part.strip())
-        try:
+        with _refused_as_config_error("solver"):
             return SolverConfig(
                 dt=self["solver.dt"],
                 t_end=self["solver.t_end"],
@@ -254,8 +267,6 @@ class RunConfig:
                 uniform_integrability=self["diagnostics.uniform_integrability"],
                 test_functions=tfs,
             )
-        except ValueError as exc:
-            raise ConfigParseError(f"bad solver settings: {exc}") from exc
 
 
 def parse_config_text(text: str, source: str = "<string>") -> RunConfig:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
 from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
 from .kernels import HypothesisFamily, KernelSet
-from .operators import Evaluation, ReactionOperator, _integrability_coefficients
+from .operators import Evaluation, ReactionOperator, integrability_coefficients
 
 __all__ = [
     "TestFunction",
@@ -46,6 +47,7 @@ __all__ = [
     "higher_moment_series",
     "vallee_poussin_weight",
     "uniform_integrability_report",
+    "write_csv",
 ]
 
 SUPPORT_THRESHOLD = 1e-10
@@ -245,11 +247,17 @@ class DiagnosticsLedger:
 
     def to_csv(self, path) -> None:
         names = self.column_order()
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for i in range(len(self)):
-                fh.write(",".join(
-                    f"{self._columns[name][i]:.17g}" for name in names) + "\n")
+        write_csv(path, names, zip(*(self._columns[name] for name in names)))
+
+
+def write_csv(path, header: Sequence[str],
+              rows: Iterable[Sequence[float]]) -> None:
+    """The header line, then one line per row with every value at 17
+    significant digits, enough to round-trip a double."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 # -- incremental accumulator ----------------------------------------------
@@ -288,7 +296,7 @@ class LedgerAccumulator:
         self._phi_vals = [np.asarray(tf.value(c), dtype=float) for tf in self.tfs]
         self._phi_slopes = [np.asarray(tf.slope(c), dtype=float) for tf in self.tfs]
         if self.weight is not None:
-            self._i_coeffs = _integrability_coefficients(k, grid, self.weight.value)
+            self._i_coeffs = integrability_coefficients(k, grid, self.weight.value)
         self.ledger = DiagnosticsLedger(
             wf_names=[tf.name for tf in self.tfs],
             extra_moment=extra_moment,

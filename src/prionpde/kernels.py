@@ -347,7 +347,7 @@ def make_k0_family(
     asym = float(np.max(np.abs(vals - vals_mirror)))
     if asym > 1e-8 * scale:
         raise AsymmetricK0(f"profile(s) != profile(1-s), max deviation {asym:.3e}")
-    nodes, weights = _graded_rule(1.0)
+    nodes, weights = graded_rule(1.0)
     total = float(np.dot(weights, np.asarray(profile(nodes), dtype=float)))
     if abs(total - 1.0) > 1e-8:
         raise UnnormalizedK0(f"profile integrates to {total!r}, expected 1")
@@ -480,7 +480,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _gauss_panels(lo: np.ndarray, hi: np.ndarray):
+def gauss_panels(lo: np.ndarray, hi: np.ndarray):
     """3-point Gauss nodes and weights on the panels (lo, hi), with a
     leading axis of length 3."""
     half = 0.5 * (hi - lo)
@@ -491,10 +491,10 @@ def _gauss_panels(lo: np.ndarray, hi: np.ndarray):
 def _panel_rule(a: float, b: float, panels: int):
     """Composite 3-point Gauss nodes/weights on (a, b)."""
     edges = np.linspace(a, b, panels + 1)
-    return tuple(x.T.ravel() for x in _gauss_panels(edges[:-1], edges[1:]))
+    return tuple(x.T.ravel() for x in gauss_panels(edges[:-1], edges[1:]))
 
 
-def _graded_rule(b: float, panels: int = 256):
+def graded_rule(b: float, panels: int = 256):
     """Composite rule on (0, b) graded toward both endpoints via the
     substitution z = b*sin^2(pi t/2); integrates daughter densities with
     endpoint singularities to well below the 1e-8 check tolerance."""
@@ -507,7 +507,7 @@ def _graded_rule(b: float, panels: int = 256):
 QUAD_CHUNK = 16384  # daughter-density evaluations per daughter call
 
 
-def _daughter_quadrature(daughter: PairFn, parents: np.ndarray, counts: np.ndarray,
+def daughter_quadrature(daughter: PairFn, parents: np.ndarray, counts: np.ndarray,
                          panels, *factors):
     """Per-panel sums (w0 f0 + w1 f1) + w2 f2 of f = g(z, y) daughter(z, y)
     for each factor g, parent j owning counts[j] panels (non-decreasing).
@@ -528,24 +528,24 @@ def _daughter_quadrature(daughter: PairFn, parents: np.ndarray, counts: np.ndarr
         a = b
 
 
-def _panel_sums(daughter: PairFn, parents: np.ndarray, count: int, panels, *factors):
-    """_daughter_quadrature for parents owning count panels each: one
+def panel_sums(daughter: PairFn, parents: np.ndarray, count: int, panels, *factors):
+    """daughter_quadrature for parents owning count panels each: one
     (len(parents), count) array of panel sums per factor."""
     out = [np.empty((len(parents), count)) for _ in factors]
-    for a, b, sums in _daughter_quadrature(
+    for a, b, sums in daughter_quadrature(
             daughter, parents, np.full(len(parents), count), panels, *factors):
         for o, s in zip(out, sums):
             o[a:b] = s
     return out
 
 
-def _equal_panels(lo: float, parents: np.ndarray, count: int):
+def equal_panels(lo: float, parents: np.ndarray, count: int):
     """panels(a, b) of count equal Gauss panels on (lo, parent)."""
     t = np.linspace(0.0, 1.0, count + 1)
 
     def panels(a, b):
         edges = lo + (parents[a:b, None] - lo) * t
-        return _gauss_panels(edges[:, :-1], edges[:, 1:])
+        return gauss_panels(edges[:, :-1], edges[:, 1:])
 
     return panels
 
@@ -599,10 +599,10 @@ def validate_kernel_set(
 
     # number and mass normalization of the daughter density; graded rule
     # keeps endpoint-singular profiles inside the tolerance
-    num, mass = (x.sum(axis=1) for x in _panel_sums(
+    num, mass = (x.sum(axis=1) for x in panel_sums(
         daughter, ys, 256,
         lambda a, b: [x.reshape(b - a, -1, 3).transpose(2, 0, 1)
-                      for x in _graded_rule(ys[a:b, None])],
+                      for x in graded_rule(ys[a:b, None])],
         lambda z, y: 1.0, lambda z, y: z))
     num_res = float(np.max(np.abs(num - 1.0)))
     mass_res = float(np.max(np.abs(2.0 * mass - ys) / ys))
@@ -691,7 +691,7 @@ def validate_kernel_set(
             if gc.daughter_mass_fraction is not None:
                 a = gc.daughter_mass_fraction
                 big = ys[ys >= 4.0 * y0]
-                (mass,) = _panel_sums(daughter, big, 64, _equal_panels(y0, big, 64),
+                (mass,) = panel_sums(daughter, big, 64, equal_panels(y0, big, 64),
                                       lambda z, y: z)
                 res = float(np.max(2.0 * mass.sum(axis=1) / big - a, initial=0.0))
                 checks.append(CheckResult(
@@ -711,10 +711,10 @@ def validate_kernel_set(
     def small_sets(a, b):
         offs = np.linspace(0.0, parents[a:b] - widths[a:b], 16, axis=-1)
         edges = offs[:, :, None] + widths[a:b, None, None] * t
-        return _gauss_panels(edges[:, :, :-1].reshape(b - a, 64),
+        return gauss_panels(edges[:, :, :-1].reshape(b - a, 64),
                              edges[:, :, 1:].reshape(b - a, 64))
 
-    (flux,) = _panel_sums(daughter, parents, 64, small_sets, lambda z, y: 1.0)
+    (flux,) = panel_sums(daughter, parents, 64, small_sets, lambda z, y: 1.0)
     flux = np.tile(frag_v, levels.size)[:, None] * flux.reshape(-1, 16, 4).sum(axis=2)
     series = flux.reshape(levels.size, -1).max(axis=1, initial=0.0).tolist()
     decays = all(series[i + 1] <= series[i] * (1.0 + 1e-12) for i in range(len(series) - 1))
@@ -728,7 +728,7 @@ def validate_kernel_set(
     if gc.daughter_spread_from is not None and gc.daughter_spread_floor is not None:
         y1, floor = gc.daughter_spread_from, gc.daughter_spread_floor
         wide = ys[ys >= 2.0 * y1]
-        (spread,) = _panel_sums(daughter, wide, 64, _equal_panels(y1, wide, 64),
+        (spread,) = panel_sums(daughter, wide, 64, equal_panels(y1, wide, 64),
                                 lambda z, y: 1.0 - z / y)
         res = float(np.max(floor - spread.sum(axis=1), initial=0.0))
         checks.append(CheckResult(

@@ -49,7 +49,7 @@ Discretization notes, load-bearing for the conservation tests:
   of the deposited first moment, so splitting moves monomer count
   between v and u with zero net balance error by construction, for any
   daughter density whose mass normalization holds.  Every per-parent
-  daughter integral goes through ``kernels._daughter_quadrature``:
+  daughter integral goes through ``kernels.daughter_quadrature``:
   chunks of whole rows, and Gauss panel sums in a fixed order.
 
 * What depends on the grid and the daughter density alone (the
@@ -78,8 +78,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
-from .kernels import (KernelSet, ModelParams, PairFn, RateFn, _daughter_quadrature,
-                      _equal_panels, _gauss_panels, _graded_rule, _panel_sums)
+from .kernels import (KernelSet, ModelParams, PairFn, RateFn,
+                      daughter_quadrature, equal_panels, gauss_panels,
+                      graded_rule, panel_sums)
 
 __all__ = [
     "CharacteristicMap",
@@ -271,14 +272,14 @@ def transport_remap(
 def _small_fragment_mass(k: KernelSet, grid: SizeGrid) -> np.ndarray:
     """Per-cell first moment of the daughter density below the minimum
     size, by the endpoint-graded composite rule."""
-    nodes, weights = _graded_rule(grid.y0, panels=64)
+    nodes, weights = graded_rule(grid.y0, panels=64)
     z, w = (x.reshape(64, 3).T[:, None] for x in (nodes, weights))  # (3, 1, 64)
-    (sums,) = _panel_sums(k.daughter, grid.centers, 64, lambda a, b: (z, w),
+    (sums,) = panel_sums(k.daughter, grid.centers, 64, lambda a, b: (z, w),
                           lambda z, y: z)
     return sums.sum(axis=1)
 
 
-def _integrability_coefficients(
+def integrability_coefficients(
     k: KernelSet, grid: SizeGrid, weight: RateFn
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-source quadratures of the two sign-definite dissipation
@@ -287,7 +288,7 @@ def _integrability_coefficients(
     size, and the weighted mass handed to the monomer pool.  Both are
     non-negative for a convex weight vanishing at zero."""
     c = grid.centers
-    (sums,) = _panel_sums(k.daughter, c, 32, _equal_panels(grid.y0, c, 32),
+    (sums,) = panel_sums(k.daughter, c, 32, equal_panels(grid.y0, c, 32),
                           lambda z, y: (weight(y) / y - weight(z) / z) * z)
     return sums.sum(axis=1), _small_fragment_mass(k, grid) * (weight(c) / c)
 
@@ -307,8 +308,8 @@ def _frag_deposit(daughter: PairFn, grid: SizeGrid) -> np.ndarray:
         return np.minimum(edges[:b], top), np.minimum(edges[1:b + 1], top)
 
     deposit = np.zeros((n, n))
-    for a, b, (k0, k1) in _daughter_quadrature(
-            daughter, c, np.arange(1, n + 1), lambda a, b: _gauss_panels(*sub_intervals(a, b)),
+    for a, b, (k0, k1) in daughter_quadrature(
+            daughter, c, np.arange(1, n + 1), lambda a, b: gauss_panels(*sub_intervals(a, b)),
             lambda z, y: 1.0, lambda z, y: z):
         live = k0 > 0.0
         lo, hi = (x[live] for x in sub_intervals(a, b))

@@ -26,9 +26,9 @@ after the step's checks.  The evaluation, ReactionOperator.rhs's
 right-hand side and largest loss rate, goes to the ledger's weak-form
 fluxes and to the next step as its first stage and substep scale.  It
 is passed explicitly, never cached; Snapshot stays a pure state record,
-and a replay of the ledger evaluates its own.  A run without test
-functions has no ledger reader, so each step evaluates its own start
-instead and the final state is not evaluated at all.
+and a replay of the ledger evaluates its own.  Every accepted state is
+evaluated, with or without test functions, so the evaluation's checks
+(joining flux leaving the grid) read the same states in every run.
 """
 
 from __future__ import annotations
@@ -141,13 +141,13 @@ def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig,
-           start: Optional[Evaluation] = None) -> Tuple[float, np.ndarray]:
-    """Advance density and monomer over a reaction interval of length h.
-    start, when given, is mach.reaction.rhs(u)."""
+           start: Evaluation) -> Tuple[float, np.ndarray]:
+    """Advance density and monomer over a reaction interval of length h;
+    start is mach.reaction.rhs(u)."""
     r = mach.reaction
     drain0 = r.drain(u)
     gain0 = r.frag.monomer_gain(u)
-    f0, scale = r.rhs(u) if start is None else start
+    f0, scale = start
     substeps = max(1, int(math.ceil(h * scale / 0.5)))
     hs = h / substeps
     for i in range(substeps):
@@ -170,29 +170,23 @@ def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig
     return v_new, u
 
 
-def step(
-    state: Snapshot,
-    cfg: SolverConfig,
-    mach: Machinery,
-    dt: Optional[float] = None,
-    start: Optional[Evaluation] = None,
-) -> Tuple[Snapshot, Optional[Evaluation]]:
-    """One splitting step from the given state.
+def step(state: Snapshot, cfg: SolverConfig, mach: Machinery,
+         start: Evaluation, dt: float) -> Tuple[Snapshot, Evaluation]:
+    """One splitting step of length dt from the given state.
 
-    start, when given, is mach.reaction.rhs(state.u.values) and serves
-    as the first stage; the step then also returns the evaluation at the
-    new state's density (None otherwise), made after the step's checks,
-    for the caller to hand to the ledger and to the next step."""
+    start is mach.reaction.rhs(state.u.values) and serves as the first
+    stage.  The step returns the new state and the evaluation at its
+    density, made after the step's checks, for the caller to hand to the
+    ledger and to the next step."""
     grid = state.u.grid
-    h = cfg.dt if dt is None else dt
     strang = cfg.splitting == "strang"
-    v, u = _react(state.v, state.u.values, 0.5 * h if strang else h, mach,
+    v, u = _react(state.v, state.u.values, 0.5 * dt if strang else dt, mach,
                   cfg, start)
     moved, esc_count, _esc_mass = transport_remap(
-        mach.transport, GridFunction(grid, u), mach.reaction.speed(v, u) * h)
+        mach.transport, GridFunction(grid, u), mach.reaction.speed(v, u) * dt)
     u = moved.values
     if strang:
-        v, u = _react(v, u, 0.5 * h, mach, cfg)
+        v, u = _react(v, u, 0.5 * dt, mach, cfg, mach.reaction.rhs(u))
     if esc_count > 0.0:
         raise MassEscape(
             f"{esc_count:g} polymers crossed the grid end during transport")
@@ -201,9 +195,7 @@ def step(
     scale = max(1.0, abs(state.v))
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
-    new = Snapshot(t=state.t + h, v=max(v, 0.0), u=GridFunction(grid, u))
-    if start is None:
-        return new, None
+    new = Snapshot(t=state.t + dt, v=max(v, 0.0), u=GridFunction(grid, u))
     return new, mach.reaction.rhs(new.u.values)
 
 
@@ -252,13 +244,12 @@ def run(
                else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
     snap_steps = _snapshot_steps(cfg, n_steps)
     snapshots = [state]
-    # the evaluation of the current state, when the ledger reads it
-    f = mach.reaction.rhs(state.u.values) if acc.tfs else None
-    row = acc.start(state.t, state.v, state.u, rhs=f)
     try:
+        f = mach.reaction.rhs(state.u.values)  # the current state's evaluation
+        acc.start(state.t, state.v, state.u, rhs=f)
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
-            state, f = step(state, cfg, mach, dt=h, start=f)
+            state, f = step(state, cfg, mach, f, h)
             row = acc.advance(state.t, state.v, state.u, rhs=f)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape(

@@ -188,6 +188,27 @@ class TestConfigParsing:
                               + line.split(" =")[0])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["oracle.dt = 0",
+                                      "model.min_size = 0",
+                                      "kernel.join_cutoff = 1.5",
+                                      "grid.n_cells = 2",
+                                      "grid.ymax = 0.5",
+                                      "kernel.growth = 0",
+                                      "kernel.death = -1",
+                                      "kernel.frag = -0.5",
+                                      "model.production = -1",
+                                      "model.saturation = -1"])
+    def test_value_a_builder_refuses_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, line):
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("solved"))
+        key = line.split(" =")[0]
+        kept = [row for row in BASE.splitlines() if not row.startswith(key)]
+        kept += [line, "oracle.enabled = true", f"output.dir = {tmp_path}/out"]
+        cfg = write_cfg(tmp_path, "\n".join(kept) + "\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("ConfigParseError: bad ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_happy_path_outputs(self, tmp_path, capsys):
@@ -545,7 +566,10 @@ class TestOutputReplacement:
 
     @pytest.mark.parametrize("command", ["simulate", "truncation"])
     def test_refuses_a_directory_that_is_not_a_run(self, tmp_path, capsys,
-                                                   command):
+                                                   monkeypatch, command):
+        """Refused before any solve."""
+        for name in ("run", "truncate"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("solved"))
         out = tmp_path / "notes"
         out.mkdir()
         (out / "keep.txt").write_text("hand-written\n")

@@ -19,7 +19,7 @@ from prionpde.kernels import (
     _MOLLIFY_W,
     _MOLLIFY_X,
     _cut_beyond,
-    _graded_rule,
+    graded_rule,
     _panel_rule,
     _truncated_start,
     HypothesisFamily,
@@ -150,7 +150,7 @@ def reference_daughter_residuals(k, samples=64):
     out = {}
     num_res, mass_res = 0.0, 0.0
     for y in ys:
-        nodes, weights = _graded_rule(float(y))
+        nodes, weights = graded_rule(float(y))
         dv = k.daughter(nodes, np.full_like(nodes, y))
         num_res = max(num_res, abs(float(np.dot(weights, dv)) - 1.0))
         mass_res = max(mass_res, abs(2.0 * float(np.dot(weights, nodes * dv)) - y) / y)

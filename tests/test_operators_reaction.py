@@ -11,7 +11,7 @@ from prionpde.diagnostics import vallee_poussin_weight
 from prionpde.errors import PairOutOfRange
 from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, build_grid, moment
 from prionpde.kernels import (
-    _graded_rule,
+    graded_rule,
     _panel_rule,
     make_k0_family,
     make_special_family,
@@ -19,7 +19,7 @@ from prionpde.kernels import (
 )
 from prionpde.operators import (
     FragTables,
-    _integrability_coefficients,
+    integrability_coefficients,
     _small_fragment_mass,
     split_targets,
     JoiningTables,
@@ -337,7 +337,7 @@ def reference_frag_tables(k, grid):
 
 def reference_small_fragment_mass(k, grid):
     """The per-cell loop _small_fragment_mass replaced."""
-    nodes, weights = _graded_rule(grid.y0, panels=64)
+    nodes, weights = graded_rule(grid.y0, panels=64)
     out = np.empty(grid.n)
     for j, parent in enumerate(grid.centers):
         dv = np.asarray(k.daughter(nodes, np.full_like(nodes, parent)), dtype=float)
@@ -346,7 +346,7 @@ def reference_small_fragment_mass(k, grid):
 
 
 def reference_integrability_coefficients(k, grid, weight):
-    """The per-cell loop _integrability_coefficients replaced."""
+    """The per-cell loop integrability_coefficients replaced."""
     n1 = np.zeros(grid.n)
     n2 = reference_small_fragment_mass(k, grid)
     for j, parent in enumerate(grid.centers):
@@ -387,7 +387,7 @@ def flat_weight(grid):
 def quadratures(k, grid, weight):
     tables = FragTables.build(k, grid)
     return (tables.deposit, tables.monomer_coeff, _small_fragment_mass(k, grid),
-            *_integrability_coefficients(k, grid, weight.value))
+            *integrability_coefficients(k, grid, weight.value))
 
 
 class TestDaughterQuadrature:

@@ -1,5 +1,6 @@
 """Public API guard: the demos import only names the package exports,
-and each demo runs to completion against this checkout's package."""
+each demo runs to completion against this checkout's package, and no
+package module imports another's private names."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import prionpde
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "prionpde").glob("*.py"))
 
 
 def package_imports(path):
@@ -54,3 +56,16 @@ def test_every_export_resolves():
     missing = [name for name in prionpde.__all__ if not hasattr(prionpde, name)]
     assert missing == []
     assert len(set(prionpde.__all__)) == len(prionpde.__all__)
+
+
+def test_no_module_imports_a_siblings_private_name():
+    """`from .x import _name` is refused in every package module; a
+    private module itself (`from ._ode import rk4_step`) may be imported."""
+    private = [f"{path.name}: .{node.module}.{alias.name}"
+               for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module is not None
+               for alias in node.names if alias.name.startswith("_")]
+    assert MODULES
+    assert private == []

@@ -103,8 +103,9 @@ class TestStepping:
 
         mach = build_machinery(k, u0, cfg)
         state = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        state, _ = step(state, cfg, mach)
-        state, _ = step(state, cfg, mach)
+        f = mach.reaction.rhs(u0.values)
+        state, f = step(state, cfg, mach, f, cfg.dt)
+        state, f = step(state, cfg, mach, f, cfg.dt)
         assert state.t == fin.t
         assert state.v == fin.v
         assert np.array_equal(state.u.values, fin.u.values)
@@ -114,7 +115,8 @@ class TestStepping:
         cfg = SolverConfig(dt=5e-3, t_end=5e-3)
         mach = build_machinery(k, u0, cfg)
         before = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        after, _ = step(before, cfg, mach)
+        start = mach.reaction.rhs(u0.values)
+        after, _ = step(before, cfg, mach, start, cfg.dt)
         acc = LedgerAccumulator(k, mach.reaction, test_functions=())
         acc.start(before.t, before.v, before.u)
         acc.advance(after.t, after.v, after.u)
@@ -262,8 +264,9 @@ class TestSnapshots:
 
 def reference_run(u0, v0, k, cfg):
     """run without the right-hand-side handover, the test reference: each
-    step evaluates every stage itself and the ledger evaluates each
-    state's right-hand side by itself."""
+    step's start is evaluated afresh, the step's own evaluation of its new
+    state is discarded, and the ledger evaluates each state's right-hand
+    side by itself."""
     grid = u0.grid
     mach = build_machinery(k, u0, cfg)
     weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
@@ -284,7 +287,8 @@ def reference_run(u0, v0, k, cfg):
     try:
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
-            state, _ = step(state, cfg, mach, dt=h)
+            start = mach.reaction.rhs(state.u.values)
+            state, _ = step(state, cfg, mach, start, h)
             row = acc.advance(state.t, state.v, state.u)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape("tail mass")
@@ -298,9 +302,14 @@ def reference_run(u0, v0, k, cfg):
     return RunResult(snapshots=tuple(snapshots), ledger=acc.ledger)
 
 
-def assert_same_run(a, b):
-    assert a.ledger.column_order() == b.ledger.column_order()
-    for name in a.ledger.column_order():
+def assert_same_run(a, b, columns=None):
+    """Bit for bit the same snapshots and ledger columns (all of them, or
+    the named ones, which both ledgers must hold)."""
+    if columns is None:
+        assert a.ledger.column_order() == b.ledger.column_order()
+        columns = a.ledger.column_order()
+    assert len(a.ledger) == len(b.ledger)
+    for name in columns:
         assert np.array_equal(a.ledger.column(name), b.ledger.column(name)), name
     assert len(a.snapshots) == len(b.snapshots)
     for sa, sb in zip(a.snapshots, b.snapshots):
@@ -350,6 +359,21 @@ def stray_setup():
     return closed_family(), gaussian_start(grid)
 
 
+def stray_case(setup, option):
+    """(k, u0, SolverConfig options) of a run on the stray_setup grid whose
+    joining flux strays at the initial state, at a step in the middle of
+    the run, or at the state the run ends on."""
+    k, u0 = stray_setup()
+    options = dict(dt=0.05, t_end=1.0, tail_mass_bound=float("inf"),
+                   snapshot_times=EVERY_STEP, **OPTIONS[option])
+    if setup == "initial":
+        u0 = gaussian_start(u0.grid, center=14.0, width=1.0)
+    elif setup == "final":
+        _, partial = outcome(run, u0, 2.0, k, SolverConfig(**options))
+        options["t_end"] = len(partial.ledger) * options["dt"]
+    return k, u0, options
+
+
 class TestRightHandSideHandover:
     @pytest.mark.parametrize("skip_joining", [False, True],
                              ids=["joining", "skip-joining"])
@@ -370,12 +394,8 @@ class TestRightHandSideHandover:
         cfg = SolverConfig(dt=5e-3, t_end=5e-3)
         mach = build_machinery(k, u0, cfg)
         begin = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        plain, nothing = step(begin, cfg, mach)
-        assert nothing is None
         new, (f_end, scale_end) = step(begin, cfg, mach,
-                                       start=mach.reaction.rhs(u0.values))
-        assert new.t == plain.t and new.v == plain.v
-        assert np.array_equal(new.u.values, plain.u.values)
+                                       mach.reaction.rhs(u0.values), cfg.dt)
         f_fresh, scale_fresh = mach.reaction.rhs(new.u.values)
         assert np.array_equal(f_end, f_fresh)
         assert scale_end == scale_fresh
@@ -408,17 +428,17 @@ class TestRightHandSideHandover:
         run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
         assert len(calls) == 4 * n + 1
 
-    def test_final_state_is_not_evaluated_without_test_functions(
+    def test_final_state_is_evaluated_without_test_functions(
             self, small_setup, monkeypatch):
+        """No ledger reads the evaluations, and still each accepted state,
+        the final one included, is evaluated once."""
         k, _, u0 = small_setup
         n = 6
         cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, test_functions=())
         calls = count_join_applies(monkeypatch)
         res = run(u0, 2.0, k, cfg)
-        assert len(calls) == 4 * n
-        del calls[:]
+        assert len(calls) == 4 * n + 1
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
-        assert len(calls) == 4 * n
 
     @pytest.mark.parametrize("test_functions", [None, ()],
                              ids=["all", "none"])
@@ -434,23 +454,53 @@ class TestRightHandSideHandover:
         assert len(ref_partial.ledger) > 2
         assert_same_run(partial, ref_partial)
 
-    def test_final_state_the_reference_accepts_is_accepted(self):
-        """Lie with Euler evaluates nothing but the step's start state, so
-        without test functions a state whose joining flux strays is only
-        refused by the step after it; ending the run on it is fine."""
+    def test_final_state_that_strays_is_refused(self):
+        """Lie with Euler evaluates nothing inside a step but its start
+        state, so the run's own evaluation of the state it ends on is
+        what refuses a final state whose joining flux strays, also
+        without test functions."""
         k, u0 = stray_setup()
         options = dict(dt=0.05, tail_mass_bound=float("inf"), test_functions=(),
                        **OPTIONS["lie-euler"])
         err, partial = outcome(
             run, u0, 2.0, k, SolverConfig(t_end=1.0, **options))
         assert err is PairOutOfRange
-        n = len(partial.ledger) - 1
+        n = len(partial.ledger)
         cfg = SolverConfig(t_end=n * 0.05, **options)
-        res = run(u0, 2.0, k, cfg)
-        assert_same_run(res, reference_run(u0, 2.0, k, cfg))
-        mach = build_machinery(k, u0, cfg)
-        with pytest.raises(PairOutOfRange):
-            mach.reaction.rhs(res.snapshots[-1].u.values)
+        with pytest.raises(PairOutOfRange) as exc:
+            run(u0, 2.0, k, cfg)
+        assert len(exc.value.partial_result.ledger) == n
+        err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
+        assert err is PairOutOfRange
+        assert_same_run(exc.value.partial_result, ref_partial)
+
+    @pytest.mark.parametrize("setup", ["initial", "mid-run", "final"])
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_outcome_does_not_depend_on_test_functions(self, option, setup):
+        """Same error at the same step, same snapshots and the same
+        floats in every ledger column both runs keep."""
+        k, u0, options = stray_case(setup, option)
+        err, partial = outcome(run, u0, 2.0, k, SolverConfig(**options))
+        bare_err, bare = outcome(
+            run, u0, 2.0, k, SolverConfig(test_functions=(), **options))
+        assert err is bare_err is PairOutOfRange
+        shared = bare.ledger.column_order()
+        assert set(shared) < set(partial.ledger.column_order())
+        assert_same_run(partial, bare, columns=shared)
+
+    @pytest.mark.parametrize("test_functions", [None, ()],
+                             ids=["all", "none"])
+    def test_error_at_the_initial_evaluation_carries_partial_result(
+            self, test_functions):
+        k, u0, options = stray_case("initial", "strang-rk2")
+        with pytest.raises(PairOutOfRange) as exc:
+            run(u0, 2.0, k, SolverConfig(test_functions=test_functions,
+                                         **options))
+        partial = exc.value.partial_result
+        assert len(partial.ledger) == 0
+        (first,) = partial.snapshots
+        assert first.t == 0.0 and first.v == 2.0
+        assert np.array_equal(first.u.values, u0.values)
 
     @pytest.mark.parametrize("option", sorted(OPTIONS))
     def test_tail_gate_raises_at_the_same_step(self, option):
