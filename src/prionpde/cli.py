@@ -114,13 +114,18 @@ def _write_sigma_moments(result, sigmas, path: Path) -> None:
                for snap in result.snapshots))
 
 
+_ORACLE_FILES = ("oracle.csv", "compare.txt")   # every file oracle writes
+
+
 def _check_replaceable(out: Path) -> None:
-    """ConfigParseError unless `out` is absent, an empty directory or a
-    run directory (one holding a `run_manifest`)."""
+    """ConfigParseError unless `out` is absent, a run directory (one
+    holding a `run_manifest`) or a directory holding nothing but files
+    that oracle writes (none at all included)."""
     if out.exists() and not out.is_dir():
         raise ConfigParseError(f"output path {out} is not a directory")
     if (out.is_dir() and not (out / "run_manifest").exists()
-            and any(out.iterdir())):
+            and not all(p.name in _ORACLE_FILES and p.is_file()
+                        for p in out.iterdir())):
         raise ConfigParseError(
             f"output directory {out} is not empty and holds no run_manifest; "
             "refusing to replace it")
@@ -240,7 +245,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    k = cfg.build_kernel()
+    # builds what every other command builds, so it refuses what they refuse
+    k, *_ = _run_from_config(cfg)
     report = validate_kernel_set(k)
     print(report.format())
     return 0 if report.all_passed else EXIT_CODES[ValidationFailed]

@@ -293,6 +293,11 @@ class LedgerAccumulator:
         self.extra_moment = extra_moment
         self.weight = integrability_weight
         c = grid.centers
+        # the second-moment weights, and the cells of the tail (centers
+        # increase); the first moment's are the reaction operator's
+        self._m2_weights = grid.widths * c ** 2
+        self._tail = slice(grid.n - np.count_nonzero(c > TAIL_FRACTION * grid.ymax),
+                           None)
         self._phi_vals = [np.asarray(tf.value(c), dtype=float) for tf in self.tfs]
         self._phi_slopes = [np.asarray(tf.slope(c), dtype=float) for tf in self.tfs]
         if self.weight is not None:
@@ -412,25 +417,26 @@ class LedgerAccumulator:
 
     def _row(self, t: float, v: float, arr: np.ndarray) -> Dict[str, float]:
         g = self.grid
-        u1 = moment(g, arr, 1)
+        counts = arr * g.widths
+        u1 = float(np.dot(arr, self.reaction.first_moment_weights))
         p = self.k.params
         balance = ((v + u1) - self._init_total - p.production * (t - self._t0)
                    + p.degradation * self._accum_v + self._accum_mu)
-        tail_sel = g.centers > TAIL_FRACTION * g.ymax
+        tail = self._tail
         row: Dict[str, float] = {
             "t": t,
             "v": v,
-            "U0": moment(g, arr, 0),
+            "U0": float(np.dot(arr, g.widths)),
             "U1": u1,
-            "M2": moment(g, arr, 2),
+            "M2": float(np.dot(arr, self._m2_weights)),
             "balance_residual": balance,
             "min_u": float(np.min(arr)),
-            "tail_mass": float(np.dot(arr[tail_sel], g.widths[tail_sel])),
+            "tail_mass": float(np.dot(arr[tail], g.widths[tail])),
             "support_numeric": self._support_numeric(arr),
             "support_bound": self._envelope,
         }
         for i, tf in enumerate(self.tfs):
-            lhs = float(np.dot(self._phi_vals[i], arr * g.widths)) - self._phi0[i]
+            lhs = float(np.dot(self._phi_vals[i], counts)) - self._phi0[i]
             row[f"wf_{tf.name}"] = (lhs - self._wf_accum[i]) / max(1.0, abs(lhs))
         if self.extra_moment is not None:
             row["M_sigma"] = moment(g, arr, self.extra_moment)

@@ -12,7 +12,13 @@ Discretization notes, load-bearing for the conservation tests:
   cell centers with a first-moment-preserving split; it conserves the
   zeroth and first discrete moments to rounding while the parcel stays
   inside the grid, which the pointwise form does not on non-uniform
-  grids.
+  grids.  Both invert the characteristic map with ``theta_inverse``: one
+  search of the tabulated edge times finds the cell that brackets each
+  root, and every Newton pass evaluates ``theta_map`` inside that cell
+  from one growth call, with no search and no domain check, giving
+  ``theta_map``'s floats.  The remap's surviving parcels are a prefix of
+  the cells, as the characteristic time increases along the grid, and
+  one bincount deposits both shares of every parcel.
 
 * The joining gain deposits each ordered pair's mass flux at the exact
   pair size with the same bracketing split, so the discrete first
@@ -65,7 +71,10 @@ Discretization notes, load-bearing for the conservation tests:
   saturation factor of speed and drain is written once, in its
   ``_saturated``.  ``rhs`` returns the right-hand side with its largest
   per-cell loss rate, so one evaluation (one joining-loss GEMV) serves
-  a step, its substep rule and the ledger.
+  a step, its substep rule and the ledger.  What no state changes (the
+  moment weights, the pointwise loss rate and its maximum, the doubled
+  splitting rate) is formed once, at build, with the same floats the
+  per-call formulas gave.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
-from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid, moment
+from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid
 from .kernels import (KernelSet, ModelParams, PairFn, RateFn,
                       daughter_quadrature, equal_panels, gauss_panels,
                       graded_rule, panel_sums)
@@ -145,53 +154,89 @@ def characteristic_map(source: Union[KernelSet, RateFn], grid: SizeGrid) -> Char
                              growth_at_edges=g_edges, growth=growth)
 
 
+_GAUSS3_STEPS = (1.0 + GAUSS3_NODES)[:, None]   # node offsets over half a span
+_GAUSS3_WEIGHTS = GAUSS3_WEIGHTS[:, None]
+
+
+def _partial_theta(cm: CharacteristicMap, left: np.ndarray, base: np.ndarray,
+                   y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """theta_map at sizes y (one axis) from the left edges of their
+    cells and the times tabulated there, by 3-point Gauss on the partial
+    cells (left, y), and the growth rate at y: one growth call, on the
+    nodes and y stacked."""
+    half = 0.5 * (y - left)
+    nodes = np.empty((4, y.size))
+    np.multiply(half, _GAUSS3_STEPS, out=nodes[:3])
+    nodes[:3] += left
+    nodes[3] = y
+    rate = np.asarray(cm.growth(nodes), dtype=float)
+    parts = _GAUSS3_WEIGHTS / rate[:3]
+    return base + half * (parts[0] + parts[1] + parts[2]), rate[3]
+
+
 def theta_map(cm: CharacteristicMap, y) -> np.ndarray:
     """Characteristic time to grow from the domain's left end to y."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     g = cm.grid
     if np.any(y_arr < g.y0) or np.any(y_arr > g.ymax):
         raise OutOfDomain(f"size out of [{g.y0}, {g.ymax}]")
-    idx = np.clip(np.searchsorted(g.edges, y_arr, side="right") - 1, 0, g.n - 1)
-    left = g.edges[idx]
-    span = y_arr - left
-    # 3-point Gauss on the partial cell (left, y)
-    partial = np.zeros(y_arr.shape)
-    for q in range(3):
-        node = left + span * 0.5 * (1.0 + GAUSS3_NODES[q])
-        partial += GAUSS3_WEIGHTS[q] / np.asarray(cm.growth(node), dtype=float)
-    out = cm.theta_at_edges[idx] + 0.5 * span * partial
-    return out if np.ndim(y) else float(out[0])
+    flat = y_arr.ravel()
+    idx = np.clip(np.searchsorted(g.edges, flat, side="right") - 1, 0, g.n - 1)
+    out = _partial_theta(cm, g.edges[idx], cm.theta_at_edges[idx], flat)[0]
+    return out.reshape(y_arr.shape) if np.ndim(y) else float(out[0])
 
 
 def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
     """Inverse of theta_map on [0, theta_max], by bracketed Newton
     iteration (the derivative of the map is the reciprocal growth).
-    Raises OutOfDomain if eight iterations leave a residual above
+
+    One search of theta_at_edges finds each target's cell, which brackets
+    its root; the iterate starts at the cell's linear estimate and every
+    pass stays in the cell.  A pass evaluates theta_map inside the
+    bracket, so it makes one growth call, on the Gauss nodes of the
+    partial cell and the iterate together, and no search and no domain
+    check; its floats are theta_map's.  Raises OutOfDomain for a time
+    outside [0, theta_max], and if eight passes leave a residual above
     1e-14 * max(1, theta_max)."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    shape = np.shape(theta)
+    th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     g = cm.grid
     slack = 1e-12 * max(1.0, cm.theta_max)
-    if np.any(th < -slack) or np.any(th > cm.theta_max + slack):
+    least, most = th.min(), th.max()
+    if least < -slack or most > cm.theta_max + slack:
         raise OutOfDomain(f"characteristic time out of [0, {cm.theta_max}]")
-    th = np.clip(th, 0.0, cm.theta_max)
-    idx = np.clip(np.searchsorted(cm.theta_at_edges, th, side="right") - 1, 0, g.n - 1)
+    if least < 0.0 or most > cm.theta_max:
+        th = np.clip(th, 0.0, cm.theta_max)
+    # the cell of each target: the inner edges at or below it
+    idx = np.searchsorted(cm.theta_at_edges[1:-1], th, side="right")
     lo = g.edges[idx]
-    hi = g.edges[idx + 1]
-    y = lo + (th - cm.theta_at_edges[idx]) * cm.growth_at_edges[idx]
-    y = np.clip(y, lo, hi)
+    hi = g.edges[1:][idx]
+    base = cm.theta_at_edges[idx]
+    top = np.where(idx < g.n - 1, hi, np.inf)
+    above = cm.theta_at_edges[1:][idx]
+    y = lo + (th - base) * cm.growth_at_edges[idx]
+    np.maximum(y, lo, out=y)
+    np.minimum(y, hi, out=y)
     tol = 1e-14 * max(1.0, cm.theta_max)
     for _ in range(8):
-        resid = theta_map(cm, y) - th
-        y = np.clip(y - resid * np.asarray(cm.growth(y), dtype=float), lo, hi)
-        if np.max(np.abs(resid)) < tol:
+        resid, rate = _partial_theta(cm, lo, base, y)
+        # theta_map measures a size on an inner upper edge from that edge
+        np.copyto(resid, above, where=y == top)
+        resid -= th
+        y = y - resid * rate
+        np.maximum(y, lo, out=y)
+        np.minimum(y, hi, out=y)
+        if np.abs(resid, out=resid).max() < tol:
             break
     else:
-        worst = float(np.max(np.abs(theta_map(cm, y) - th)))
+        final = _partial_theta(cm, lo, base, y)[0]
+        np.copyto(final, above, where=y == top)
+        worst = float(np.max(np.abs(final - th)))
         if not worst < tol:
             raise OutOfDomain(
                 f"characteristic inverse did not converge: Newton residual "
                 f"{worst:.3g} above the tolerance {tol:.3g}")
-    return y if np.ndim(theta) else float(y[0])
+    return y.reshape(shape) if shape else float(y[0])
 
 
 def transport_apply(cm: CharacteristicMap, f: GridFunction, t_eff: float) -> GridFunction:
@@ -250,20 +295,22 @@ def transport_remap(
     if t_eff < 0.0:
         raise NegativeTime(f"effective time must be >= 0, got {t_eff}")
     g = cm.grid
-    masses = f.values * g.widths
     if t_eff == 0.0:
         return f.copy(), 0.0, 0.0
+    masses = f.values * g.widths
     theta_new = cm.theta_at_centers + t_eff
-    keep = theta_new <= cm.theta_max
-    escaped_count = float(np.sum(masses[~keep]))
+    # theta increases along the grid, so the parcels that stay are a prefix
+    kept = int(np.searchsorted(theta_new, cm.theta_max, side="right"))
+    escaped_count = float(np.sum(masses[kept:]))
     escaped_mass = escaped_count * g.ymax
-    out = np.zeros(g.n)
-    if np.any(keep):
-        landed = theta_inverse(cm, theta_new[keep])
-        m = masses[keep]
-        idx, frac = split_targets(g.centers, landed)
-        np.add.at(out, idx, m * frac)
-        np.add.at(out, idx + 1, m * (1.0 - frac))
+    if kept == 0:
+        return GridFunction(g, np.zeros(g.n)), escaped_count, escaped_mass
+    landed = theta_inverse(cm, theta_new[:kept])
+    m = masses[:kept]
+    idx, frac = split_targets(g.centers, landed)
+    # every lower share, then every upper share, each in parcel order
+    out = np.bincount(np.concatenate((idx, idx + 1)),
+                      np.concatenate((m * frac, m * (1.0 - frac))), g.n)
     return GridFunction(g, out / g.widths), escaped_count, escaped_mass
 
 
@@ -338,13 +385,25 @@ class FragTables:
     monomer mass per unit intensity that keeps total monomer count
     conserved under the mass normalization of the daughter density.
     Both depend on the daughter and the grid alone and come from a
-    GridTables; only the rates at the centers are the kernel set's."""
+    GridTables; only the rates at the centers are the kernel set's.
+    From those, loss_at_centers = death + frag (the pointwise loss
+    rate), max_loss (its largest value) and twice_frag = 2 * frag are
+    formed once."""
 
     grid: SizeGrid
     deposit: np.ndarray = field(repr=False)
     monomer_coeff: np.ndarray = field(repr=False)
     frag_at_centers: np.ndarray = field(repr=False)
     death_at_centers: np.ndarray = field(repr=False)
+    loss_at_centers: np.ndarray = field(init=False, repr=False)
+    max_loss: float = field(init=False)
+    twice_frag: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        loss = self.death_at_centers + self.frag_at_centers
+        object.__setattr__(self, "loss_at_centers", loss)
+        object.__setattr__(self, "max_loss", float(np.max(loss)))
+        object.__setattr__(self, "twice_frag", 2.0 * self.frag_at_centers)
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid,
@@ -365,14 +424,13 @@ class FragTables:
         )
 
     def intensity(self, u_values: np.ndarray) -> np.ndarray:
-        return 2.0 * self.frag_at_centers * u_values * self.grid.widths
+        return self.twice_frag * u_values * self.grid.widths
 
     def apply(self, u_values: np.ndarray) -> np.ndarray:
         """Full linear mechanism: degradation and splitting loss pointwise,
         splitting gain from the tables."""
         gain = self.deposit.T @ self.intensity(u_values)
-        return (-(self.death_at_centers + self.frag_at_centers) * u_values
-                + gain / self.grid.widths)
+        return -self.loss_at_centers * u_values + gain / self.grid.widths
 
     def monomer_gain(self, u_values: np.ndarray) -> float:
         """Monomer count per unit time released by splitting, defined as
@@ -789,13 +847,23 @@ Evaluation = Tuple[np.ndarray, float]  # rhs: right-hand side, largest loss rate
 class ReactionOperator:
     """Degradation, splitting and joining on one (kernel set, grid),
     with the growth rate and model parameters that couple them to the
-    monomer and to transport.  join is None when joining is skipped."""
+    monomer and to transport.  join is None when joining is skipped.
+    The weights of the first moment (the saturation of speed and drain)
+    and of the death moment are formed once."""
 
     grid: SizeGrid
     frag: FragTables
     join: Optional[JoiningTables]
     growth_at_centers: np.ndarray = field(repr=False)
     params: ModelParams
+    first_moment_weights: np.ndarray = field(init=False, repr=False)
+    death_moment_weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        g = self.grid
+        object.__setattr__(self, "first_moment_weights", g.widths * g.centers)
+        object.__setattr__(self, "death_moment_weights",
+                           self.frag.death_at_centers * g.centers * g.widths)
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid, skip_joining: bool,
@@ -815,18 +883,18 @@ class ReactionOperator:
     def rhs(self, u_values: np.ndarray) -> Evaluation:
         """Reaction right-hand side at u and its largest per-cell loss
         rate, the scale of the solver's substep rule; one loss GEMV
-        serves both."""
+        serves both.  Without joining the rate is frag.max_loss."""
         out = self.frag.apply(u_values)
-        rate = self.frag.death_at_centers + self.frag.frag_at_centers
-        if self.join is not None:
-            loss = self.join.loss_rate(u_values)
-            out = out + self.join.apply(u_values, u_values, loss_rate=loss)
-            rate = rate + loss
-        return out, float(np.max(rate))
+        if self.join is None:
+            return out, self.frag.max_loss
+        loss = self.join.loss_rate(u_values)
+        out = out + self.join.apply(u_values, u_values, loss_rate=loss)
+        return out, float(np.max(self.frag.loss_at_centers + loss))
 
     def _saturated(self, x: float, u_values: np.ndarray) -> float:
         """x damped by the saturation of the bound mass."""
-        return x / (1.0 + self.params.saturation * moment(self.grid, u_values, 1))
+        return x / (1.0 + self.params.saturation
+                    * float(np.dot(u_values, self.first_moment_weights)))
 
     def speed(self, v: float, u_values: np.ndarray) -> float:
         """Effective transport speed: the monomer count, saturated."""
@@ -839,9 +907,7 @@ class ReactionOperator:
 
     def death_moment(self, u_values: np.ndarray) -> float:
         """Bound monomer count lost per unit time to degradation."""
-        g = self.grid
-        return float(np.dot(self.frag.death_at_centers * g.centers * g.widths,
-                            u_values))
+        return float(np.dot(self.death_moment_weights, u_values))
 
 
 # -- measured operator bounds ---------------------------------------------

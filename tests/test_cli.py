@@ -353,6 +353,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "[FAIL] daughter_large_size_mass" in out
 
+    @pytest.mark.parametrize("line", ["grid.n_cells = 2", "solver.dt = -1"])
+    def test_refuses_what_the_other_commands_refuse(self, tmp_path, capsys,
+                                                    line):
+        key = line.split(" =")[0]
+        kept = [row for row in BASE.splitlines() if not row.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
+        for command in ("validate", "oracle"):
+            assert main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err.startswith("ConfigParseError: bad ")
+
 
 class TestOracle:
     def test_oracle_alone(self, tmp_path):
@@ -576,6 +586,27 @@ class TestOutputReplacement:
         cfg = write_cfg(tmp_path, TestTruncation.TRUNC)
         before = tree(tmp_path)
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "holds no run_manifest" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_simulate_replaces_what_oracle_wrote(self, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["oracle", "--config", cfg, "--out", out]) == 0
+        assert sorted(tree(tmp_path / "out")) == ["oracle.csv"]
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert sorted(tree(tmp_path / "out")) == [
+            "density_t0.05.csv", "density_t0.1.csv", "density_t0.csv",
+            "run_manifest", "timeseries.csv"]
+
+    def test_refuses_oracle_files_beside_others(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "oracle.csv").write_text("t,v,U0,U1\n")
+        (out / "keep.txt").write_text("hand-written\n")
+        cfg = write_cfg(tmp_path, BASE)
+        before = tree(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "holds no run_manifest" in capsys.readouterr().err
         assert tree(tmp_path) == before
 

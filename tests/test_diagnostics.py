@@ -5,7 +5,9 @@ import pytest
 
 from prionpde.diagnostics import (
     CORE_COLUMNS,
+    TAIL_FRACTION,
     DiagnosticsLedger,
+    LedgerAccumulator,
     RunResult,
     Snapshot,
     TestFunction,
@@ -23,7 +25,7 @@ from prionpde.errors import (
     WrongFamily,
     ZeroMass,
 )
-from prionpde.grid import GridFunction, build_grid, project
+from prionpde.grid import GridFunction, build_grid, moment, project
 from prionpde.kernels import (
     ModelParams,
     make_bounded_family,
@@ -31,7 +33,7 @@ from prionpde.kernels import (
     make_special_family,
     with_join_cutoff,
 )
-from prionpde.operators import JoiningTables
+from prionpde.operators import JoiningTables, ReactionOperator
 from prionpde.solver import SolverConfig, run
 
 
@@ -307,3 +309,23 @@ class TestUniformIntegrability:
         rep = uniform_integrability_report(res, k)
         assert res.ledger.column("I1")[-1] == rep["I1"][-1]
         assert res.ledger.column("I2")[-1] == rep["I2"][-1]
+
+
+@pytest.mark.parametrize("spacing", ["geometric", "uniform"])
+def test_row_moments_equal_the_moment_formula(spacing):
+    """The ledger's stored moment weights and tail slice give the same
+    floats as moment() and the tail mask."""
+    k = closed_family()
+    grid = build_grid(1.0, 60.0, 64, spacing)
+    # without joining, so mass in the tail cannot stray
+    acc = LedgerAccumulator(k, ReactionOperator.build(k, grid, skip_joining=True))
+    rng = np.random.default_rng(11)
+    tail = grid.centers > TAIL_FRACTION * grid.ymax
+    assert 0 < np.count_nonzero(tail) < grid.n
+    for i in range(4):
+        u = GridFunction(grid, rng.random(grid.n))
+        row = (acc.advance(0.1 * i, 1.0, u) if i else acc.start(0.0, 1.0, u))
+        assert row["U0"] == moment(grid, u.values, 0)
+        assert row["U1"] == moment(grid, u.values, 1)
+        assert row["M2"] == moment(grid, u.values, 2)
+        assert row["tail_mass"] == float(np.dot(u.values[tail], grid.widths[tail]))

@@ -455,3 +455,57 @@ class TestDaughterQuadrature:
         finally:
             tracemalloc.stop()
         assert peak <= tables.deposit.nbytes + 2.4e6
+
+
+@pytest.mark.parametrize("spacing", ["geometric", "uniform"])
+class TestConstantsBuiltOnce:
+    """Every constant the tables and the operator form at build equals,
+    bit for bit, the per-call formula it replaces."""
+
+    def setup_pieces(self, spacing):
+        params = kernels.ModelParams(production=1.0, degradation=0.5,
+                                     saturation=0.3, min_size=1.0)
+        k = make_special_family(1.0, 0.1, 0.5, 0.2, params=params)
+        grid = build_grid(1.0, 40.0, 48, spacing)
+        us = [random_density(grid, seed).values for seed in range(3)]
+        return k, grid, us
+
+    def test_frag_tables(self, spacing):
+        k, grid, us = self.setup_pieces(spacing)
+        ft = FragTables.build(k, grid)
+        d, f, w = ft.death_at_centers, ft.frag_at_centers, grid.widths
+        assert np.array_equal(ft.loss_at_centers, d + f)
+        assert ft.max_loss == float(np.max(d + f))
+        assert np.array_equal(ft.twice_frag, 2.0 * f)
+        for u in us:
+            assert np.array_equal(ft.intensity(u), 2.0 * f * u * w)
+            gain = ft.deposit.T @ (2.0 * f * u * w)
+            assert np.array_equal(ft.apply(u), -(d + f) * u + gain / w)
+
+    def test_rhs_without_joining_returns_the_stored_max(self, spacing):
+        k, grid, us = self.setup_pieces(spacing)
+        bare = ReactionOperator.build(k, grid, skip_joining=True)
+        joined = ReactionOperator.build(k, grid, skip_joining=False)
+        d, f = bare.frag.death_at_centers, bare.frag.frag_at_centers
+        for u in us:
+            out, scale = bare.rhs(u)
+            assert scale is bare.frag.max_loss
+            assert scale == float(np.max(d + f))
+            assert np.array_equal(out, bare.frag.apply(u))
+            low = u * (grid.centers < 0.4 * grid.ymax)  # no pair strays
+            loss = joined.join.loss_rate(low)
+            assert joined.rhs(low)[1] == float(np.max(d + f + loss))
+
+    def test_operator_weights(self, spacing):
+        k, grid, us = self.setup_pieces(spacing)
+        r = ReactionOperator.build(k, grid, skip_joining=True)
+        c, w = grid.centers, grid.widths
+        death = r.frag.death_at_centers
+        assert np.array_equal(r.first_moment_weights, w * c ** 1)
+        assert np.array_equal(r.death_moment_weights, death * c * w)
+        sat = k.params.saturation
+        for u in us:
+            damp = 1.0 + sat * moment(grid, u, 1)
+            assert r.speed(0.7, u) == 0.7 / damp
+            assert r.drain(u) == float(np.dot(r.growth_at_centers, u * w)) / damp
+            assert r.death_moment(u) == float(np.dot(death * c * w, u))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from prionpde.errors import NegativeTime, OutOfDomain
-from prionpde.grid import build_grid, moment, project
-from prionpde.kernels import make_special_family
+from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, build_grid, moment, project
+from prionpde.kernels import make_special_family, plan_truncation_levels, truncate
 from prionpde.operators import (
     characteristic_map,
+    split_targets,
     theta_inverse,
     theta_map,
     transport_apply,
@@ -221,3 +222,166 @@ class TestRemapTransport:
         u = GridFunction(grid, rng.random(grid.n))
         out, _, _ = transport_remap(cm, u, 0.05)
         assert np.all(out.values >= 0.0)
+
+
+# -- the bracketed Newton against the theta_map-based one it replaced ------
+
+def reference_theta_map(cm, y):
+    """Reference theta_map: the Gauss sum with one growth call per node."""
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    g = cm.grid
+    if np.any(y_arr < g.y0) or np.any(y_arr > g.ymax):
+        raise OutOfDomain(f"size out of [{g.y0}, {g.ymax}]")
+    idx = np.clip(np.searchsorted(g.edges, y_arr, side="right") - 1, 0, g.n - 1)
+    left = g.edges[idx]
+    span = y_arr - left
+    partial = np.zeros(y_arr.shape)
+    for q in range(3):
+        node = left + span * 0.5 * (1.0 + GAUSS3_NODES[q])
+        partial += GAUSS3_WEIGHTS[q] / np.asarray(cm.growth(node), dtype=float)
+    out = cm.theta_at_edges[idx] + 0.5 * span * partial
+    return out if np.ndim(y) else float(out[0])
+
+
+def reference_theta_inverse(cm, theta):
+    """The Newton iteration the bracketed one replaced: every pass calls
+    theta_map, which checks the domain, searches the edges again and
+    makes three growth calls, then one more growth call for the step."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    g = cm.grid
+    slack = 1e-12 * max(1.0, cm.theta_max)
+    if np.any(th < -slack) or np.any(th > cm.theta_max + slack):
+        raise OutOfDomain(f"characteristic time out of [0, {cm.theta_max}]")
+    th = np.clip(th, 0.0, cm.theta_max)
+    idx = np.clip(np.searchsorted(cm.theta_at_edges, th, side="right") - 1, 0, g.n - 1)
+    lo = g.edges[idx]
+    hi = g.edges[idx + 1]
+    y = lo + (th - cm.theta_at_edges[idx]) * cm.growth_at_edges[idx]
+    y = np.clip(y, lo, hi)
+    tol = 1e-14 * max(1.0, cm.theta_max)
+    for _ in range(8):
+        resid = reference_theta_map(cm, y) - th
+        y = np.clip(y - resid * np.asarray(cm.growth(y), dtype=float), lo, hi)
+        if np.max(np.abs(resid)) < tol:
+            break
+    else:
+        worst = float(np.max(np.abs(reference_theta_map(cm, y) - th)))
+        if not worst < tol:
+            raise OutOfDomain("characteristic inverse did not converge")
+    return y if np.ndim(theta) else float(y[0])
+
+
+def reference_transport_remap(cm, f, t_eff):
+    """The remap the prefix-slice, one-bincount form replaced."""
+    g = cm.grid
+    masses = f.values * g.widths
+    if t_eff == 0.0:
+        return f.copy(), 0.0, 0.0
+    theta_new = cm.theta_at_centers + t_eff
+    keep = theta_new <= cm.theta_max
+    escaped_count = float(np.sum(masses[~keep]))
+    escaped_mass = escaped_count * g.ymax
+    out = np.zeros(g.n)
+    if np.any(keep):
+        landed = reference_theta_inverse(cm, theta_new[keep])
+        m = masses[keep]
+        idx, frac = split_targets(g.centers, landed)
+        np.add.at(out, idx, m * frac)
+        np.add.at(out, idx + 1, m * (1.0 - frac))
+    return GridFunction(g, out / g.widths), escaped_count, escaped_mass
+
+
+def truncated_growth():
+    """The mollified, floored growth rate truncate gives a level."""
+    base = make_special_family(1.0, 0.1, 1.0, 0.2)
+    grid = build_grid(1.0, 200.0, 64, "geometric")
+    u0 = project(gaussian_bump(3.0, 0.3), grid)
+    level = plan_truncation_levels(base, u0, 2.0, 1.0, (2,))[0]
+    return truncate(base, [level], 1.0, u0, 2.0)[0][0].growth
+
+
+GROWTHS = {
+    "constant": lambda y: np.ones_like(np.asarray(y, dtype=float)),
+    "truncated": truncated_growth(),
+    # curved enough that Newton takes several passes
+    "root": lambda y: np.sqrt(np.asarray(y, dtype=float)),
+}
+SPACINGS = ("geometric", "uniform")
+
+
+def map_for(growth, spacing):
+    return characteristic_map(GROWTHS[growth], build_grid(1.0, 60.0, 48, spacing))
+
+
+def targets(cm):
+    """Times at 0, theta_max, every edge, every centre plus shifts, and
+    one ulp below every edge but the first, where an iterate can land on
+    its cell's upper edge (theta_map measures such a size from there)."""
+    shifted = [cm.theta_at_centers + s * cm.theta_max for s in (0.0, 1e-3, 0.137)]
+    below_edges = np.nextafter(cm.theta_at_edges[1:], 0.0)
+    th = np.concatenate([[0.0, cm.theta_max], cm.theta_at_edges, *shifted, below_edges])
+    return th[th <= cm.theta_max]
+
+
+def counting(cm):
+    """cm with its growth closure wrapped to record the shape of every
+    call it gets from now on."""
+    shapes = []
+
+    def growth(y):
+        shapes.append(np.shape(y))
+        return cm.growth(y)
+
+    wrapped = dataclasses.replace(cm, growth=growth)
+    shapes.clear()  # the replaced map evaluated theta_map at the centers
+    return wrapped, shapes
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+@pytest.mark.parametrize("growth", sorted(GROWTHS))
+class TestBracketedNewton:
+    def test_map_equals_the_reference(self, growth, spacing):
+        cm = map_for(growth, spacing)
+        g = cm.grid
+        ys = np.concatenate([g.edges, g.centers, np.nextafter(g.edges[1:], 0.0),
+                             g.centers + 0.3 * (g.edges[1:] - g.centers)])
+        assert np.array_equal(theta_map(cm, ys), reference_theta_map(cm, ys))
+        assert np.array_equal(cm.theta_at_centers, reference_theta_map(cm, g.centers))
+        assert theta_map(cm, g.ymax) == reference_theta_map(cm, g.ymax)
+
+    def test_inverse_equals_the_reference(self, growth, spacing):
+        cm = map_for(growth, spacing)
+        th = targets(cm)
+        assert np.array_equal(theta_inverse(cm, th), reference_theta_inverse(cm, th))
+        grid_of_times = th[:th.size // 2 * 2].reshape(2, -1)
+        assert np.array_equal(theta_inverse(cm, grid_of_times),
+                              reference_theta_inverse(cm, grid_of_times))
+        for scalar in (0.0, cm.theta_max, float(cm.theta_at_edges[7])):
+            assert theta_inverse(cm, scalar) == reference_theta_inverse(cm, scalar)
+
+    @pytest.mark.parametrize("share", [0.0, 1e-4, 0.05, 0.4, 0.97, 1.5])
+    def test_remap_equals_the_reference(self, growth, spacing, share):
+        cm = map_for(growth, spacing)
+        u = GridFunction(cm.grid, np.random.default_rng(5).random(cm.grid.n))
+        t_eff = share * cm.theta_max
+        got = transport_remap(cm, u, t_eff)
+        want = reference_transport_remap(cm, u, t_eff)
+        assert np.array_equal(got[0].values, want[0].values)
+        assert got[1:] == want[1:]
+        if share >= 0.4:
+            assert got[1] > 0.0  # parcels escaped
+
+    def test_one_growth_call_per_pass(self, growth, spacing):
+        cm = map_for(growth, spacing)
+        th = targets(cm)
+        new, new_shapes = counting(cm)
+        ref, ref_shapes = counting(cm)
+        theta_inverse(new, th)
+        reference_theta_inverse(ref, th)
+        # the reference makes three growth calls in theta_map and one for
+        # the Newton step in every pass
+        passes, rest = divmod(len(ref_shapes), 4)
+        assert rest == 0 and passes >= 1
+        assert new_shapes == [(4, th.size)] * passes
+        if growth == "root":
+            assert passes >= 2
