@@ -164,10 +164,11 @@ def _replacing_dir(out: Path):
                 shutil.rmtree(path, ignore_errors=True)
 
 
-def _replace_files(out: Path, writers) -> None:
-    """Add files to `out`: each `name: write` pair writes its file under
-    a temporary name, and only when all are written are they
-    os.replace'd into place."""
+def _replace_oracle_files(out: Path, writers) -> None:
+    """Write oracle files into `out`: each `name: write` pair writes its
+    file under a temporary name, and only when all are written are they
+    os.replace'd into place.  Then every other oracle file, left by an
+    earlier run, is removed."""
     out.mkdir(parents=True, exist_ok=True)
     staged = {name: out / f".{name}.tmp" for name in writers}
     try:
@@ -175,6 +176,9 @@ def _replace_files(out: Path, writers) -> None:
             write(staged[name])
         for name, tmp in staged.items():
             os.replace(tmp, out / name)
+        for name in _ORACLE_FILES:
+            if name not in writers:
+                (out / name).unlink(missing_ok=True)
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
@@ -261,7 +265,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
         columns = {"t": [0.0], "v": [state0.v], "U0": [state0.U0],
                    "U1": [state0.U1]}
-        _replace_files(out, {
+        _replace_oracle_files(out, {
             "oracle.csv": lambda path: _write_oracle_csv(columns, path)})
         print(f"oracle: horizon 0, wrote initial state -> {out}")
         return 0
@@ -274,7 +278,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                lambda path: _write_oracle_csv(traj.as_columns(), path)}
     if report is not None:
         writers["compare.txt"] = lambda path: _write_compare(report, path)
-    _replace_files(out, writers)
+    _replace_oracle_files(out, writers)
     print(f"oracle: {traj.times.size} rows, self error "
           f"{traj.step_halving_error:.3e} -> {out}")
     if report is not None:

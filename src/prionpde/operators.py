@@ -4,21 +4,18 @@ equation.
 
 Discretization notes, load-bearing for the conservation tests:
 
-* Transport comes in two forms.  ``transport_apply`` evaluates the exact
-  solution operator pointwise at cell centers (foot-point pullback with
-  the growth-rate ratio prefactor, clipped-linear interpolation).
-  ``transport_remap`` instead moves the cell masses along exact
-  characteristics and re-deposits each parcel onto the two bracketing
-  cell centers with a first-moment-preserving split; it conserves the
-  zeroth and first discrete moments to rounding while the parcel stays
-  inside the grid, which the pointwise form does not on non-uniform
-  grids.  Both invert the characteristic map with ``theta_inverse``: one
-  search of the tabulated edge times finds the cell that brackets each
-  root, and every Newton pass evaluates ``theta_map`` inside that cell
-  from one growth call, with no search and no domain check, giving
-  ``theta_map``'s floats.  The remap's surviving parcels are a prefix of
-  the cells, as the characteristic time increases along the grid, and
-  one bincount deposits both shares of every parcel.
+* Transport is one scheme, ``transport_remap``: it moves the cell
+  masses along exact characteristics and re-deposits each parcel onto
+  the two bracketing cell centers with a first-moment-preserving split,
+  so it conserves the zeroth and first discrete moments to rounding
+  while the parcel stays inside the grid.  It inverts the
+  characteristic map with ``theta_inverse``: one search of the
+  tabulated edge times finds the cell that brackets each root, and
+  every Newton pass evaluates ``theta_map`` inside that cell from one
+  growth call, with no search and no domain check, giving
+  ``theta_map``'s floats.  The surviving parcels are a prefix of the
+  cells, as the characteristic time increases along the grid, and one
+  bincount deposits both shares of every parcel.
 
 * The joining gain deposits each ordered pair's mass flux at the exact
   pair size with the same bracketing split, so the discrete first
@@ -80,7 +77,7 @@ Discretization notes, load-bearing for the conservation tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,15 +93,11 @@ __all__ = [
     "characteristic_map",
     "theta_map",
     "theta_inverse",
-    "transport_apply",
     "transport_remap",
     "FragTables",
-    "fragmentation_apply",
     "GridTables",
     "JoinLayout",
     "JoiningTables",
-    "joining_apply",
-    "g_functional",
     "split_targets",
     "ReactionOperator",
     "measure_operator_bounds",
@@ -138,11 +131,9 @@ class CharacteristicMap:
         return float(self.theta_at_edges[-1])
 
 
-def characteristic_map(source: Union[KernelSet, RateFn], grid: SizeGrid) -> CharacteristicMap:
-    """Build the characteristic map for a kernel set's growth rate (or a
-    bare rate closure) by per-cell 3-point Gauss integration of its
-    reciprocal."""
-    growth = source.growth if isinstance(source, KernelSet) else source
+def characteristic_map(growth: RateFn, grid: SizeGrid) -> CharacteristicMap:
+    """Build the characteristic map of a growth rate by per-cell 3-point
+    Gauss integration of its reciprocal."""
     nodes = grid.centers[None, :] + 0.5 * grid.widths[None, :] * GAUSS3_NODES[:, None]
     rate = np.asarray(growth(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if not np.all(rate > 0.0):
@@ -195,9 +186,10 @@ def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
     pass stays in the cell.  A pass evaluates theta_map inside the
     bracket, so it makes one growth call, on the Gauss nodes of the
     partial cell and the iterate together, and no search and no domain
-    check; its floats are theta_map's.  Raises OutOfDomain for a time
-    outside [0, theta_max], and if eight passes leave a residual above
-    1e-14 * max(1, theta_max)."""
+    check; its floats are theta_map's.  The targets eight passes leave
+    with a residual above 1e-14 * max(1, theta_max) are bisected in
+    their cells.  Raises OutOfDomain for a time outside [0, theta_max],
+    and if a residual above that tolerance remains."""
     shape = np.shape(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     g = cm.grid
@@ -229,39 +221,29 @@ def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
         if np.abs(resid, out=resid).max() < tol:
             break
     else:
-        final = _partial_theta(cm, lo, base, y)[0]
-        np.copyto(final, above, where=y == top)
-        worst = float(np.max(np.abs(final - th)))
+        # a step divides by the exact map's slope, not the quadrature's:
+        # on a wide cell they differ enough that Newton crawls or stalls,
+        # so the targets still off are bisected in their cells
+        def miss(at):
+            final = _partial_theta(cm, lo[at], base[at], y[at])[0]
+            np.copyto(final, above[at], where=y[at] == top[at])
+            return np.abs(final - th[at])
+
+        off = np.flatnonzero(~(miss(slice(None)) < tol))
+        left, start, goal = lo[off], base[off], th[off]
+        a, b = left, hi[off]
+        for _ in range(64):
+            mid = 0.5 * (a + b)
+            low = _partial_theta(cm, left, start, mid)[0] < goal
+            a = np.where(low, mid, a)
+            b = np.where(low, b, mid)
+        y[off] = 0.5 * (a + b)
+        worst = float(np.max(miss(off), initial=0.0))
         if not worst < tol:
             raise OutOfDomain(
-                f"characteristic inverse did not converge: Newton residual "
+                f"characteristic inverse did not converge: residual "
                 f"{worst:.3g} above the tolerance {tol:.3g}")
     return y.reshape(shape) if shape else float(y[0])
-
-
-def transport_apply(cm: CharacteristicMap, f: GridFunction, t_eff: float) -> GridFunction:
-    """Exact solution operator of the pure transport step, evaluated
-    pointwise at cell centers.
-
-    Cells whose characteristic time is below t_eff see the inflow
-    boundary and get exactly zero; elsewhere the foot point is pulled
-    back along the characteristic, f is interpolated there linearly
-    between cell centers (constant beyond the ends, hence bounded by
-    neighbouring values), and the growth-rate ratio prefactor is
-    applied."""
-    if t_eff < 0.0:
-        raise NegativeTime(f"effective time must be >= 0, got {t_eff}")
-    g = cm.grid
-    theta_c = cm.theta_at_centers
-    alive = theta_c >= t_eff
-    out = np.zeros(g.n)
-    if np.any(alive):
-        feet = theta_inverse(cm, theta_c[alive] - t_eff)
-        vals = np.interp(feet, g.centers, f.values)
-        pref = np.asarray(cm.growth(feet), dtype=float) / np.asarray(
-            cm.growth(g.centers[alive]), dtype=float)
-        out[alive] = pref * vals
-    return GridFunction(g, out)
 
 
 def split_targets(centers: np.ndarray, positions: np.ndarray,
@@ -436,14 +418,6 @@ class FragTables:
         """Monomer count per unit time released by splitting, defined as
         the exact complement of the deposited polymer moment."""
         return float(np.dot(self.intensity(u_values), self.monomer_coeff))
-
-
-def fragmentation_apply(
-    k: KernelSet, u: GridFunction, tables: Optional[FragTables] = None
-) -> GridFunction:
-    """Degradation plus splitting operator on a cell-averaged density."""
-    tables = tables if tables is not None else FragTables.build(k, u.grid)
-    return GridFunction(u.grid, tables.apply(u.values))
 
 
 # -- joining ---------------------------------------------------------------
@@ -810,32 +784,6 @@ class JoiningTables:
         if loss_rate is None:
             loss_rate = self.loss_rate(w_values)
         return gain / g.widths - u_values * loss_rate
-
-
-def joining_apply(
-    k: KernelSet,
-    u: GridFunction,
-    w: Optional[GridFunction] = None,
-    tables: Optional[JoiningTables] = None,
-) -> GridFunction:
-    """Bilinear joining operator; with one argument, the quadratic case."""
-    w = w if w is not None else u
-    if w.grid != u.grid:
-        raise ValueError("grids differ")
-    tables = tables if tables is not None else JoiningTables.build(k, u.grid)
-    return GridFunction(u.grid, tables.apply(u.values, w.values))
-
-
-# -- scalar functionals ----------------------------------------------------
-
-def g_functional(k: KernelSet, u: GridFunction) -> float:
-    """Monomer production rate from fragments below the minimum size:
-    twice the frag-weighted first moment of the daughter density on
-    (0, min size).  An independent quadrature, kept as the cross-check
-    of FragTables.monomer_gain."""
-    small = _small_fragment_mass(k, u.grid)
-    frag = np.asarray(k.frag(u.grid.centers), dtype=float)
-    return float(2.0 * np.dot(frag * u.values * u.grid.widths, small))
 
 
 # -- the reaction operator -------------------------------------------------

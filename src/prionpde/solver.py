@@ -90,10 +90,10 @@ class SolverConfig:
     test_functions: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be non-negative")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError("t_end must be non-negative and finite")
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"splitting must be one of {SPLITTINGS}")
         if self.reaction_integrator not in REACTION_INTEGRATORS:
@@ -126,7 +126,7 @@ def build_machinery(k: KernelSet, u0: GridFunction, cfg: SolverConfig,
              else 1e-12 * max(peak, 1e-300))
     return Machinery(
         reaction=ReactionOperator.build(k, u0.grid, cfg.skip_joining, shared),
-        transport=characteristic_map(k, u0.grid),
+        transport=characteristic_map(k.growth, u0.grid),
         positivity_floor=floor)
 
 

@@ -32,7 +32,7 @@ from prionpde import (
     rates_from_kernel_set,
     run,
     support_bound,
-    transport_apply,
+    transport_remap,
     truncate,
     with_join_cutoff,
 )
@@ -280,8 +280,8 @@ def test_07_transport_exactness():
     errs = {}
     grids = {n: build_grid(1.0, 9.0, n, "uniform") for n in (256, 512)}
     for n, grid in grids.items():
-        cm = characteristic_map(k, grid)
-        out = transport_apply(cm, project(f_exact, grid), shift)
+        cm = characteristic_map(k.growth, grid)
+        out = transport_remap(cm, project(f_exact, grid), shift)[0]
         ref = f_exact(grid.centers - shift)
         errs[n] = float(np.sum(np.abs(out.values - ref) * grid.widths))
     h_coarse = float(np.max(grids[256].widths))
@@ -290,10 +290,10 @@ def test_07_transport_exactness():
     second_order = errs[512] <= c_fit * h_fine ** 2
 
     grid = grids[512]
-    cm = characteristic_map(k, grid)
+    cm = characteristic_map(k.growth, grid)
     f0 = project(f_exact, grid)
-    direct = transport_apply(cm, f0, shift)
-    composed = transport_apply(cm, transport_apply(cm, f0, 0.37), 0.43)
+    direct = transport_remap(cm, f0, shift)[0]
+    composed = transport_remap(cm, transport_remap(cm, f0, 0.37)[0], 0.43)[0]
     e_comp = float(np.sum(np.abs(composed.values - direct.values)
                           * grid.widths))
     comp_ok = e_comp <= 2.0 * errs[512]

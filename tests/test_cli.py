@@ -386,6 +386,27 @@ class TestOracle:
         # coarse dt and coarse grid, so loose bound; just not garbage
         assert all(val < 1e-3 for val in errs.values())
 
+    @pytest.mark.parametrize("rerun", ["zero_horizon", "no_timeseries"])
+    def test_rerun_removes_the_comparison_it_does_not_write(self, tmp_path,
+                                                            rerun):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE + f"output.dir = {out}\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        assert main(["oracle", "--config", cfg]) == 0
+        assert (out / "compare.txt").exists()
+        if rerun == "zero_horizon":
+            cfg = write_cfg(tmp_path, BASE.replace("solver.t_end = 0.1",
+                                                   "solver.t_end = 0")
+                            + f"output.dir = {out}\n", name="zero.cfg")
+        else:
+            (out / "timeseries.csv").unlink()
+        kept = {name: data for name, data in tree(out).items()
+                if name not in ("oracle.csv", "compare.txt")}
+        assert main(["oracle", "--config", cfg]) == 0
+        rows = (out / "oracle.csv").read_text().splitlines()
+        assert len(rows) == (2 if rerun == "zero_horizon" else 1002)
+        assert tree(out) == {**kept, "oracle.csv": (out / "oracle.csv").read_bytes()}
+
     @pytest.mark.parametrize("t_end", ["0.0", "0.1"])
     def test_refuses_other_families(self, t_end, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("special", "bounded")

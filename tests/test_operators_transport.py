@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prionpde.errors import NegativeTime, OutOfDomain
 from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, build_grid, moment, project
@@ -11,7 +13,6 @@ from prionpde.operators import (
     split_targets,
     theta_inverse,
     theta_map,
-    transport_apply,
     transport_remap,
 )
 from prionpde.grid import GridFunction
@@ -69,6 +70,19 @@ class TestThetaMap:
             theta_inverse(bad, th)
         theta_inverse(cm, th)
 
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_inverse_converges_on_wide_cells(self, spacing, n):
+        # Newton steps by the growth rate, not the quadrature's slope, so
+        # on a cell spanning orders of magnitude it crawls or stalls; the
+        # targets it leaves unconverged are bisected in their cells
+        grid = build_grid(1.0, 1e5, n, spacing=spacing)
+        cm = characteristic_map(lambda y: np.asarray(y, dtype=float), grid)
+        th = np.linspace(0.0, cm.theta_max, 2001)
+        ys = theta_inverse(cm, th)
+        assert np.all((ys >= 1.0) & (ys <= 1e5))
+        assert np.max(np.abs(theta_map(cm, ys) - th)) < 1e-14 * cm.theta_max
+
     def test_scalar_in_scalar_out(self):
         grid, cm = linear_growth_map(n=64)
         th = theta_map(cm, 10.0)
@@ -81,89 +95,6 @@ def gaussian_bump(center, sigma):
         return np.exp(-0.5 * ((y - center) / sigma) ** 2)
 
     return f
-
-
-class TestPointwiseTransport:
-    def test_zero_time_is_identity(self):
-        grid = build_grid(1.0, 40.0, 100, spacing="geometric")
-        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
-        u = project(gaussian_bump(8.0, 1.0), grid)
-        out = transport_apply(cm, u, 0.0)
-        assert np.array_equal(out.values, u.values)
-
-    def test_negative_time_raises(self):
-        grid = build_grid(1.0, 40.0, 50, spacing="uniform")
-        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
-        u = project(gaussian_bump(8.0, 1.0), grid)
-        with pytest.raises(NegativeTime):
-            transport_apply(cm, u, -1e-9)
-
-    def test_unit_speed_grid_multiple_shift_is_exact(self):
-        # shifting by a whole number of uniform cells lands feet on centers
-        grid = build_grid(1.0, 41.0, 80, spacing="uniform")
-        width = grid.widths[0]
-        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
-        u = project(gaussian_bump(10.0, 1.2), grid)
-        out = transport_apply(cm, u, 5.0 * width)
-        expected = np.zeros_like(u.values)
-        expected[5:] = u.values[:-5]
-        assert np.max(np.abs(out.values - expected)) < 1e-13
-
-    def test_inflow_region_is_zero(self):
-        grid = build_grid(1.0, 21.0, 40, spacing="uniform")
-        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
-        u = GridFunction(grid, np.ones(grid.n))
-        t = 3.3 * grid.widths[0]
-        out = transport_apply(cm, u, t)
-        theta_c = grid.centers - 1.0
-        assert np.all(out.values[theta_c < t] == 0.0)
-        assert np.all(out.values[theta_c >= t] > 0.0)
-
-    def test_semigroup_composition_error_within_factor_two(self):
-        # the composed error is bounded by the two half-step errors: the
-        # scheme is nonexpansive for unit speed, so the first half-step's
-        # error rides through the second unamplified
-        grid = build_grid(1.0, 41.0, 160, spacing="uniform")
-        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
-        f = gaussian_bump(12.0, 1.5)
-        u = project(f, grid, rule="midpoint")
-        t = 0.7137
-        exact_half = GridFunction(grid, f(grid.centers - t / 2))
-        exact_full = GridFunction(grid, f(grid.centers - t))
-        two = transport_apply(cm, transport_apply(cm, u, t / 2), t / 2)
-        err_a = moment(grid, np.abs(transport_apply(cm, u, t / 2).values
-                                    - exact_half.values), 0)
-        err_b = moment(grid, np.abs(transport_apply(cm, exact_half, t / 2).values
-                                    - exact_full.values), 0)
-        err_two = moment(grid, np.abs(two.values - exact_full.values), 0)
-        assert err_two <= 2.0 * max(err_a, err_b) + 1e-14
-
-    def test_growth_rate_prefactor_dilates_amplitude(self):
-        # for growth y the exact density is (y_foot/y) * f(y_foot)
-        grid = build_grid(1.0, 1000.0, 1024, spacing="geometric")
-        cm = characteristic_map(lambda y: np.asarray(y, dtype=float), grid)
-        f = gaussian_bump(20.0, 2.0)
-        u = project(f, grid, rule="midpoint")
-        t = 0.4
-        out = transport_apply(cm, u, t)
-        feet = grid.centers * np.exp(-t)
-        ok = feet >= 1.0
-        expected = np.where(ok, (feet / grid.centers) * f(np.maximum(feet, 1.0)), 0.0)
-        assert np.max(np.abs(out.values - expected)) < 1e-3
-
-    def test_count_conservation_second_order(self):
-        # away from the boundary the pointwise scheme loses count at O(h^2)
-        # once the shift spans a cell (sub-cell shifts on an exactly
-        # geometric grid telescope and conserve count identically)
-        f = gaussian_bump(30.0, 3.0)
-        errs = []
-        for n in (400, 800):
-            grid = build_grid(1.0, 200.0, n, spacing="geometric")
-            cm = characteristic_map(lambda y: np.asarray(y, dtype=float) * 0.0 + 1.0, grid)
-            u = project(f, grid)
-            out = transport_apply(cm, u, 0.37)
-            errs.append(abs(moment(grid, out.values, 0) - moment(grid, u.values, 0)))
-        assert errs[1] < errs[0] / 3.0
 
 
 class TestRemapTransport:
@@ -213,11 +144,74 @@ class TestRemapTransport:
         assert esc == 0.0
         assert np.array_equal(out.values, u.values)
 
+    def test_negative_time_raises(self):
+        grid = build_grid(1.0, 40.0, 50, spacing="uniform")
+        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
+        u = project(gaussian_bump(8.0, 1.0), grid)
+        with pytest.raises(NegativeTime):
+            transport_remap(cm, u, -1e-9)
+
+    def test_unit_speed_grid_multiple_shift_is_exact(self):
+        # shifting by a whole number of uniform cells lands parcels on centers
+        grid = build_grid(1.0, 41.0, 80, spacing="uniform")
+        width = grid.widths[0]
+        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
+        u = project(gaussian_bump(10.0, 1.2), grid)
+        out, _, _ = transport_remap(cm, u, 5.0 * width)
+        expected = np.zeros_like(u.values)
+        expected[5:] = u.values[:-5]
+        assert np.max(np.abs(out.values - expected)) < 1e-13
+
+    def test_inflow_region_is_zero(self):
+        grid = build_grid(1.0, 21.0, 40, spacing="uniform")
+        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
+        u = GridFunction(grid, np.ones(grid.n))
+        t = 3.3 * grid.widths[0]
+        out, _, _ = transport_remap(cm, u, t)
+        theta_c = grid.centers - 1.0
+        assert np.all(out.values[theta_c < t] == 0.0)
+        assert np.all(out.values[theta_c >= t] > 0.0)
+
+    def test_semigroup_composition_error_within_factor_two(self):
+        # the composed error is bounded by the two half-step errors: the
+        # scheme is nonexpansive for unit speed, so the first half-step's
+        # error rides through the second unamplified
+        grid = build_grid(1.0, 41.0, 160, spacing="uniform")
+        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
+        f = gaussian_bump(12.0, 1.5)
+        u = project(f, grid, rule="midpoint")
+        t = 0.7137
+        exact_half = GridFunction(grid, f(grid.centers - t / 2))
+        exact_full = GridFunction(grid, f(grid.centers - t))
+
+        def half_step(v):
+            return transport_remap(cm, v, t / 2)[0]
+
+        err_a = moment(grid, np.abs(half_step(u).values - exact_half.values), 0)
+        err_b = moment(grid, np.abs(half_step(exact_half).values
+                                    - exact_full.values), 0)
+        err_two = moment(grid, np.abs(half_step(half_step(u)).values
+                                      - exact_full.values), 0)
+        assert err_two <= 2.0 * max(err_a, err_b) + 1e-14
+
+    def test_growth_rate_prefactor_dilates_amplitude(self):
+        # for growth y the exact density is (y_foot/y) * f(y_foot)
+        grid = build_grid(1.0, 1000.0, 1024, spacing="geometric")
+        cm = characteristic_map(lambda y: np.asarray(y, dtype=float), grid)
+        f = gaussian_bump(20.0, 2.0)
+        u = project(f, grid, rule="midpoint")
+        t = 0.4
+        out, _, _ = transport_remap(cm, u, t)
+        feet = grid.centers * np.exp(-t)
+        ok = feet >= 1.0
+        expected = np.where(ok, (feet / grid.centers) * f(np.maximum(feet, 1.0)), 0.0)
+        assert np.max(np.abs(out.values - expected)) < 1e-3
+
     def test_positivity_preserved(self):
         grid = build_grid(1.0, 60.0, 200, spacing="geometric")
         k = make_special_family(growth_value=2.0, death_value=0.0,
                                frag_slope=0.0, join_value=0.0)
-        cm = characteristic_map(k, grid)
+        cm = characteristic_map(k.growth, grid)
         rng = np.random.default_rng(3)
         u = GridFunction(grid, rng.random(grid.n))
         out, _, _ = transport_remap(cm, u, 0.05)
@@ -385,3 +379,56 @@ class TestBracketedNewton:
         assert new_shapes == [(4, th.size)] * passes
         if growth == "root":
             assert passes >= 2
+
+
+# -- properties of the one transport operator ------------------------------
+
+REMAP_GROWTHS = {
+    "constant": lambda y: np.ones_like(np.asarray(y, dtype=float)),
+    "linear": lambda y: np.asarray(y, dtype=float),
+}
+
+
+def remap_case(spacing, n, growth, top, seed):
+    """A map on (1, 60) and a random density holding mass up to the
+    cell at fraction top of the grid, that cell included."""
+    grid = build_grid(1.0, 60.0, n, spacing)
+    values = np.random.default_rng(seed).random(n)
+    last = int(top * (n - 1))
+    values[last + 1:] = 0.0
+    return characteristic_map(REMAP_GROWTHS[growth], grid), GridFunction(grid, values), last
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.sampled_from(SPACINGS), n=st.integers(4, 300),
+       growth=st.sampled_from(sorted(REMAP_GROWTHS)), top=st.floats(0.0, 1.0),
+       share=st.floats(0.0, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_remap_is_nonnegative_and_keeps_count(spacing, n, growth, top, share, seed):
+    """Every parcel stays in the grid or escapes: the kept and escaped
+    counts sum to the input count, whatever the time (share of
+    theta_max), and no cell goes negative."""
+    cm, u, _ = remap_case(spacing, n, growth, top, seed)
+    out, esc_count, esc_mass = transport_remap(cm, u, share * cm.theta_max)
+    assert np.all(out.values >= 0.0)
+    assert esc_count >= 0.0 and esc_mass == esc_count * cm.grid.ymax
+    m0 = moment(cm.grid, u.values, 0)
+    assert abs(moment(cm.grid, out.values, 0) + esc_count - m0) <= 1e-13 * m0
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.sampled_from(SPACINGS), n=st.integers(4, 300),
+       top=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_remap_advances_first_moment_for_constant_growth(spacing, n, top, share, seed):
+    """With unit speed every parcel moves by t_eff; a time at most the
+    room between the last cell holding mass and the last center clamps
+    no parcel onto the last cell, so the first moment grows by
+    t_eff * U0."""
+    cm, u, last = remap_case(spacing, n, "constant", top, seed)
+    c = cm.grid.centers
+    t_eff = share * (c[-1] - c[last])
+    out, esc_count, _ = transport_remap(cm, u, t_eff)
+    m0 = moment(cm.grid, u.values, 0)
+    want = moment(cm.grid, u.values, 1) + t_eff * m0
+    assert esc_count == 0.0
+    assert abs(moment(cm.grid, out.values, 1) - want) <= 1e-13 * want

@@ -224,6 +224,14 @@ class TestSafetyRails:
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-2, t_end=1.0, positivity_tolerance=-1.0)
 
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_refuses_non_finite_times(self, field, value):
+        """Refused at construction, naming the field, not deep in run."""
+        times = {"dt": 1e-2, "t_end": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverConfig(**times)
+
 
 class TestSkipJoining:
     def test_skip_flag_matches_zero_rate_family(self):
