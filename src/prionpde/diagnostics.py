@@ -15,7 +15,7 @@ trajectories alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -64,21 +64,14 @@ CORE_COLUMNS = (
 @dataclass(frozen=True)
 class TestFunction:
     """A weight for weak-form bookkeeping: value and slope closures must
-    agree (probed by finite differences away from declared kinks), and
-    pair_defect, when given, must equal value(y+z)-value(y)-value(z)."""
+    agree (probed by finite differences away from declared kinks)."""
 
     __test__ = False  # not a test case, despite the name
 
     name: str
     value: Callable
     slope: Callable
-    pair_defect: Optional[Callable] = None
     kinks: Tuple[float, ...] = ()
-
-    def pair(self, y, z):
-        if self.pair_defect is not None:
-            return self.pair_defect(y, z)
-        return self.value(y + z) - self.value(y) - self.value(z)
 
 
 def consistency_residual(tf: TestFunction, ys: np.ndarray) -> float:
@@ -96,13 +89,7 @@ def consistency_residual(tf: TestFunction, ys: np.ndarray) -> float:
         return 0.0
     fd = (8.0 * (tf.value(ys + h) - tf.value(ys - h))
           - (tf.value(ys + 2 * h) - tf.value(ys - 2 * h))) / (12.0 * h)
-    resid = float(np.max(np.abs(fd - tf.slope(ys)))) / scale
-    if tf.pair_defect is not None:
-        zs = ys[: max(1, ys.size // 2)]
-        direct = tf.value(ys[: zs.size] + zs) - tf.value(ys[: zs.size]) - tf.value(zs)
-        resid = max(resid, float(np.max(np.abs(
-            tf.pair_defect(ys[: zs.size], zs) - direct))) / scale)
-    return resid
+    return float(np.max(np.abs(fd - tf.slope(ys)))) / scale
 
 
 def _cosine_taper(a: float, b: float):
@@ -160,13 +147,11 @@ def builtin_test_functions(grid: SizeGrid, k: KernelSet) -> Tuple[TestFunction, 
             "one",
             value=lambda y: np.ones_like(np.asarray(y, dtype=float)),
             slope=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-            pair_defect=lambda y, z: -np.ones_like(np.asarray(y, dtype=float)),
         ),
         TestFunction(
             "size",
             value=lambda y: np.asarray(y, dtype=float),
             slope=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            pair_defect=lambda y, z: np.zeros_like(np.asarray(y, dtype=float)),
         ),
         TestFunction("size_capped", value=capped, slope=capped_slope,
                      kinks=(cap,)),
@@ -241,10 +226,6 @@ class DiagnosticsLedger:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self._columns[name], dtype=float)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
     def to_csv(self, path) -> None:
         names = self.column_order()
         write_csv(path, names, zip(*(self._columns[name] for name in names)))
@@ -263,11 +244,12 @@ def write_csv(path, header: Sequence[str],
 # -- incremental accumulator ----------------------------------------------
 
 class LedgerAccumulator:
-    """Produces ledger rows from a state sequence.  All trapezoid
-    accumulators (monomer integral, death moment integral, one weak-form
-    flux integral per test function) and the support envelope advance in
-    step with the calls, using only the visited states, so a replay over
-    the same states reproduces every row bit for bit.
+    """Produces ledger rows from a state sequence.  The run integrals
+    are one trapezoid over one integrand vector per state: the monomer
+    count, the death moment, then one weak-form flux per test function.
+    They and the support envelope advance in step with the calls, using
+    only the visited states, so a replay over the same states reproduces
+    every row bit for bit.
 
     The weak-form fluxes need each state's reaction right-hand side.
     The solver evaluates it once per state for its own stepping and
@@ -311,9 +293,13 @@ class LedgerAccumulator:
 
     # per-state quantities -------------------------------------------------
 
-    def _fluxes(self, speed: float, u: np.ndarray,
-                rhs: Optional[Evaluation]) -> np.ndarray:
-        out = np.empty(len(self.tfs))
+    def _integrands(self, v: float, speed: float, u: np.ndarray,
+                    rhs: Optional[Evaluation]) -> np.ndarray:
+        """[v, death moment, one weak-form flux per test function] at a
+        state; without test functions the rhs is not needed."""
+        out = np.empty(2 + len(self.tfs))
+        out[0] = v
+        out[1] = self.reaction.death_moment(u)
         if not self.tfs:
             return out
         w = self.grid.widths
@@ -321,7 +307,7 @@ class LedgerAccumulator:
         reacted = (self.reaction.rhs(u) if rhs is None else rhs)[0] * w
         for i in range(len(self.tfs)):
             transport = speed * float(np.dot(self._phi_slopes[i], grown))
-            out[i] = transport + float(np.dot(self._phi_vals[i], reacted))
+            out[2 + i] = transport + float(np.dot(self._phi_vals[i], reacted))
         return out
 
     def _support_numeric(self, u: np.ndarray) -> float:
@@ -362,16 +348,12 @@ class LedgerAccumulator:
         self._started = True
         arr = u.values
         self._t = t
-        self._v_prev = v
         self._speed_prev = self.reaction.speed(v, arr)
         self._init_total = v + moment(self.grid, arr, 1)
         self._phi0 = [float(np.dot(pv, arr * self.grid.widths))
                       for pv in self._phi_vals]
-        self._wf_accum = np.zeros(len(self.tfs))
-        self._flux_prev = self._fluxes(self._speed_prev, arr, rhs)
-        self._accum_v = 0.0
-        self._accum_mu = 0.0
-        self._death_prev = self.reaction.death_moment(arr)
+        self._prev = self._integrands(v, self._speed_prev, arr, rhs)
+        self._integrals = np.zeros_like(self._prev)
         self._t0 = t
         if self.reaction.joins and self.k.join_zero_beyond is None:
             self._envelope = math.inf
@@ -394,34 +376,31 @@ class LedgerAccumulator:
         if dt <= 0.0:
             raise ValueError("times must increase")
         arr = u.values
-        self._accum_v += 0.5 * dt * (self._v_prev + v)
-        death_now = self.reaction.death_moment(arr)
-        self._accum_mu += 0.5 * dt * (self._death_prev + death_now)
         speed_now = self.reaction.speed(v, arr)
-        flux_now = self._fluxes(speed_now, arr, rhs)
-        self._wf_accum += 0.5 * dt * (self._flux_prev + flux_now)
+        now = self._integrands(v, speed_now, arr, rhs)
+        self._integrals += 0.5 * dt * (self._prev + now)
         self._advance_envelope(dt, self._speed_prev, speed_now)
-        self._t, self._v_prev, self._speed_prev = t, v, speed_now
-        self._flux_prev, self._death_prev = flux_now, death_now
+        self._t, self._speed_prev, self._prev = t, speed_now, now
         row = self._row(t, v, arr)
         self.ledger.record(row)
         return row
 
     @property
     def accum_v_integral(self) -> float:
-        return self._accum_v
+        return float(self._integrals[0])
 
     @property
     def accum_mu_integral(self) -> float:
-        return self._accum_mu
+        return float(self._integrals[1])
 
     def _row(self, t: float, v: float, arr: np.ndarray) -> Dict[str, float]:
         g = self.grid
         counts = arr * g.widths
         u1 = float(np.dot(arr, self.reaction.first_moment_weights))
         p = self.k.params
+        accum_v, accum_mu = self._integrals[:2]
         balance = ((v + u1) - self._init_total - p.production * (t - self._t0)
-                   + p.degradation * self._accum_v + self._accum_mu)
+                   + p.degradation * accum_v + accum_mu)
         tail = self._tail
         row: Dict[str, float] = {
             "t": t,
@@ -435,9 +414,10 @@ class LedgerAccumulator:
             "support_numeric": self._support_numeric(arr),
             "support_bound": self._envelope,
         }
+        wf_accum = self._integrals[2:]
         for i, tf in enumerate(self.tfs):
             lhs = float(np.dot(self._phi_vals[i], counts)) - self._phi0[i]
-            row[f"wf_{tf.name}"] = (lhs - self._wf_accum[i]) / max(1.0, abs(lhs))
+            row[f"wf_{tf.name}"] = (lhs - wf_accum[i]) / max(1.0, abs(lhs))
         if self.extra_moment is not None:
             row["M_sigma"] = moment(g, arr, self.extra_moment)
         if self.weight is not None:

@@ -15,7 +15,7 @@ from typing import Callable, Literal, get_args
 
 import numpy as np
 
-from .errors import BadBounds, NonFiniteSample, OutOfDomain, TooFewCells
+from .errors import BadBounds, NonFiniteSample, TooFewCells
 
 __all__ = ["SizeGrid", "GridFunction", "build_grid", "project", "moment"]
 
@@ -45,22 +45,6 @@ class SizeGrid:
     edges: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
     widths: np.ndarray = field(repr=False)
-
-    def locate(self, y: float) -> int:
-        """Index of the cell containing y.  Boundary points go to the cell
-        on their right, except ymax which belongs to the last cell."""
-        if not (self.y0 <= y <= self.ymax):
-            raise OutOfDomain(f"size {y!r} outside [{self.y0}, {self.ymax}]")
-        i = int(np.searchsorted(self.edges, y, side="right")) - 1
-        return min(max(i, 0), self.n - 1)
-
-    def moment(self, values: np.ndarray, order: int = 0) -> float:
-        """Discrete moment: sum of centers**order * values * widths."""
-        return moment(self, values, order)
-
-    def with_resolution(self, n: int) -> "SizeGrid":
-        """Same interval and spacing rule, different cell count."""
-        return build_grid(self.y0, self.ymax, n, self.spacing)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SizeGrid):
@@ -95,16 +79,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        if other.grid != self.grid:
-            raise ValueError("grids differ")
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __mul__(self, a: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(a))
-
-    __rmul__ = __mul__
 
 
 def build_grid(y0: float, ymax: float, n: int, spacing: Spacing = "geometric") -> SizeGrid:

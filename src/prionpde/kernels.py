@@ -11,6 +11,7 @@ runs provably stay inside a computable size horizon.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -76,10 +77,12 @@ class ModelParams:
     min_size: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.production < 0 or self.degradation < 0 or self.saturation < 0:
-            raise ValueError("production, degradation, saturation must be >= 0")
-        if not self.min_size > 0:
-            raise ValueError("min_size must be > 0")
+        for name in ("production", "degradation", "saturation"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.min_size) and self.min_size > 0):
+            raise ValueError(f"min_size must be finite and > 0, got {self.min_size}")
 
 
 @dataclass(frozen=True)
@@ -278,9 +281,9 @@ def _daughter_from_profile(profile: Callable) -> PairFn:
 def _check_rates_sign(growth_value: float, *others: float) -> None:
     if not growth_value > 0:
         raise NonPositiveTau(f"growth rate must be > 0, got {growth_value}")
-    for r in others:
-        if r < 0:
-            raise ValueError(f"rate constants must be >= 0, got {r}")
+    for r in (growth_value, *others):
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError(f"rate constants must be finite and >= 0, got {r}")
 
 
 def make_special_family(
@@ -433,9 +436,12 @@ def with_join_cutoff(k: KernelSet, cutoff: float, width: Optional[float] = None)
     """Wrap the joining rate with a smooth pair-size cutoff: unchanged for
     y+z <= cutoff - width, identically zero for y+z >= cutoff.  Records
     the cutoff so downstream range checks can rely on it."""
-    if not cutoff > 2.0 * k.params.min_size:
-        raise ValueError("cutoff must exceed twice the minimum size")
+    if not (math.isfinite(cutoff) and cutoff > 2.0 * k.params.min_size):
+        raise ValueError(
+            f"cutoff must be finite and exceed twice the minimum size, got {cutoff}")
     width = float(width) if width is not None else cutoff / 8.0
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"cutoff width must be finite and > 0, got {width}")
     base = k.join
 
     def join_cut(y, z):

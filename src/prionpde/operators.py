@@ -651,6 +651,8 @@ class JoiningTables:
     tiles: Tuple[Tuple[int, np.ndarray, Optional[np.ndarray]], ...] = field(repr=False)
     targets: np.ndarray = field(repr=False)
 
+    # only perfbench/spans.py reads these three; the package reads
+    # layout, and the proxies go when that benchmark stops reading them
     @property
     def idx(self) -> np.ndarray:
         return self.layout.idx
@@ -723,12 +725,12 @@ class JoiningTables:
         STRAY_FLUX_RTOL times the largest pair flux.  An O(n) bound
         settles the usual case; the full maximum decides otherwise."""
         tail = np.append(np.maximum.accumulate(np.abs(mw)[::-1])[::-1], 0.0)
-        bound = float(np.max(np.abs(mu) * self.far_rate * tail[self.beyond_domain]))
+        bound = float(np.max(np.abs(mu) * self.far_rate * tail[self.layout.beyond_domain]))
         if bound == 0.0 or bound <= STRAY_FLUX_RTOL * float(
                 np.max(np.abs(np.diagonal(self.rate) * mu * mw))):
             return
         flux = np.abs(self.rate * np.outer(mu, mw))
-        far = np.arange(self.grid.n)[None, :] >= self.beyond_domain[:, None]
+        far = np.arange(self.grid.n)[None, :] >= self.layout.beyond_domain[:, None]
         if np.max(flux, where=far, initial=0.0) > STRAY_FLUX_RTOL * np.max(flux):
             raise PairOutOfRange(
                 "joining flux targets a size beyond the grid end; "
@@ -774,7 +776,8 @@ class JoiningTables:
             for g0, table, _ in self.tiles:
                 g1 = g0 + table.shape[0]
                 pairs[g0:] += mu[g0:g1] @ (table * sheared_w[g0:g1, g0:self.columns])
-            sums = np.multiply.outer((self.frac[0], 1.0 - self.frac[0]), pairs)
+            f = self.layout.frac[0]
+            sums = np.multiply.outer((f, 1.0 - f), pairs)
         elif mw is mu:
             sums = self._tile_sums(mu, 2.0 * mu)
         else:

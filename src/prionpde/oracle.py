@@ -136,11 +136,6 @@ class OracleTrajectory:
     step_halving_error: float
     rates: "MomentRates" = None
 
-    def state_at(self, index: int) -> MomentOdeState:
-        return MomentOdeState(v=float(self.v[index]),
-                              U0=float(self.U0[index]),
-                              U1=float(self.U1[index]))
-
     def as_columns(self) -> Mapping[str, np.ndarray]:
         return {"t": self.times, "v": self.v, "U0": self.U0, "U1": self.U1}
 

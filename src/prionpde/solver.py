@@ -94,13 +94,20 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError("t_end must be non-negative and finite")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt = {self.t_end}/{self.dt} is not a "
+                             "finite step count")
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"splitting must be one of {SPLITTINGS}")
         if self.reaction_integrator not in REACTION_INTEGRATORS:
             raise ValueError(
                 f"reaction_integrator must be one of {REACTION_INTEGRATORS}")
-        if self.positivity_tolerance is not None and self.positivity_tolerance < 0:
-            raise ValueError("positivity_tolerance must be non-negative")
+        tol = self.positivity_tolerance
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(
+                f"positivity_tolerance must be non-negative and finite, got {tol}")
+        if self.tail_mass_bound is not None and math.isnan(self.tail_mass_bound):
+            raise ValueError("tail_mass_bound must not be nan (inf means no bound)")
         if not all(math.isfinite(ts) for ts in self.snapshot_times):
             raise ValueError("snapshot_times must be finite")
         if self.extra_moment is not None and not math.isfinite(self.extra_moment):

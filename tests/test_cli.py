@@ -209,6 +209,21 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("ConfigParseError: bad ")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_step_count_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("solved"))
+        kept = [row for row in BASE.splitlines()
+                if not row.startswith(("solver.dt", "solver.t_end",
+                                       "solver.snapshot_times"))]
+        kept += ["solver.dt = 1e-300", "solver.t_end = 1e300",
+                 f"output.dir = {tmp_path}/out"]
+        cfg = write_cfg(tmp_path, "\n".join(kept) + "\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigParseError: bad solver settings")
+        assert "finite step count" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_happy_path_outputs(self, tmp_path, capsys):

@@ -76,15 +76,6 @@ class TestWeights:
         )
         assert consistency_residual(broken, np.linspace(1.0, 10.0, 33)) > 1e-3
 
-    def test_wrong_pair_defect_is_caught(self):
-        broken = TestFunction(
-            "broken_pair",
-            value=lambda y: np.asarray(y, dtype=float),
-            slope=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            pair_defect=lambda y, z: np.ones_like(np.asarray(y, dtype=float)),
-        )
-        assert consistency_residual(broken, np.linspace(1.0, 10.0, 33)) > 0.05
-
     def test_adapted_weight_properties(self):
         grid = build_grid(1.0, 100.0, 96, "geometric")
         u0 = gaussian_start(grid, center=5.0, width=1.0)

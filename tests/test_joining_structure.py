@@ -210,9 +210,10 @@ def test_tables_hold_the_sheared_triangle_in_tiles(spacing):
     tables = JoiningTables.build(RATES["constant"], grid)
     n = grid.n
     assert tables.rate.shape == (n, n)
-    for name in ("idx", "frac", "beyond_domain", "far_rate"):
-        assert getattr(tables, name).size <= n, name
-    starts = np.flatnonzero(np.diff(tables.idx, prepend=-1))
+    for name in ("idx", "frac", "beyond_domain"):
+        assert getattr(tables.layout, name).size <= n, name
+    assert tables.far_rate.size <= n
+    starts = np.flatnonzero(np.diff(tables.layout.idx, prepend=-1))
     bounds = [g0 for g0, _, _ in tables.tiles] + [n]
     assert bounds[0] == 0 and np.all(np.diff(bounds) > 0)
     full = sheared_rates(tables)
@@ -234,7 +235,7 @@ def test_tables_hold_the_sheared_triangle_in_tiles(spacing):
         # every block's rows lie in one tile: tiles start at block starts
         assert set(bounds[:-1]) <= set(starts)
         # one run of diagonals per offset, the offsets falling by one
-        offsets = tables.idx[starts]
+        offsets = tables.layout.idx[starts]
         assert len(offsets) == 53
         assert np.all(np.diff(offsets) == -1)
         assert len(tables.tiles) < len(starts)
@@ -363,7 +364,7 @@ def test_full_support_keeps_every_column(spacing, n):
     tables = JoiningTables.build(RATES["constant"], grid)
     assert tables.columns == tables.support == n
     assert tables.strays
-    idx = tables.idx
+    idx = tables.layout.idx
     bounds = [g0 for g0, _, _ in tables.tiles] + [n]
     full = sheared_rates(tables)
     targets = []

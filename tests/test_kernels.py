@@ -74,6 +74,24 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_special_family(1.0, -0.1, 0.5, 0.2)
 
+    @pytest.mark.parametrize("name", ["production", "degradation", "saturation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_model_params_refuse_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite.*{value}"):
+            ModelParams(**{name: value})
+
+    @pytest.mark.parametrize("rates", [(1.0, math.nan, 0.5, 0.2),
+                                       (1.0, 0.1, math.nan, 0.2),
+                                       (1.0, 0.1, 0.5, math.nan),
+                                       (1.0, 0.1, 0.5, math.inf)])
+    def test_special_family_refuses_non_finite_rates(self, rates):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_special_family(*rates)
+
+    def test_bounded_family_refuses_infinite_growth(self):
+        with pytest.raises(ValueError, match="must be finite.*inf"):
+            make_bounded_family(growth_value=math.inf)
+
     def test_k0_uniform_profile_matches_builtin(self):
         k = make_k0_family(lambda s: np.ones_like(s), growth_value=1.0)
         ref = make_special_family(1.0, 0.0, 0.0, 0.0)
@@ -249,6 +267,13 @@ class TestCutoffs:
         assert np.allclose(vals[under], 0.5, rtol=1e-14)
         report = validate_kernel_set(k, samples=16)
         assert check_by_name(report, "join_cutoff_metadata").passed
+
+    @pytest.mark.parametrize("cutoff, width", [(math.inf, None), (math.nan, None),
+                                               (40.0, 0.0), (40.0, math.nan)])
+    def test_join_cutoff_refuses_non_finite_or_empty_taper(self, cutoff, width):
+        # each would make the joining rate nan somewhere
+        with pytest.raises(ValueError, match="must be finite"):
+            with_join_cutoff(make_special_family(1.0, 0.0, 0.0, 0.5), cutoff, width)
 
     def test_smoothstep_shape(self):
         s = np.linspace(-0.5, 1.5, 201)

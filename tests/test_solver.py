@@ -67,7 +67,7 @@ with the rk2 reaction integrator, and for Strang with euler.
     orc = integrate_oracle(
         MomentOdeState(v0, u0.moment(0), u0.moment(1)), rates,
         t_end=t_end, dt=1e-4)
-    ref = orc.state_at(-1)
+    ref_v, ref_u0, ref_u1 = orc.v[-1], orc.U0[-1], orc.U1[-1]
     out = {}
     for name, options in (("strang", {}), ("lie", {"splitting": "lie"}),
                           ("euler", {"reaction_integrator": "euler"})):
@@ -75,9 +75,9 @@ with the rk2 reaction integrator, and for Strang with euler.
         for dt in (8e-3, 4e-3):
             res = run(u0, v0, k, SolverConfig(dt=dt, t_end=t_end, **options))
             fin = res.snapshots[-1]
-            errs.append(max(abs(fin.v - ref.v),
-                            abs(fin.u.moment(0) - ref.U0),
-                            abs(fin.u.moment(1) - ref.U1)))
+            errs.append(max(abs(fin.v - ref_v),
+                            abs(fin.u.moment(0) - ref_u0),
+                            abs(fin.u.moment(1) - ref_u1)))
         out[name] = errs
     return out
 
@@ -92,6 +92,16 @@ class TestSolverConfig:
     def test_refuses_non_finite_entries(self, options):
         with pytest.raises(ValueError, match="must be finite"):
             SolverConfig(dt=0.1, t_end=1.0, **options)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"positivity_tolerance": math.nan}, "positivity_tolerance .* nan"),
+        ({"positivity_tolerance": math.inf}, "positivity_tolerance .* inf"),
+        ({"tail_mass_bound": math.nan}, "tail_mass_bound must not be nan"),
+        ({"dt": 1e-300, "t_end": 1e300}, "not a finite step count"),
+    ])
+    def test_refuses_values_that_switch_checks_off(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{"dt": 0.1, "t_end": 1.0, **options})
 
 
 class TestStepping:
@@ -117,15 +127,29 @@ class TestStepping:
         before = Snapshot(t=0.0, v=2.0, u=u0.copy())
         start = mach.reaction.rhs(u0.values)
         after, _ = step(before, cfg, mach, start, cfg.dt)
-        acc = LedgerAccumulator(k, mach.reaction, test_functions=())
+        size = select_test_functions(grid, k, ("size",))
+        acc = LedgerAccumulator(k, mach.reaction, test_functions=size)
         acc.start(before.t, before.v, before.u)
-        acc.advance(after.t, after.v, after.u)
+        row = acc.advance(after.t, after.v, after.u)
         assert acc.accum_v_integral == pytest.approx(
             0.5 * cfg.dt * (before.v + after.v), rel=0, abs=0)
         death = mach.reaction.frag.death_at_centers * grid.centers * grid.widths
         expected_mu = 0.5 * cfg.dt * (
             np.dot(death, u0.values) + np.dot(death, after.u.values))
         assert acc.accum_mu_integral == pytest.approx(expected_mu, rel=1e-15)
+        # phi(y) = y: flux = speed * <phi', growth u> + <phi, rhs(u)>
+        r, w = mach.reaction, grid.widths
+        phi, slope = size[0].value(grid.centers), size[0].slope(grid.centers)
+
+        def flux(state):
+            u = state.u.values
+            return (r.speed(state.v, u) * np.dot(slope, r.growth_at_centers * u * w)
+                    + np.dot(phi, r.rhs(u)[0] * w))
+
+        lhs = np.dot(phi, after.u.values * w) - np.dot(phi, u0.values * w)
+        expected_wf = ((lhs - 0.5 * cfg.dt * (flux(before) + flux(after)))
+                       / max(1.0, abs(lhs)))
+        assert row["wf_size"] == pytest.approx(expected_wf, rel=1e-12, abs=1e-15)
 
     def test_zero_horizon_takes_no_steps(self, small_setup):
         k, _, u0 = small_setup
