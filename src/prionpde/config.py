@@ -115,7 +115,8 @@ DEFAULTS: Tuple[Tuple[str, str, Callable], ...] = (
     ("solver.splitting", "strang", _choice(SPLITTINGS)),
     ("solver.reaction_integrator", "rk2", _choice(REACTION_INTEGRATORS)),
     ("solver.snapshot_times", "", _comma_list(_finite)),
-    ("solver.tail_mass_bound", "none", _optional(_finite)),
+    ("solver.tail_mass_bound", "none",
+     _optional(_finite_where("non-negative", lambda x: x >= 0))),
     ("solver.positivity_tolerance", "none", _optional(_finite)),
     ("solver.skip_joining", "false", _bool),
     ("diagnostics.test_functions", "all", str),

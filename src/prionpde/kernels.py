@@ -43,6 +43,7 @@ __all__ = [
     "make_powerlaw_family",
     "make_bounded_family",
     "with_join_cutoff",
+    "uniform_daughter",
     "validate_kernel_set",
     "truncate",
     "plan_truncation_levels",
@@ -126,6 +127,10 @@ class KernelSet:
         so twice its first moment equals y.
     join(y, z): pair joining rate; must be symmetric, which the joining
         loss assumes (JoiningTables.build refuses it otherwise).
+
+    A daughter's structure is declared, not detected: uniform_daughter,
+    the special, bounded and power-law families' daughter, gets O(n)
+    closed-form fragmentation tables; any other is tabulated densely.
 
     All closures must broadcast over numpy arrays and be evaluable on
     the whole probe range, not just the grid.  The rates growth, death
@@ -255,7 +260,9 @@ def _const_pair(c: float) -> PairFn:
     return fn
 
 
-def _daughter_uniform(z, y):
+def uniform_daughter(z, y):
+    """Uniform daughter density 1/y on (0, y): the one daughter whose
+    fragmentation tables are built in closed form (operators.GridTables)."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     z, y = np.broadcast_arrays(z, y)
@@ -314,7 +321,7 @@ def make_special_family(
         growth=_const_rate(growth_value),
         death=_const_rate(death_value),
         frag=_linear_rate(frag_slope),
-        daughter=_daughter_uniform,
+        daughter=uniform_daughter,
         join=_const_pair(join_value),
         params=params,
         hypothesis_family=HypothesisFamily.WEAK_UNBOUNDED,
@@ -423,7 +430,7 @@ def make_bounded_family(
         growth=_const_rate(growth_value),
         death=_const_rate(death_value),
         frag=_const_rate(frag_value),
-        daughter=_daughter_uniform,
+        daughter=uniform_daughter,
         join=_const_pair(join_value),
         params=params,
         hypothesis_family=HypothesisFamily.BOUNDED_CLASSICAL,

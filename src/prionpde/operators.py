@@ -45,15 +45,19 @@ Discretization notes, load-bearing for the conservation tests:
   flux exceeds 1e-12 of the largest pair flux; tables whose rate
   vanishes on every stray pair skip that check.
 
-* The fragmentation gain is tabulated per source cell over destination
-  sub-intervals; each sub-interval's deposit lands at its own centroid,
-  again moment-split between bracketing centers (the fixed-pivot rule).
-  The per-source monomer coefficient is defined as the exact complement
-  of the deposited first moment, so splitting moves monomer count
-  between v and u with zero net balance error by construction, for any
-  daughter density whose mass normalization holds.  Every per-parent
-  daughter integral goes through ``kernels.daughter_quadrature``:
-  chunks of whole rows, and Gauss panel sums in a fixed order.
+* The fragmentation gain follows the fixed-pivot rule: each destination
+  sub-interval's deposit lands at its own centroid, moment-split between
+  the bracketing centers.  For ``kernels.uniform_daughter``, declared,
+  not detected, the rule has a closed form: parent j puts w_i / c_j in
+  each cell i < j and splits its own half cell between cells j - 1 and
+  j, so the gain is one reverse cumulative sum plus two diagonals, O(n).
+  Every other daughter, an equal closure included, is tabulated densely
+  through ``kernels.daughter_quadrature`` (chunks of whole rows, Gauss
+  panel sums in a fixed order) and applied as one GEMV; that table is
+  the closed form's test reference.  The per-source monomer coefficient
+  is the exact complement of the deposited first moment, so splitting
+  moves monomer count between v and u with zero net balance error by
+  construction, for any daughter density whose mass normalization holds.
 
 * What depends on the grid and the daughter density alone (the
   fragmentation deposit and monomer coefficients, and the joining
@@ -67,11 +71,12 @@ Discretization notes, load-bearing for the conservation tests:
   moment, which the solver, the ledger and every replay path share; the
   saturation factor of speed and drain is written once, in its
   ``_saturated``.  ``rhs`` returns the right-hand side with its largest
-  per-cell loss rate, so one evaluation (one joining-loss GEMV) serves
+  per-cell loss rate, so one evaluation (one joining-loss rate) serves
   a step, its substep rule and the ledger.  What no state changes (the
   moment weights, the pointwise loss rate and its maximum, the doubled
-  splitting rate) is formed once, at build, with the same floats the
-  per-call formulas gave.
+  splitting rate, and the closed-form fragmentation coefficients) is
+  formed once, at build.  A joining rate that is exactly constant on
+  its support makes the loss rate one dot product instead of a GEMV.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid
 from .kernels import (KernelSet, ModelParams, PairFn, RateFn,
                       daughter_quadrature, equal_panels, gauss_panels,
-                      graded_rule, panel_sums)
+                      graded_rule, panel_sums, uniform_daughter)
 
 __all__ = [
     "CharacteristicMap",
@@ -357,35 +362,68 @@ def _frag_deposit(daughter: PairFn, grid: SizeGrid) -> np.ndarray:
     return deposit
 
 
+def _uniform_deposit(grid: SizeGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The fixed-pivot deposit of uniform_daughter in closed form, and the
+    monomer coefficients: rows [1/c, own, down] of a (3, n) array.
+    Parent cell j deposits w_i / c_j in each cell i < j.  Its own half
+    cell (e_j, c_j) holds w_j / (2 c_j) with centroid (e_j + c_j) / 2,
+    split into own[j] in cell j and down[j] in cell j - 1; for j = 0 the
+    split clamps it all onto cell 0."""
+    c, w = grid.centers, grid.widths
+    half = 0.5 * w / c
+    _, frac = split_targets(c, 0.5 * (grid.edges[:-1] + c), np.arange(grid.n) - 1)
+    own = half * (1.0 - frac)
+    down = half * frac
+    own[0], down[0] = half[0], 0.0
+    below = np.concatenate(([0.0], np.cumsum(w * c)[:-1]))   # sum over i < j of w_i c_i
+    moment = below / c + own * c
+    moment[1:] += down[1:] * c[:-1]
+    return np.stack((1.0 / c, own, down)), 0.5 * c - moment
+
+
 @dataclass(frozen=True)
 class FragTables:
     """Per-source-cell deposit tables for the splitting gain.
 
-    deposit[j, i] is the daughter count landing in cell i per unit
-    source intensity 2*frag(c_j)*u_j*w_j; monomer_coeff[j] is half the
-    parent size minus the deposited first moment, i.e. exactly the
-    monomer mass per unit intensity that keeps total monomer count
-    conserved under the mass normalization of the daughter density.
-    Both depend on the daughter and the grid alone and come from a
-    GridTables; only the rates at the centers are the kernel set's.
-    From those, loss_at_centers = death + frag (the pointwise loss
-    rate), max_loss (its largest value) and twice_frag = 2 * frag are
-    formed once."""
+    closed_form comes from the GridTables.  Dense: deposit[j, i] is the
+    daughter count landing in cell i per unit source intensity
+    2*frag(c_j)*u_j*w_j, and apply is one GEMV.  Closed form: deposit is
+    [1/c, own, down] of _uniform_deposit, and apply's coefficients are
+    formed once: tail = twice_frag * w / c (the larger parents),
+    own_rate (the own-cell share per unit u, minus the loss) and
+    down_rate (the share from the cell above); None when dense.
+    monomer_coeff[j] is half the parent size minus the deposited first
+    moment, i.e. exactly the monomer mass per unit intensity that keeps
+    total monomer count conserved under the mass normalization of the
+    daughter density.  Only the rates at the centers are the kernel
+    set's; from them loss_at_centers = death + frag, max_loss (its
+    largest value) and twice_frag = 2 * frag are formed once."""
 
     grid: SizeGrid
     deposit: np.ndarray = field(repr=False)
     monomer_coeff: np.ndarray = field(repr=False)
     frag_at_centers: np.ndarray = field(repr=False)
     death_at_centers: np.ndarray = field(repr=False)
+    closed_form: bool
     loss_at_centers: np.ndarray = field(init=False, repr=False)
     max_loss: float = field(init=False)
     twice_frag: np.ndarray = field(init=False, repr=False)
+    tail: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    own_rate: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    down_rate: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         loss = self.death_at_centers + self.frag_at_centers
         object.__setattr__(self, "loss_at_centers", loss)
         object.__setattr__(self, "max_loss", float(np.max(loss)))
         object.__setattr__(self, "twice_frag", 2.0 * self.frag_at_centers)
+        if self.closed_form:
+            inv_c, own, down = self.deposit
+            w = self.grid.widths
+            object.__setattr__(self, "tail", self.twice_frag * w * inv_c)
+            object.__setattr__(self, "own_rate", own * self.twice_frag - loss)
+            object.__setattr__(self, "down_rate",
+                               (down * self.twice_frag * w)[1:] / w[:-1])
 
     @classmethod
     def build(cls, k: KernelSet, grid: SizeGrid,
@@ -403,6 +441,7 @@ class FragTables:
             monomer_coeff=shared.monomer_coeff,
             frag_at_centers=np.asarray(k.frag(c), dtype=float),
             death_at_centers=np.asarray(k.death(c), dtype=float),
+            closed_form=shared.closed_form,
         )
 
     def intensity(self, u_values: np.ndarray) -> np.ndarray:
@@ -411,8 +450,14 @@ class FragTables:
     def apply(self, u_values: np.ndarray) -> np.ndarray:
         """Full linear mechanism: degradation and splitting loss pointwise,
         splitting gain from the tables."""
-        gain = self.deposit.T @ self.intensity(u_values)
-        return -self.loss_at_centers * u_values + gain / self.grid.widths
+        if not self.closed_form:
+            gain = self.deposit.T @ self.intensity(u_values)
+            return -self.loss_at_centers * u_values + gain / self.grid.widths
+        out = self.own_rate * u_values
+        # cell i gains from every larger parent j > i
+        out[:-1] += np.cumsum(self.tail[:0:-1] * u_values[:0:-1])[::-1]
+        out[:-1] += self.down_rate * u_values[1:]
+        return out
 
     def monomer_gain(self, u_values: np.ndarray) -> float:
         """Monomer count per unit time released by splitting, defined as
@@ -571,21 +616,31 @@ class GridTables:
     fragmentation deposit and monomer coefficients of FragTables, and
     the JoinLayout of JoiningTables (None when built without joining).
 
+    closed_form, set at build, is True exactly when the daughter is
+    kernels.uniform_daughter itself: deposit is then the (3, n) array of
+    _uniform_deposit, else the n x n table of _frag_deposit.
+
     Every kernel set that keeps the daughter, such as each level of a
     truncation ladder, can share one; a build handed tables made for
     another grid or daughter refuses them with ValueError."""
 
     grid: SizeGrid
     daughter: PairFn = field(repr=False)
+    closed_form: bool
     deposit: np.ndarray = field(repr=False)
     monomer_coeff: np.ndarray = field(repr=False)
     join: Optional[JoinLayout] = field(repr=False)
 
     @classmethod
     def build(cls, daughter: PairFn, grid: SizeGrid, joining: bool = True) -> "GridTables":
-        deposit = _frag_deposit(daughter, grid)
-        return cls(grid=grid, daughter=daughter, deposit=deposit,
-                   monomer_coeff=0.5 * grid.centers - deposit @ grid.centers,
+        closed_form = daughter is uniform_daughter
+        if closed_form:
+            deposit, monomer_coeff = _uniform_deposit(grid)
+        else:
+            deposit = _frag_deposit(daughter, grid)
+            monomer_coeff = 0.5 * grid.centers - deposit @ grid.centers
+        return cls(grid=grid, daughter=daughter, closed_form=closed_form,
+                   deposit=deposit, monomer_coeff=monomer_coeff,
                    join=JoinLayout.build(grid) if joining else None)
 
     def check(self, k: KernelSet, grid: SizeGrid) -> None:
@@ -605,6 +660,9 @@ class JoiningTables:
     asymmetry above the validator's join_symmetry tolerance (1e-8 of the
     largest rate) and symmetrizes one below it.  Every non-zero rate
     lies in rate[:support, :support], the block the loss multiplies.
+    constant_rate is the block's value when every entry equals rate[0, 0]
+    exactly (special and bounded families), making the loss one dot
+    product; else None (cut or power-law rates) and the loss is a GEMV.
     Each ordered pair deposits its mass flux at the exact pair size,
     split between the bracketing centers.  The split only depends on
     the diagonal (geometric grid) or the anti-diagonal (uniform grid);
@@ -647,6 +705,7 @@ class JoiningTables:
     far_rate: np.ndarray = field(repr=False)
     strays: bool
     support: int
+    constant_rate: Optional[float]
     columns: int
     tiles: Tuple[Tuple[int, np.ndarray, Optional[np.ndarray]], ...] = field(repr=False)
     targets: np.ndarray = field(repr=False)
@@ -689,6 +748,8 @@ class JoiningTables:
         nonzero = rate != 0.0
         live = np.flatnonzero(np.any(nonzero, axis=1))
         support = int(live[-1]) + 1 if live.size else 0
+        block = rate[:support, :support]
+        constant = support > 0 and bool(np.all(block == block[0, 0]))
         far = np.arange(n)[None, :] >= layout.beyond_domain[:, None]
         far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
         del far
@@ -717,6 +778,7 @@ class JoiningTables:
                    for g0, cells in layout.targets if g0 < columns]
         return cls(grid=grid, rate=rate, layout=layout, far_rate=far_rate,
                    strays=bool(np.any(far_rate != 0.0)), support=support,
+                   constant_rate=float(block[0, 0]) if constant else None,
                    columns=columns, tiles=tuple(tiles),
                    targets=np.concatenate(targets) if targets else np.zeros(0, np.intp))
 
@@ -753,10 +815,15 @@ class JoiningTables:
         return sums
 
     def loss_rate(self, w_values: np.ndarray) -> np.ndarray:
-        """Per-cell joining loss rate against partners w: one GEMV over
-        the rate's support, zero beyond it."""
+        """Per-cell joining loss rate against partners w: over the rate's
+        support one dot product for a constant rate, else one GEMV; zero
+        beyond it."""
         m = self.support
         out = np.zeros(self.grid.n)
+        if self.constant_rate is not None:
+            out[:m] = 2.0 * self.constant_rate * float(
+                np.dot(w_values[:m], self.grid.widths[:m]))
+            return out
         np.matmul(self.rate[:m, :m], w_values[:m] * self.grid.widths[:m], out=out[:m])
         out[:m] *= 2.0
         return out
@@ -764,7 +831,7 @@ class JoiningTables:
     def apply(self, u_values: np.ndarray, w_values: np.ndarray,
               loss_rate: Optional[np.ndarray] = None) -> np.ndarray:
         """Joining of u with w; loss_rate, when the caller has it, is
-        loss_rate(w_values), so the GEMV is not repeated."""
+        loss_rate(w_values), so it is not recomputed."""
         g = self.grid
         mu = u_values * g.widths
         mw = mu if w_values is u_values else w_values * g.widths
@@ -833,7 +900,7 @@ class ReactionOperator:
 
     def rhs(self, u_values: np.ndarray) -> Evaluation:
         """Reaction right-hand side at u and its largest per-cell loss
-        rate, the scale of the solver's substep rule; one loss GEMV
+        rate, the scale of the solver's substep rule; one loss rate
         serves both.  Without joining the rate is frag.max_loss."""
         out = self.frag.apply(u_values)
         if self.join is None:

@@ -106,8 +106,11 @@ class SolverConfig:
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise ValueError(
                 f"positivity_tolerance must be non-negative and finite, got {tol}")
-        if self.tail_mass_bound is not None and math.isnan(self.tail_mass_bound):
+        bound = self.tail_mass_bound
+        if bound is not None and math.isnan(bound):
             raise ValueError("tail_mass_bound must not be nan (inf means no bound)")
+        if bound is not None and bound < 0.0:
+            raise ValueError(f"tail_mass_bound must be non-negative, got {bound}")
         if not all(math.isfinite(ts) for ts in self.snapshot_times):
             raise ValueError("snapshot_times must be finite")
         if self.extra_moment is not None and not math.isfinite(self.extra_moment):

@@ -209,6 +209,16 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("ConfigParseError: bad ")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_tail_mass_bound_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("solved"))
+        cfg = write_cfg(tmp_path, BASE + "solver.tail_mass_bound = -1\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigParseError: bad value for solver.tail_mass_bound")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_step_count_exit_2_before_the_solve(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("solved"))

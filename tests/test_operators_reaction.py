@@ -13,8 +13,11 @@ from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, build_grid
 from prionpde.kernels import (
     graded_rule,
     _panel_rule,
+    make_bounded_family,
     make_k0_family,
+    make_powerlaw_family,
     make_special_family,
+    uniform_daughter,
     with_join_cutoff,
 )
 from prionpde.operators import (
@@ -31,6 +34,13 @@ from prionpde.operators import (
 def random_density(grid, seed):
     rng = np.random.default_rng(seed)
     return GridFunction(grid, rng.random(grid.n))
+
+
+def dense_twin(k):
+    """k with its uniform daughter wrapped in a closure: equal values, but
+    not the declared kernels.uniform_daughter, so its fragmentation
+    tables take the dense quadrature, the reference of the closed form."""
+    return dataclasses.replace(k, daughter=lambda z, y: uniform_daughter(z, y))
 
 
 def reference_monomer_release(k, u):
@@ -228,10 +238,14 @@ class TestFragmentation:
         grid = build_grid(1.0, 80.0, 96, spacing="geometric")
         k = make_special_family(growth_value=1.0, death_value=0.0,
                                frag_slope=0.4, join_value=0.0)
-        tables = FragTables.build(k, grid)
         c = grid.centers
         expected = (c - grid.y0) / c
-        got = tables.deposit.sum(axis=1)
+        got = FragTables.build(dense_twin(k), grid).deposit.sum(axis=1)
+        assert np.max(np.abs(got - expected)) < 1e-12
+        # the closed form: the cells below the parent, then its half cell
+        inv_c, own, down = FragTables.build(k, grid).deposit
+        below = np.concatenate(([0.0], np.cumsum(grid.widths)[:-1]))
+        got = below * inv_c + own + down
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_parabolic_profile_rows_match_independent_quadrature(self):
@@ -309,6 +323,81 @@ class TestFunctionals:
         assert 0.0 < report["bilinear_bound_ratio"] < 50.0
 
 
+def assert_closed_form_matches_dense(k, grid, seed):
+    """The closed-form tables of k's uniform daughter against the dense
+    quadrature of its twin: apply, monomer_coeff and monomer_gain to
+    1e-13 of their scale, and the closed form's first-moment balance
+    with the monomer to 1e-12."""
+    closed, dense = FragTables.build(k, grid), FragTables.build(dense_twin(k), grid)
+    assert closed.closed_form and not dense.closed_form
+    c, w = grid.centers, grid.widths
+    u = random_density(grid, seed).values
+    s = dense.intensity(u)
+    scale = dense.loss_at_centers * u + (dense.deposit.T @ s) / w
+    assert np.all(np.abs(closed.apply(u) - dense.apply(u)) <= 1e-13 * scale)
+    assert np.all(np.abs(closed.monomer_coeff - dense.monomer_coeff) <= 1e-13 * 0.5 * c)
+    assert (abs(closed.monomer_gain(u) - dense.monomer_gain(u))
+            <= 1e-13 * float(np.dot(s, 0.5 * c)))
+    u1 = moment(grid, u, 1)
+    balance = moment(grid, closed.apply(u), 1) + closed.monomer_gain(u)
+    death = closed.death_at_centers[0]
+    assert abs(balance + death * u1) <= 1e-12 * u1
+
+
+def special_family():
+    return make_special_family(growth_value=1.0, death_value=0.1,
+                               frag_slope=0.5, join_value=0.2)
+
+
+class TestClosedFormFragmentation:
+    """The uniform daughter's O(n) tables against the dense quadrature."""
+
+    @pytest.mark.parametrize("n", [4, 5, 400, 800])
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_matches_the_dense_quadrature(self, spacing, n):
+        assert_closed_form_matches_dense(special_family(), build_grid(1.0, 200.0, n, spacing), n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ymax=st.floats(2.5, 1e4), n=st.integers(4, 300),
+           spacing=st.sampled_from(["uniform", "geometric"]))
+    def test_matches_the_dense_quadrature_fuzzed(self, ymax, n, spacing):
+        assert_closed_form_matches_dense(special_family(), build_grid(1.0, ymax, n, spacing), 7)
+
+    def test_only_the_declared_daughter_takes_the_closed_form(self):
+        grid = build_grid(1.0, 200.0, 64, "geometric")
+        for k in (special_family(), make_bounded_family(frag_value=0.3),
+                  make_powerlaw_family(), with_join_cutoff(special_family(), 50.0)):
+            assert k.daughter is uniform_daughter
+            tables = FragTables.build(k, grid)
+            assert tables.closed_form and tables.deposit.shape == (3, grid.n)
+        for k in (dense_twin(special_family()), DAUGHTER_KERNELS["parabolic"](),
+                  dead_zone_family()):
+            tables = FragTables.build(k, grid)
+            assert not tables.closed_form and tables.deposit.shape == (grid.n, grid.n)
+
+
+class TestConstantJoiningRate:
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_constant_rate_is_declared_by_the_rate_alone(self, spacing):
+        grid = build_grid(1.0, 200.0, 96, spacing)
+        special = special_family()
+        for k, rate in ((special, 0.2), (make_bounded_family(join_value=0.3), 0.3)):
+            assert JoiningTables.build(k, grid).constant_rate == rate
+        for k in (with_join_cutoff(special, 50.0), make_powerlaw_family(),
+                  make_special_family(1.0, 0.1, 0.5, 0.0)):
+            assert JoiningTables.build(k, grid).constant_rate is None
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_dot_product_loss_matches_the_gemv(self, spacing):
+        grid = build_grid(1.0, 200.0, 400, spacing)
+        tables = JoiningTables.build(special_family(), grid)
+        gemv = dataclasses.replace(tables, constant_rate=None)
+        for seed in range(3):
+            w = random_density(grid, seed).values
+            want = gemv.loss_rate(w)
+            assert np.all(np.abs(tables.loss_rate(w) - want) <= 1e-14 * want)
+
+
 # -- per-parent daughter quadrature ------------------------------------------
 
 def reference_frag_tables(k, grid):
@@ -380,8 +469,9 @@ def dead_zone_family():
 
 
 DAUGHTER_KERNELS = {
-    "uniform": lambda: make_special_family(growth_value=1.0, death_value=0.1,
-                                           frag_slope=0.5, join_value=0.2),
+    # the dense quadrature of the uniform daughter, the closed form's reference
+    "uniform": lambda: dense_twin(make_special_family(
+        growth_value=1.0, death_value=0.1, frag_slope=0.5, join_value=0.2)),
     "parabolic": lambda: make_k0_family(lambda s: 6.0 * s * (1.0 - s),
                                         growth_value=1.0, frag_slope=0.3),
     "dead-zone": dead_zone_family,
@@ -454,7 +544,7 @@ class TestDaughterQuadrature:
         assert sum(checked) >= n
 
     def test_build_stays_within_its_memory_budget(self):
-        k = DAUGHTER_KERNELS["uniform"]()
+        k = DAUGHTER_KERNELS["parabolic"]()
         grid = build_grid(1.0, 200.0, 800, spacing="geometric")
         tracemalloc.start()
         try:
@@ -463,6 +553,9 @@ class TestDaughterQuadrature:
         finally:
             tracemalloc.stop()
         assert peak <= tables.deposit.nbytes + 2.4e6
+        # the uniform daughter's tables hold no n x n array
+        closed = FragTables.build(make_special_family(1.0, 0.1, 0.5, 0.2), grid)
+        assert closed.deposit.nbytes == 3 * 8 * grid.n
 
 
 @pytest.mark.parametrize("spacing", ["geometric", "uniform"])
@@ -480,15 +573,31 @@ class TestConstantsBuiltOnce:
 
     def test_frag_tables(self, spacing):
         k, grid, us = self.setup_pieces(spacing)
-        ft = FragTables.build(k, grid)
-        d, f, w = ft.death_at_centers, ft.frag_at_centers, grid.widths
-        assert np.array_equal(ft.loss_at_centers, d + f)
-        assert ft.max_loss == float(np.max(d + f))
-        assert np.array_equal(ft.twice_frag, 2.0 * f)
+        for ft in (FragTables.build(k, grid), FragTables.build(dense_twin(k), grid)):
+            d, f, w = ft.death_at_centers, ft.frag_at_centers, grid.widths
+            assert np.array_equal(ft.loss_at_centers, d + f)
+            assert ft.max_loss == float(np.max(d + f))
+            assert np.array_equal(ft.twice_frag, 2.0 * f)
+            for u in us:
+                assert np.array_equal(ft.intensity(u), 2.0 * f * u * w)
+        closed, dense = (FragTables.build(k, grid),
+                         FragTables.build(dense_twin(k), grid))
+        assert closed.closed_form and not dense.closed_form
+        assert dense.tail is dense.own_rate is dense.down_rate is None
+        inv_c, own, down = closed.deposit
+        assert np.array_equal(closed.tail, 2.0 * f * w * inv_c)
+        assert np.array_equal(closed.own_rate, own * (2.0 * f) - (d + f))
+        assert np.array_equal(closed.down_rate, (down * (2.0 * f) * w)[1:] / w[:-1])
         for u in us:
-            assert np.array_equal(ft.intensity(u), 2.0 * f * u * w)
-            gain = ft.deposit.T @ (2.0 * f * u * w)
-            assert np.array_equal(ft.apply(u), -(d + f) * u + gain / w)
+            gain = dense.deposit.T @ (2.0 * f * u * w)
+            assert np.array_equal(dense.apply(u), -(d + f) * u + gain / w)
+            # cell i: its own share and loss, every larger parent, the cell above
+            terms = [(closed.own_rate[i] * u[i], *(closed.tail[i + 1:] * u[i + 1:]),
+                      *(closed.down_rate[i:i + 1] * u[i + 1:i + 2]))
+                     for i in range(grid.n)]
+            want = np.array([np.sum(t) for t in terms])
+            scale = np.array([np.sum(np.abs(t)) for t in terms])
+            assert np.all(np.abs(closed.apply(u) - want) <= 1e-14 * scale)
 
     def test_rhs_without_joining_returns_the_stored_max(self, spacing):
         k, grid, us = self.setup_pieces(spacing)

@@ -103,6 +103,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=message):
             SolverConfig(**{"dt": 0.1, "t_end": 1.0, **options})
 
+    def test_tail_mass_bound_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="tail_mass_bound must be non-negative"):
+            SolverConfig(dt=0.1, t_end=1.0, tail_mass_bound=-1.0)
+        for bound in (0.0, 1e-30, math.inf):   # inf is no bound
+            assert SolverConfig(dt=0.1, t_end=1.0, tail_mass_bound=bound).tail_mass_bound == bound
+
 
 class TestStepping:
     def test_two_manual_steps_match_run(self, small_setup):
