@@ -29,7 +29,7 @@ from .errors import (
 )
 from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
-from .kernels import HypothesisFamily, KernelSet
+from .kernels import ConstantRate, HypothesisFamily, KernelSet
 from .operators import Evaluation, ReactionOperator, integrability_coefficients
 
 __all__ = [
@@ -320,6 +320,8 @@ class LedgerAccumulator:
         return float(self.grid.centers[np.flatnonzero(above)[-1]])
 
     def _envelope_rhs(self, s: float) -> float:
+        if isinstance(self.k.growth, ConstantRate):
+            return self.k.growth.value
         s = min(s, self.grid.ymax)
         return float(np.asarray(self.k.growth(np.array([s])), dtype=float)[0])
 

@@ -98,7 +98,7 @@ class OutOfDomain(PrionPdeError):
 
 
 class NegativeTime(PrionPdeError):
-    """Transport was asked to run for a negative effective time."""
+    """Transport was asked to run for a negative or non-finite effective time."""
 
 
 class PairOutOfRange(PrionPdeError):

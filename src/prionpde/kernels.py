@@ -43,6 +43,7 @@ __all__ = [
     "make_powerlaw_family",
     "make_bounded_family",
     "with_join_cutoff",
+    "ConstantRate",
     "uniform_daughter",
     "validate_kernel_set",
     "truncate",
@@ -131,6 +132,10 @@ class KernelSet:
     A daughter's structure is declared, not detected: uniform_daughter,
     the special, bounded and power-law families' daughter, gets O(n)
     closed-form fragmentation tables; any other is tabulated densely.
+    So is a growth's constancy: a ConstantRate, the growth of the
+    special, bounded, k0 and power-law families, is transported without
+    Newton passes; any other growth, a closure returning a constant
+    included, keeps the bracketed Newton inverse.
 
     All closures must broadcast over numpy arrays and be evaluable on
     the whole probe range, not just the grid.  The rates growth, death
@@ -232,13 +237,21 @@ def mollify_rate(fn: RateFn, width: float, floor: Optional[float] = None) -> Rat
 
 # -- family constructors ---------------------------------------------------
 
-def _const_rate(c: float) -> RateFn:
-    c = float(c)
+@dataclass(frozen=True)
+class ConstantRate:
+    """A rate with one value at every size, declared as such: transport
+    inverts its characteristic map without Newton passes and the support
+    envelope reads the value without a call (operators.theta_inverse,
+    diagnostics.LedgerAccumulator).  A closure returning a constant is an
+    ordinary rate."""
 
-    def fn(y):
-        return np.full(np.shape(y), c, dtype=float)
+    value: float
 
-    return fn
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", float(self.value))
+
+    def __call__(self, y) -> np.ndarray:
+        return np.full(np.shape(y), self.value, dtype=float)
 
 
 def _linear_rate(slope: float) -> RateFn:
@@ -318,8 +331,8 @@ def make_special_family(
         daughter_spread_floor=0.12,
     )
     return KernelSet(
-        growth=_const_rate(growth_value),
-        death=_const_rate(death_value),
+        growth=ConstantRate(growth_value),
+        death=ConstantRate(death_value),
         frag=_linear_rate(frag_slope),
         daughter=uniform_daughter,
         join=_const_pair(join_value),
@@ -427,9 +440,9 @@ def make_bounded_family(
         daughter_spread_floor=0.12,
     )
     return KernelSet(
-        growth=_const_rate(growth_value),
-        death=_const_rate(death_value),
-        frag=_const_rate(frag_value),
+        growth=ConstantRate(growth_value),
+        death=ConstantRate(death_value),
+        frag=ConstantRate(frag_value),
         daughter=uniform_daughter,
         join=_const_pair(join_value),
         params=params,

@@ -10,12 +10,16 @@ Discretization notes, load-bearing for the conservation tests:
   so it conserves the zeroth and first discrete moments to rounding
   while the parcel stays inside the grid.  It inverts the
   characteristic map with ``theta_inverse``: one search of the
-  tabulated edge times finds the cell that brackets each root, and
+  tabulated edge times finds the cell that brackets each root.  For a
+  ``kernels.ConstantRate`` growth, declared, not detected, the map is
+  linear in the cell and its estimate is the root; for any other growth
   every Newton pass evaluates ``theta_map`` inside that cell from one
   growth call, with no search and no domain check, giving
-  ``theta_map``'s floats.  The surviving parcels are a prefix of the
-  cells, as the characteristic time increases along the grid, and one
-  bincount deposits both shares of every parcel.
+  ``theta_map``'s floats.  The cell also gives each parcel its lower
+  bracketing center, so the split makes no second search.  The
+  surviving parcels are a prefix of the cells, as the characteristic
+  time increases along the grid, and one bincount deposits both shares
+  of every parcel.
 
 * The joining gain deposits each ordered pair's mass flux at the exact
   pair size with the same bracketing split, so the discrete first
@@ -81,6 +85,7 @@ Discretization notes, load-bearing for the conservation tests:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -89,7 +94,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid
-from .kernels import (KernelSet, ModelParams, PairFn, RateFn,
+from .kernels import (ConstantRate, KernelSet, ModelParams, PairFn, RateFn,
                       daughter_quadrature, equal_panels, gauss_panels,
                       graded_rule, panel_sums, uniform_daughter)
 
@@ -182,26 +187,32 @@ def theta_map(cm: CharacteristicMap, y) -> np.ndarray:
     return out.reshape(y_arr.shape) if np.ndim(y) else float(out[0])
 
 
-def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
-    """Inverse of theta_map on [0, theta_max], by bracketed Newton
-    iteration (the derivative of the map is the reciprocal growth).
+def theta_inverse(cm: CharacteristicMap, theta, return_cells: bool = False):
+    """Inverse of theta_map on [0, theta_max]: the sizes, and with
+    return_cells also the grid cell of each (the cell whose edges
+    bracket it), both of theta's shape.
 
     One search of theta_at_edges finds each target's cell, which brackets
-    its root; the iterate starts at the cell's linear estimate and every
-    pass stays in the cell.  A pass evaluates theta_map inside the
-    bracket, so it makes one growth call, on the Gauss nodes of the
-    partial cell and the iterate together, and no search and no domain
-    check; its floats are theta_map's.  The targets eight passes leave
-    with a residual above 1e-14 * max(1, theta_max) are bisected in
-    their cells.  Raises OutOfDomain for a time outside [0, theta_max],
-    and if a residual above that tolerance remains."""
+    its root, and the cell's linear estimate starts the iteration.  For a
+    declared kernels.ConstantRate growth the map is linear in every cell,
+    so that estimate, clipped to the cell, is the inverse: no Newton pass
+    and no growth call.  Any other growth is inverted by bracketed Newton
+    iteration (the derivative of the map is the reciprocal growth), every
+    pass in the cell.  A pass evaluates theta_map inside the bracket, so
+    it makes one growth call, on the Gauss nodes of the partial cell and
+    the iterate together, and no search and no domain check; its floats
+    are theta_map's.  The targets eight passes leave with a residual
+    above 1e-14 * max(1, theta_max) are bisected in their cells.  Raises
+    OutOfDomain for a time outside [0, theta_max] or NaN, and if a
+    residual above that tolerance remains."""
     shape = np.shape(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     g = cm.grid
     slack = 1e-12 * max(1.0, cm.theta_max)
     least, most = th.min(), th.max()
-    if least < -slack or most > cm.theta_max + slack:
-        raise OutOfDomain(f"characteristic time out of [0, {cm.theta_max}]")
+    if not (least >= -slack and most <= cm.theta_max + slack):
+        raise OutOfDomain(f"characteristic time out of [0, {cm.theta_max}]: "
+                          f"least {least}, most {most}")
     if least < 0.0 or most > cm.theta_max:
         th = np.clip(th, 0.0, cm.theta_max)
     # the cell of each target: the inner edges at or below it
@@ -209,11 +220,25 @@ def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
     lo = g.edges[idx]
     hi = g.edges[1:][idx]
     base = cm.theta_at_edges[idx]
-    top = np.where(idx < g.n - 1, hi, np.inf)
-    above = cm.theta_at_edges[1:][idx]
     y = lo + (th - base) * cm.growth_at_edges[idx]
     np.maximum(y, lo, out=y)
     np.minimum(y, hi, out=y)
+    if not isinstance(cm.growth, ConstantRate):
+        y = _newton_in_cells(cm, th, idx, lo, hi, base, y)
+    if not shape:
+        return (float(y[0]), int(idx[0])) if return_cells else float(y[0])
+    y = y.reshape(shape)
+    return (y, idx.reshape(shape)) if return_cells else y
+
+
+def _newton_in_cells(cm: CharacteristicMap, th: np.ndarray, idx: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray, base: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
+    """theta_inverse's bracketed Newton passes and bisection from the
+    in-cell estimates y, for targets th in cells idx with edges lo and
+    hi and the times base tabulated at lo."""
+    top = np.where(idx < cm.grid.n - 1, hi, np.inf)
+    above = cm.theta_at_edges[1:][idx]
     tol = 1e-14 * max(1.0, cm.theta_max)
     for _ in range(8):
         resid, rate = _partial_theta(cm, lo, base, y)
@@ -224,31 +249,30 @@ def theta_inverse(cm: CharacteristicMap, theta) -> np.ndarray:
         np.maximum(y, lo, out=y)
         np.minimum(y, hi, out=y)
         if np.abs(resid, out=resid).max() < tol:
-            break
-    else:
-        # a step divides by the exact map's slope, not the quadrature's:
-        # on a wide cell they differ enough that Newton crawls or stalls,
-        # so the targets still off are bisected in their cells
-        def miss(at):
-            final = _partial_theta(cm, lo[at], base[at], y[at])[0]
-            np.copyto(final, above[at], where=y[at] == top[at])
-            return np.abs(final - th[at])
+            return y
+    # a step divides by the exact map's slope, not the quadrature's: on
+    # a wide cell they differ enough that Newton crawls or stalls, so the
+    # targets still off are bisected in their cells
+    def miss(at):
+        final = _partial_theta(cm, lo[at], base[at], y[at])[0]
+        np.copyto(final, above[at], where=y[at] == top[at])
+        return np.abs(final - th[at])
 
-        off = np.flatnonzero(~(miss(slice(None)) < tol))
-        left, start, goal = lo[off], base[off], th[off]
-        a, b = left, hi[off]
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            low = _partial_theta(cm, left, start, mid)[0] < goal
-            a = np.where(low, mid, a)
-            b = np.where(low, b, mid)
-        y[off] = 0.5 * (a + b)
-        worst = float(np.max(miss(off), initial=0.0))
-        if not worst < tol:
-            raise OutOfDomain(
-                f"characteristic inverse did not converge: residual "
-                f"{worst:.3g} above the tolerance {tol:.3g}")
-    return y.reshape(shape) if shape else float(y[0])
+    off = np.flatnonzero(~(miss(slice(None)) < tol))
+    left, start, goal = lo[off], base[off], th[off]
+    a, b = left, hi[off]
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        low = _partial_theta(cm, left, start, mid)[0] < goal
+        a = np.where(low, mid, a)
+        b = np.where(low, b, mid)
+    y[off] = 0.5 * (a + b)
+    worst = float(np.max(miss(off), initial=0.0))
+    if not worst < tol:
+        raise OutOfDomain(
+            f"characteristic inverse did not converge: residual "
+            f"{worst:.3g} above the tolerance {tol:.3g}")
+    return y
 
 
 def split_targets(centers: np.ndarray, positions: np.ndarray,
@@ -262,9 +286,14 @@ def split_targets(centers: np.ndarray, positions: np.ndarray,
     position (-1 for none), which saves the search."""
     if below is None:
         below = np.searchsorted(centers, positions) - 1
-    idx = np.clip(below, 0, len(centers) - 2)
-    gap = centers[idx + 1] - centers[idx]
-    frac = np.clip((centers[idx + 1] - positions) / gap, 0.0, 1.0)
+    # np.clip's floats, in place: the remap calls this every step
+    idx = np.maximum(below, 0)
+    np.minimum(idx, len(centers) - 2, out=idx)
+    upper = centers[idx + 1]
+    frac = upper - positions
+    frac /= upper - centers[idx]
+    np.maximum(frac, 0.0, out=frac)
+    np.minimum(frac, 1.0, out=frac)
     return idx, frac
 
 
@@ -279,8 +308,8 @@ def transport_remap(
     size.  Inside the grid both discrete moments are conserved to
     rounding (up to the clamp onto the last cell for parcels landing
     between the last center and the domain end)."""
-    if t_eff < 0.0:
-        raise NegativeTime(f"effective time must be >= 0, got {t_eff}")
+    if not (t_eff >= 0.0 and math.isfinite(t_eff)):
+        raise NegativeTime(f"effective time must be finite and >= 0, got {t_eff}")
     g = cm.grid
     if t_eff == 0.0:
         return f.copy(), 0.0, 0.0
@@ -292,9 +321,10 @@ def transport_remap(
     escaped_mass = escaped_count * g.ymax
     if kept == 0:
         return GridFunction(g, np.zeros(g.n)), escaped_count, escaped_mass
-    landed = theta_inverse(cm, theta_new[:kept])
+    landed, cell = theta_inverse(cm, theta_new[:kept], return_cells=True)
     m = masses[:kept]
-    idx, frac = split_targets(g.centers, landed)
+    # the last center strictly below a size in cell i is center i or i - 1
+    idx, frac = split_targets(g.centers, landed, cell - (landed <= g.centers[cell]))
     # every lower share, then every upper share, each in parcel order
     out = np.bincount(np.concatenate((idx, idx + 1)),
                       np.concatenate((m * frac, m * (1.0 - frac))), g.n)

@@ -26,16 +26,21 @@ after the step's checks.  The evaluation, ReactionOperator.rhs's
 right-hand side and largest loss rate, goes to the ledger's weak-form
 fluxes and to the next step as its first stage and substep scale.  It
 is passed explicitly, never cached; Snapshot stays a pure state record,
-and a replay of the ledger evaluates its own.  Every accepted state is
-evaluated, with or without test functions, so the evaluation's checks
-(joining flux leaving the grid) read the same states in every run.
+and a replay of the ledger evaluates its own.  A Strang step's last
+reaction half ends on the new state, so the step also hands over the
+monomer drain and gain that half evaluated there, and the next step's
+first half starts from them (a Handover); a Lie step ends on a
+transported state, and the next step evaluates both.  Every accepted
+state is evaluated, with or without test functions, so the
+evaluation's checks (joining flux leaving the grid) read the same
+states in every run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -150,14 +155,25 @@ def _clip_positive(u: np.ndarray, floor: float) -> np.ndarray:
     return u
 
 
+class Handover(NamedTuple):
+    """What a reaction interval starts from: ReactionOperator.rhs's
+    right-hand side and largest loss rate at its density, and the
+    monomer (drain, gain) there when the caller has them, else None."""
+
+    rhs: np.ndarray
+    scale: float
+    monomer: Optional[Tuple[float, float]] = None
+
+
 def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig,
-           start: Evaluation) -> Tuple[float, np.ndarray]:
-    """Advance density and monomer over a reaction interval of length h;
-    start is mach.reaction.rhs(u)."""
+           start: Handover) -> Tuple[float, np.ndarray, Tuple[float, float]]:
+    """Advance density and monomer over a reaction interval of length h
+    from start, the Handover at u.  Returns the new monomer count and
+    density, and the drain and gain at that density."""
     r = mach.reaction
-    drain0 = r.drain(u)
-    gain0 = r.frag.monomer_gain(u)
-    f0, scale = start
+    f0, scale, monomer = start
+    drain0, gain0 = monomer if monomer is not None else (r.drain(u),
+                                                         r.frag.monomer_gain(u))
     substeps = max(1, int(math.ceil(h * scale / 0.5)))
     hs = h / substeps
     for i in range(substeps):
@@ -177,26 +193,32 @@ def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig
         v_new = (v - b / a) * math.exp(-a * h) + b / a
     else:
         v_new = v + b * h
-    return v_new, u
+    return v_new, u, (drain1, gain1)
 
 
 def step(state: Snapshot, cfg: SolverConfig, mach: Machinery,
-         start: Evaluation, dt: float) -> Tuple[Snapshot, Evaluation]:
+         start: Union[Evaluation, Handover], dt: float) -> Tuple[Snapshot, Handover]:
     """One splitting step of length dt from the given state.
 
-    start is mach.reaction.rhs(state.u.values) and serves as the first
-    stage.  The step returns the new state and the evaluation at its
-    density, made after the step's checks, for the caller to hand to the
-    ledger and to the next step."""
+    start is mach.reaction.rhs(state.u.values), or the Handover the step
+    that produced the state returned, and serves as the first stage.
+    The step returns the new state and the Handover at its density, made
+    after the step's checks, for the caller to hand to the ledger and to
+    the next step.  A Strang step's last reaction half ends on the new
+    state, so its Handover carries the drain and gain there; a Lie
+    step's carries None."""
     grid = state.u.grid
     strang = cfg.splitting == "strang"
-    v, u = _react(state.v, state.u.values, 0.5 * dt if strang else dt, mach,
-                  cfg, start)
+    v, u, monomer = _react(state.v, state.u.values, 0.5 * dt if strang else dt,
+                           mach, cfg, Handover(*start))
     moved, esc_count, _esc_mass = transport_remap(
         mach.transport, GridFunction(grid, u), mach.reaction.speed(v, u) * dt)
     u = moved.values
     if strang:
-        v, u = _react(v, u, 0.5 * dt, mach, cfg, mach.reaction.rhs(u))
+        v, u, monomer = _react(v, u, 0.5 * dt, mach, cfg,
+                               Handover(*mach.reaction.rhs(u)))
+    else:
+        monomer = None
     if esc_count > 0.0:
         raise MassEscape(
             f"{esc_count:g} polymers crossed the grid end during transport")
@@ -206,7 +228,7 @@ def step(state: Snapshot, cfg: SolverConfig, mach: Machinery,
     if v < -1e-12 * scale:
         raise NegativeMonomer(f"monomer count fell to {v}")
     new = Snapshot(t=state.t + dt, v=max(v, 0.0), u=GridFunction(grid, u))
-    return new, mach.reaction.rhs(new.u.values)
+    return new, Handover(*mach.reaction.rhs(new.u.values), monomer)
 
 
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> set:
@@ -234,6 +256,8 @@ def run(
     On a solver error the exception carries the work so far in its
     partial_result attribute."""
     grid = u0.grid
+    if not math.isfinite(v0):
+        raise BlowUp(f"initial monomer count {v0} is not finite")
     if v0 < 0.0:
         raise NegativeMonomer(f"initial monomer count {v0} is negative")
     mach = build_machinery(k, u0, cfg, shared)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from prionpde.errors import (
 )
 from prionpde.grid import GridFunction, build_grid, moment, project
 from prionpde.kernels import (
+    ConstantRate,
     ModelParams,
     make_bounded_family,
     make_powerlaw_family,
@@ -234,6 +236,25 @@ class TestSupportEnvelope:
         env = support_bound(res, k)
         assert calls == []
         assert np.array_equal(env, res.ledger.column("support_bound"))
+
+    def test_declared_constant_growth_matches_a_closure(self):
+        """The envelope reads a ConstantRate's value without calling it;
+        over the same states it equals the envelope of a closure
+        returning that value, bit for bit."""
+        k = with_join_cutoff(
+            make_bounded_family(1.3, 0.0, 0.0, 0.05), cutoff=40.0)
+        assert isinstance(k.growth, ConstantRate)
+        grid = build_grid(1.0, 129.0, 64, "uniform")
+        u0 = gaussian_start(grid, center=8.0, width=1.5, count=0.2)
+        dt, n = 0.05, 8
+        cfg = SolverConfig(dt=dt, t_end=n * dt,
+                           snapshot_times=tuple(dt * i for i in range(1, n + 1)))
+        res = run(u0, 0.25, k, cfg)
+        closure = dataclasses.replace(
+            k, growth=lambda y: np.full(np.shape(y), 1.3, dtype=float))
+        env = support_bound(res, k)
+        assert np.all(np.diff(env) > 0.0)
+        assert np.array_equal(env, support_bound(res, closure))
 
 
 class TestMomentBarriers:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prionpde import operators
 from prionpde.errors import NegativeTime, OutOfDomain
 from prionpde.grid import GAUSS3_NODES, GAUSS3_WEIGHTS, build_grid, moment, project
-from prionpde.kernels import make_special_family, plan_truncation_levels, truncate
+from prionpde.kernels import (ConstantRate, make_special_family,
+                              plan_truncation_levels, truncate)
 from prionpde.operators import (
     characteristic_map,
     split_targets,
@@ -57,6 +59,14 @@ class TestThetaMap:
             theta_inverse(cm, cm.theta_max * 1.01)
         with pytest.raises(OutOfDomain):
             theta_inverse(cm, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_refused_before_any_pass(self, bad, monkeypatch):
+        grid, cm = linear_growth_map(n=64)
+        monkeypatch.setattr(operators, "_partial_theta", None)
+        for theta in (bad, np.array([0.5, bad, 1.0])):
+            with pytest.raises(OutOfDomain, match="characteristic time out of"):
+                theta_inverse(cm, theta)
 
     def test_unconverged_newton_raises(self):
         # a growth closure inconsistent with the tabulated edge times
@@ -150,6 +160,15 @@ class TestRemapTransport:
         u = project(gaussian_bump(8.0, 1.0), grid)
         with pytest.raises(NegativeTime):
             transport_remap(cm, u, -1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_raises(self, bad):
+        # NaN used to remove every parcel as escaped
+        grid = build_grid(1.0, 40.0, 50, spacing="uniform")
+        cm = characteristic_map(lambda y: np.ones_like(np.asarray(y, float)), grid)
+        u = project(gaussian_bump(8.0, 1.0), grid)
+        with pytest.raises(NegativeTime, match="finite"):
+            transport_remap(cm, u, bad)
 
     def test_unit_speed_grid_multiple_shift_is_exact(self):
         # shifting by a whole number of uniform cells lands parcels on centers
@@ -381,10 +400,85 @@ class TestBracketedNewton:
             assert passes >= 2
 
 
+# -- the cell route and declared constant growth ---------------------------
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+@pytest.mark.parametrize("growth", sorted(GROWTHS) + ["declared"])
+def test_remap_hands_split_targets_the_searched_cells(growth, spacing, monkeypatch):
+    """The remap derives each parcel's last center below from the cell
+    theta_inverse found; it must equal a search of the centers, for
+    parcels landing inside cells, exactly on centers and on edges."""
+    rate = ConstantRate(1.0) if growth == "declared" else GROWTHS[growth]
+    cm = characteristic_map(rate, build_grid(1.0, 60.0, 48, spacing))
+    g = cm.grid
+    u = GridFunction(g, np.random.default_rng(5).random(g.n))
+    seen = []
+    split = operators.split_targets
+
+    def checked(centers, positions, below=None):
+        assert np.array_equal(below, np.searchsorted(centers, positions) - 1)
+        seen.append(positions)
+        return split(centers, positions, below)
+
+    monkeypatch.setattr(operators, "split_targets", checked)
+    shares = [0.0, 1e-4, 0.05, 0.4, 0.97, 1.5]
+    # the first parcel's time to each center and each edge above it
+    start = cm.theta_at_centers[0]
+    landings = np.concatenate((cm.theta_at_centers[1:], cm.theta_at_edges[1:])) - start
+    for t_eff in [s * cm.theta_max for s in shares] + list(landings):
+        transport_remap(cm, u, t_eff)
+    landed = np.concatenate(seen)
+    assert np.isin(g.centers, landed).any() and np.isin(g.edges, landed).any()
+
+
+def const_closure(c):
+    """A constant rate as an ordinary closure: what the families passed
+    before ConstantRate, and the reference for its values."""
+    c = float(c)
+    return lambda y: np.full(np.shape(y), c, dtype=float)
+
+
+class TestDeclaredConstantGrowth:
+    @pytest.mark.parametrize("value", [1.0, 2, 0.37])
+    def test_values_match_the_closure(self, value):
+        rate, ref = ConstantRate(value), const_closure(value)
+        rng = np.random.default_rng(1)
+        for y in (3.5, np.float64(3.5), np.array(3.5), rng.random(7),
+                  rng.random((4, 7)), rng.random((3, 5, 16))):
+            got, want = rate(y), ref(y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert isinstance(rate.value, float)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("value", [1.0, 0.37, 3.0, 7.3])
+    def test_inverse_within_an_ulp_of_newton(self, spacing, value, monkeypatch):
+        """The in-cell linear estimate needs no Newton pass, and no growth
+        call: it stays within one ulp of the Newton reference with a
+        residual under theta_inverse's tolerance.  At 7.3 the estimate at
+        some edge times overshoots the cell by rounding, and the clip
+        keeps it in."""
+        cm = characteristic_map(ConstantRate(value), build_grid(1.0, 60.0, 48, spacing))
+        th = np.concatenate((targets(cm), np.linspace(0.0, cm.theta_max, 4001)))
+        want = reference_theta_inverse(cm, th)
+        monkeypatch.setattr(operators, "_partial_theta", None)
+        got, cells = theta_inverse(cm, th, return_cells=True)
+        monkeypatch.undo()
+        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(got, want)))
+        tol = 1e-14 * max(1.0, cm.theta_max)
+        assert np.max(np.abs(reference_theta_map(cm, got) - th)) < tol
+        edges = cm.grid.edges
+        assert np.all((edges[cells] <= got) & (got <= edges[cells + 1]))
+        scalar = float(0.5 * (cm.theta_at_edges[7] + cm.theta_at_edges[8]))
+        assert theta_inverse(cm, scalar, return_cells=True) == (
+            theta_inverse(cm, scalar), 7)
+
+
 # -- properties of the one transport operator ------------------------------
 
 REMAP_GROWTHS = {
     "constant": lambda y: np.ones_like(np.asarray(y, dtype=float)),
+    "declared": ConstantRate(1.0),
     "linear": lambda y: np.asarray(y, dtype=float),
 }
 
@@ -417,14 +511,17 @@ def test_remap_is_nonnegative_and_keeps_count(spacing, n, growth, top, share, se
 
 @settings(max_examples=60, deadline=None)
 @given(spacing=st.sampled_from(SPACINGS), n=st.integers(4, 300),
+       growth=st.sampled_from(["constant", "declared"]),
        top=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_remap_advances_first_moment_for_constant_growth(spacing, n, top, share, seed):
+def test_remap_advances_first_moment_for_constant_growth(spacing, n, growth, top,
+                                                         share, seed):
     """With unit speed every parcel moves by t_eff; a time at most the
     room between the last cell holding mass and the last center clamps
     no parcel onto the last cell, so the first moment grows by
-    t_eff * U0."""
-    cm, u, last = remap_case(spacing, n, "constant", top, seed)
+    t_eff * U0.  The same holds for a plain closure, inverted by Newton,
+    and for a declared ConstantRate, inverted without."""
+    cm, u, last = remap_case(spacing, n, growth, top, seed)
     c = cm.grid.centers
     t_eff = share * (c[-1] - c[last])
     out, esc_count, _ = transport_remap(cm, u, t_eff)

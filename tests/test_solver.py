@@ -10,7 +10,9 @@ from prionpde.diagnostics import (
     select_test_functions,
     vallee_poussin_weight,
 )
+from prionpde import solver
 from prionpde.errors import (
+    BlowUp,
     MassEscape,
     NegativeMonomer,
     PairOutOfRange,
@@ -24,6 +26,7 @@ from prionpde.oracle import (
     rates_from_kernel_set,
 )
 from prionpde.solver import (
+    SPLITTINGS,
     SolverConfig,
     _clip_positive,
     _snapshot_steps,
@@ -31,7 +34,7 @@ from prionpde.solver import (
     run,
     step,
 )
-from prionpde.operators import JoiningTables
+from prionpde.operators import FragTables, JoiningTables, ReactionOperator
 
 
 def closed_family(join_value=0.2):
@@ -214,6 +217,16 @@ class TestSafetyRails:
         with pytest.raises(NegativeMonomer):
             run(u0, -0.5, k, SolverConfig(dt=1e-2, t_end=0.1))
 
+    @pytest.mark.parametrize("v0", [math.nan, math.inf, -math.inf])
+    def test_initial_non_finite_monomer_rejected(self, v0, monkeypatch):
+        """Refused before any work: a NaN or infinite speed would send
+        every parcel past the grid end in the first transport."""
+        k = closed_family()
+        u0 = gaussian_start(build_grid(1.0, 60.0, 48, "geometric"))
+        monkeypatch.setattr(solver, "build_machinery", None)
+        with pytest.raises(BlowUp, match="initial monomer count"):
+            run(u0, v0, k, SolverConfig(dt=1e-2, t_end=0.1))
+
     def test_tail_gate_attaches_partial_result(self, small_setup):
         k, grid, _ = small_setup
         flat = project(lambda y: np.full_like(y, 1e-3), grid)
@@ -302,9 +315,9 @@ class TestSnapshots:
 
 def reference_run(u0, v0, k, cfg):
     """run without the right-hand-side handover, the test reference: each
-    step's start is evaluated afresh, the step's own evaluation of its new
-    state is discarded, and the ledger evaluates each state's right-hand
-    side by itself."""
+    step's start is evaluated afresh (its monomer drain and gain too), the
+    step's own evaluation of its new state is discarded, and the ledger
+    evaluates each state's right-hand side by itself."""
     grid = u0.grid
     mach = build_machinery(k, u0, cfg)
     weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
@@ -427,16 +440,45 @@ class TestRightHandSideHandover:
         assert len(res.snapshots) == 11
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
 
-    def test_step_hands_back_the_new_right_hand_side(self, small_setup):
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    def test_step_hands_back_the_new_right_hand_side(self, small_setup,
+                                                     splitting):
+        """And, after a Strang step, the drain and gain at the new state."""
         k, grid, u0 = small_setup
-        cfg = SolverConfig(dt=5e-3, t_end=5e-3)
+        cfg = SolverConfig(dt=5e-3, t_end=5e-3, splitting=splitting)
         mach = build_machinery(k, u0, cfg)
         begin = Snapshot(t=0.0, v=2.0, u=u0.copy())
-        new, (f_end, scale_end) = step(begin, cfg, mach,
-                                       mach.reaction.rhs(u0.values), cfg.dt)
+        new, (f_end, scale_end, monomer) = step(
+            begin, cfg, mach, mach.reaction.rhs(u0.values), cfg.dt)
         f_fresh, scale_fresh = mach.reaction.rhs(new.u.values)
         assert np.array_equal(f_end, f_fresh)
         assert scale_end == scale_fresh
+        if splitting == "lie":
+            assert monomer is None
+        else:
+            assert monomer == (mach.reaction.drain(new.u.values),
+                               mach.reaction.frag.monomer_gain(new.u.values))
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_strang_carries_drain_and_gain(self, small_setup, monkeypatch,
+                                           option):
+        """After the first step a Strang step evaluates the drain and the
+        monomer gain 3 times, not 4: its first reaction half starts from
+        the values the previous step's last half ended on.  A Lie step
+        ends on a transported state, so it evaluates both twice."""
+        k, _, u0 = small_setup
+        n = 6
+        counts = {"drain": 0, "monomer_gain": 0}
+        for owner, name in ((ReactionOperator, "drain"),
+                            (FragTables, "monomer_gain")):
+            def counted(self, u, _fn=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _fn(self, u)
+
+            monkeypatch.setattr(owner, name, counted)
+        run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3, **OPTIONS[option]))
+        want = 3 * n + 1 if option.startswith("strang") else 2 * n
+        assert counts == {"drain": want, "monomer_gain": want}
 
     @pytest.mark.parametrize("option", sorted(OPTIONS))
     def test_each_state_is_evaluated_once(self, small_setup, monkeypatch,
