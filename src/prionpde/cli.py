@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .diagnostics import write_csv
+from .diagnostics import select_test_functions, write_csv
 from .errors import (
     BlowUp,
     ConfigParseError,
@@ -131,11 +131,21 @@ def _check_replaceable(out: Path) -> None:
             "refusing to replace it")
 
 
+def _link_or_copy(src, dst) -> None:
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copy2(src, dst)
+
+
 @contextmanager
-def _replacing_dir(out: Path):
+def _replacing_dir(out: Path, keep_run: bool):
     """Yield a fresh directory for every file of a run; on a clean exit
     it replaces `out` whole.
 
+    With keep_run the fresh directory starts as a copy of `out` (hard
+    links where the file system allows) without its top-level oracle
+    files, so a command that adds to a run swaps its files in at once.
     The fresh directory sits next to `out`. The old `out` is moved aside,
     the fresh one renamed into place and the old one removed, so a
     failure at any point leaves the old directory or the new one, never
@@ -149,6 +159,11 @@ def _replacing_dir(out: Path):
     old = target.with_name(f".{target.name}.old-{os.getpid()}")
     fresh.mkdir(parents=True)
     try:
+        if keep_run and target.is_dir():
+            shutil.copytree(
+                target, fresh, symlinks=True, dirs_exist_ok=True,
+                copy_function=_link_or_copy,
+                ignore=lambda d, names: _ORACLE_FILES if d == str(target) else ())
         yield fresh
         if target.exists():
             os.replace(target, old)
@@ -162,26 +177,6 @@ def _replacing_dir(out: Path):
         for path in (fresh, old):
             if path.exists():
                 shutil.rmtree(path, ignore_errors=True)
-
-
-def _replace_oracle_files(out: Path, writers) -> None:
-    """Write oracle files into `out`: each `name: write` pair writes its
-    file under a temporary name, and only when all are written are they
-    os.replace'd into place.  Then every other oracle file, left by an
-    earlier run, is removed."""
-    out.mkdir(parents=True, exist_ok=True)
-    staged = {name: out / f".{name}.tmp" for name in writers}
-    try:
-        for name, write in writers.items():
-            write(staged[name])
-        for name, tmp in staged.items():
-            os.replace(tmp, out / name)
-        for name in _ORACLE_FILES:
-            if name not in writers:
-                (out / name).unlink(missing_ok=True)
-    finally:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
 
 
 class _CsvColumns:
@@ -206,8 +201,12 @@ def _run_from_config(cfg: RunConfig):
     k = cfg.build_kernel()
     grid = cfg.build_grid()
     u0 = cfg.build_initial(grid)
-    v0 = cfg["initial.monomer"]
-    return k, grid, u0, v0, cfg.solver_config()
+    scfg = cfg.solver_config()
+    try:  # the names are checked where they are used; here to fail fast
+        select_test_functions(grid, k, scfg.test_functions)
+    except ValueError as exc:
+        raise ConfigParseError(f"diagnostics.test_functions: {exc}") from exc
+    return k, grid, u0, cfg["initial.monomer"], scfg
 
 
 def _oracle_for(cfg: RunConfig, rates, u0, v0):
@@ -228,7 +227,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         traj = _oracle_for(cfg, rates, u0, v0)
         report = compare(result.ledger, traj, rates)
     sigmas = cfg["diagnostics.sigma"]
-    with _replacing_dir(out) as fresh:
+    with _replacing_dir(out, keep_run=False) as fresh:
         result.ledger.to_csv(fresh / "timeseries.csv")
         for snap in result.snapshots:
             _write_density(snap, fresh / _density_filename(snap.t))
@@ -257,28 +256,28 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    k, grid, u0, v0, _ = _run_from_config(cfg)
     out = Path(cfg["output.dir"])
-    t_end = cfg["solver.t_end"]
+    _check_replaceable(out)  # again when the writes start; here to fail fast
+    k, grid, u0, v0, _ = _run_from_config(cfg)
     rates = rates_from_kernel_set(k)
-    if t_end == 0.0:
-        state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
-        columns = {"t": [0.0], "v": [state0.v], "U0": [state0.U0],
-                   "U1": [state0.U1]}
-        _replace_oracle_files(out, {
-            "oracle.csv": lambda path: _write_oracle_csv(columns, path)})
+    traj = report = None
+    if cfg["solver.t_end"] == 0.0:
+        columns = {"t": [0.0], "v": [v0], "U0": [u0.moment(0)],
+                   "U1": [u0.moment(1)]}
+    else:
+        traj = _oracle_for(cfg, rates, u0, v0)
+        columns = traj.as_columns()
+        ts_path = out / "timeseries.csv"
+        # the comparison can fail, so it runs before the first file is written
+        if ts_path.exists():
+            report = compare(_CsvColumns(ts_path), traj, rates)
+    with _replacing_dir(out, keep_run=True) as fresh:
+        _write_oracle_csv(columns, fresh / "oracle.csv")
+        if report is not None:
+            _write_compare(report, fresh / "compare.txt")
+    if traj is None:
         print(f"oracle: horizon 0, wrote initial state -> {out}")
         return 0
-    traj = _oracle_for(cfg, rates, u0, v0)
-    ts_path = out / "timeseries.csv"
-    # the comparison can fail, so it runs before the first file is written
-    report = (compare(_CsvColumns(ts_path), traj, rates)
-              if ts_path.exists() else None)
-    writers = {"oracle.csv":
-               lambda path: _write_oracle_csv(traj.as_columns(), path)}
-    if report is not None:
-        writers["compare.txt"] = lambda path: _write_compare(report, path)
-    _replace_oracle_files(out, writers)
     print(f"oracle: {traj.times.size} rows, self error "
           f"{traj.step_halving_error:.3e} -> {out}")
     if report is not None:
@@ -315,7 +314,7 @@ def cmd_truncation(cfg: RunConfig) -> int:
             diffs[name] = float(np.max(np.abs(ca - cb)))
         rows.append((la.index, lb.index, diffs))
 
-    with _replacing_dir(out) as fresh:
+    with _replacing_dir(out, keep_run=False) as fresh:
         for level, result in results:
             level_dir = fresh / f"level_{level.index}"
             level_dir.mkdir()

@@ -104,8 +104,9 @@ class NegativeTime(PrionPdeError):
 class PairOutOfRange(PrionPdeError):
     """A joining event with nonzero mass flux targets a size beyond the grid.
 
-    Signals that Ymax is too small for this joining kernel and density;
-    mass is never silently dropped.
+    Signals that Ymax is too small for this joining kernel and density.
+    Stray flux up to operators.STRAY_FLUX_RTOL times the largest pair
+    flux is dropped as rounding; anything larger raises this.
     """
 
 

@@ -235,6 +235,35 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("names", ["one,nonsense", "one,one"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "validate", "oracle", "truncation"])
+    def test_bad_test_function_names_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, names):
+        for name in ("run", "truncate", "integrate_oracle",
+                     "validate_kernel_set"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("worked"))
+        cfg = write_cfg(tmp_path, TestTruncation.TRUNC
+                        + f"diagnostics.test_functions = {names}\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "ConfigParseError: diagnostics.test_functions: "
+            + ("unknown" if "nonsense" in names else "repeated"))
+        assert captured.out == ""
+        assert tree(tmp_path) == before
+
+    def test_readme_exit_code_table_matches_the_mapping(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+        rows = [row.split("|") for row in section.splitlines()
+                if row.startswith("|")]
+        codes = {int(cells[1]) for cells in rows if cells[1].strip().isdigit()}
+        assert codes == {0, 1} | set(cli.EXIT_CODES.values())
+
+
 class TestSimulate:
     def test_happy_path_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + f"output.dir = {tmp_path}/out\n")
@@ -337,21 +366,6 @@ class TestSimulate:
         header = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()[0]
         assert header.endswith("wf_one,wf_size")
         assert "wf_soft_exp" not in header
-
-    def test_unknown_test_function_exit_1(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE
-                        + "diagnostics.test_functions = one,nope\n"
-                        + f"output.dir = {tmp_path}/out\n")
-        assert main(["simulate", "--config", cfg]) == 1
-        assert "unknown test functions" in capsys.readouterr().err
-
-    def test_repeated_test_function_exit_1(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE
-                        + "diagnostics.test_functions = one,one\n"
-                        + f"output.dir = {tmp_path}/out\n")
-        assert main(["simulate", "--config", cfg]) == 1
-        assert "repeated test functions" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["solver.snapshot_times = nan",
                                       "solver.snapshot_times = 0.05,inf",
@@ -634,6 +648,53 @@ class TestOutputReplacement:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "holds no run_manifest" in capsys.readouterr().err
         assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("taken", ["file", "foreign_directory"])
+    def test_oracle_refuses_a_path_that_is_not_a_run(self, tmp_path, capsys,
+                                                     monkeypatch, taken):
+        """Refused before the moment system is integrated."""
+        monkeypatch.setattr(cli, "integrate_oracle",
+                            lambda *args: pytest.fail("integrated"))
+        out = tmp_path / "notes"
+        if taken == "file":
+            out.write_text("not a directory\n")
+        else:
+            out.mkdir()
+            (out / "keep.txt").write_text("hand-written\n")
+        cfg = write_cfg(tmp_path, BASE)
+        before = tree(tmp_path)
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ConfigParseError: ")
+        assert tree(tmp_path) == before
+
+    def test_oracle_keeps_every_file_of_a_truncation_run(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TestTruncation.TRUNC)
+        assert main(["truncation", "--config", cfg, "--out", str(out)]) == 0
+        before = tree(out)
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+        assert tree(out) == {**before,
+                             "oracle.csv": (out / "oracle.csv").read_bytes()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
+
+    def test_failed_oracle_csv_keeps_previous_directory(self, tmp_path,
+                                                        capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert main(["oracle", "--config", cfg, "--out", out]) == 0
+        before = tree(tmp_path)
+
+        def fail(columns, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_compare",
+                            lambda *args: pytest.fail("compare written"))
+        monkeypatch.setattr(cli, "_write_oracle_csv", fail)
+        assert main(["oracle", "--config", cfg, "--out", out]) == 1
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.cfg"]
 
     def test_simulate_replaces_what_oracle_wrote(self, tmp_path):
         out = str(tmp_path / "out")
