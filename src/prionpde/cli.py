@@ -40,7 +40,6 @@ from .errors import (
     ValidationFailed,
 )
 from .kernels import plan_truncation_levels, truncate, validate_kernel_set
-from .operators import GridTables
 from .oracle import (
     MomentOdeState,
     compare,
@@ -200,13 +199,14 @@ class _CsvColumns:
 def _run_from_config(cfg: RunConfig):
     k = cfg.build_kernel()
     grid = cfg.build_grid()
-    u0 = cfg.build_initial(grid)
     scfg = cfg.solver_config()
     try:  # the names are checked where they are used; here to fail fast
         select_test_functions(grid, k, scfg.test_functions)
     except ValueError as exc:
         raise ConfigParseError(f"diagnostics.test_functions: {exc}") from exc
-    return k, grid, u0, cfg["initial.monomer"], scfg
+    tables = cfg.build_tables(k, grid)   # so every command refuses a bad grid
+    u0 = cfg.build_initial(grid)
+    return k, grid, u0, cfg["initial.monomer"], scfg, tables
 
 
 def _oracle_for(cfg: RunConfig, rates, u0, v0):
@@ -219,10 +219,10 @@ def _oracle_for(cfg: RunConfig, rates, u0, v0):
 def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg["output.dir"])
     _check_replaceable(out)  # again when the writes start; here to fail fast
-    k, grid, u0, v0, scfg = _run_from_config(cfg)
+    k, grid, u0, v0, scfg, tables = _run_from_config(cfg)
     oracle = cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0
     rates = rates_from_kernel_set(k) if oracle else None  # refused before the solve
-    result = run(u0, v0, k, scfg)
+    result = run(u0, v0, k, scfg, tables)
     if oracle:  # it can fail, so it runs before the first file is written
         traj = _oracle_for(cfg, rates, u0, v0)
         report = compare(result.ledger, traj, rates)
@@ -258,7 +258,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     out = Path(cfg["output.dir"])
     _check_replaceable(out)  # again when the writes start; here to fail fast
-    k, grid, u0, v0, _ = _run_from_config(cfg)
+    k, grid, u0, v0, *_ = _run_from_config(cfg)
     rates = rates_from_kernel_set(k)
     traj = report = None
     if cfg["solver.t_end"] == 0.0:
@@ -289,7 +289,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def cmd_truncation(cfg: RunConfig) -> int:
     out = Path(cfg["output.dir"])
     _check_replaceable(out)  # again when the writes start; here to fail fast
-    k, grid, u0, v0, scfg = _run_from_config(cfg)
+    k, grid, u0, v0, scfg, shared = _run_from_config(cfg)
     indices = cfg["truncation.levels"]
     if not indices:
         raise ConfigParseError(
@@ -298,11 +298,10 @@ def cmd_truncation(cfg: RunConfig) -> int:
         k, u0, v0, scfg.t_end, indices,
         pair_base=cfg["truncation.pair_base"],
         pair_step=cfg["truncation.pair_step"])
-    # one horizon verification for the whole ladder, and one set of the
-    # tables no rate enters: truncation keeps the daughter and the grid.
+    # one horizon verification for the whole ladder; truncation keeps the
+    # daughter and the grid, so the levels share the tables no rate enters.
     # Levels run one after another; --threads is accepted and ignored
     truncated = truncate(k, levels, scfg.t_end, u0, v0)
-    shared = GridTables.build(k.daughter, grid, joining=not scfg.skip_joining)
     results = [(level, run(u0n, v0, kn, scfg, shared))
                for level, (kn, u0n) in zip(levels, truncated)]
 

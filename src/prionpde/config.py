@@ -30,6 +30,7 @@ from .kernels import (
     make_special_family,
     with_join_cutoff,
 )
+from .operators import GridTables
 from .solver import REACTION_INTEGRATORS, SPLITTINGS, SolverConfig
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULTS"]
@@ -229,6 +230,12 @@ class RunConfig:
         with _refused_as_config_error("grid"):
             return build_grid(self["model.min_size"], self["grid.ymax"],
                               self["grid.n_cells"], self["grid.spacing"])
+
+    def build_tables(self, k: KernelSet, grid: SizeGrid) -> GridTables:
+        """GridTables of k's daughter on grid, joining unless skipped."""
+        with _refused_as_config_error("grid"):
+            return GridTables.build(k.daughter, grid,
+                                    joining=not self["solver.skip_joining"])
 
     def build_initial(self, grid: Optional[SizeGrid] = None) -> GridFunction:
         grid = grid if grid is not None else self.build_grid()

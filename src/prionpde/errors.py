@@ -6,34 +6,6 @@ class; the CLI maps each one to a stable nonzero exit code.
 
 from __future__ import annotations
 
-__all__ = [
-    "PrionPdeError",
-    "ConfigParseError",
-    "BadBounds",
-    "TooFewCells",
-    "NonFiniteSample",
-    "NonEvaluableKernel",
-    "ValidationFailed",
-    "UnknownFamily",
-    "NonPositiveTau",
-    "UnnormalizedK0",
-    "AsymmetricK0",
-    "LevelInconsistent",
-    "SupportExceedsGrid",
-    "OutOfDomain",
-    "NegativeTime",
-    "PairOutOfRange",
-    "BlowUp",
-    "NegativeMonomer",
-    "MassEscape",
-    "PositivityError",
-    "InsufficientSnapshots",
-    "EtaCutoffViolated",
-    "WrongFamily",
-    "ZeroMass",
-    "MismatchedRates",
-]
-
 
 class PrionPdeError(Exception):
     """Base class for all package errors."""
@@ -113,7 +85,8 @@ class PairOutOfRange(PrionPdeError):
 # -- solver ----------------------------------------------------------------
 
 class BlowUp(PrionPdeError):
-    """A state value became non-finite."""
+    """A state value became non-finite, or a reaction interval needs
+    more substeps than solver.MAX_SUBSTEPS."""
 
 
 class NegativeMonomer(PrionPdeError):
@@ -150,3 +123,8 @@ class ZeroMass(PrionPdeError):
 
 class MismatchedRates(PrionPdeError):
     """Moment-system rates do not match the rates of the compared run."""
+
+
+# every class above, in order
+__all__ = [name for name, obj in list(globals().items())
+           if isinstance(obj, type) and issubclass(obj, PrionPdeError)]

@@ -133,9 +133,10 @@ class KernelSet:
     the special, bounded and power-law families' daughter, gets O(n)
     closed-form fragmentation tables; any other is tabulated densely.
     So is a growth's constancy: a ConstantRate, the growth of the
-    special, bounded, k0 and power-law families, is transported without
-    Newton passes; any other growth, a closure returning a constant
-    included, keeps the bracketed Newton inverse.
+    special, bounded, k0 and power-law families (mollifying one gives
+    one), is transported without root-finding passes; any other growth,
+    a closure returning a constant included, keeps the bracketed root
+    finder.
 
     All closures must broadcast over numpy arrays and be evaluable on
     the whole probe range, not just the grid.  The rates growth, death
@@ -219,9 +220,13 @@ def mollify_rate(fn: RateFn, width: float, floor: Optional[float] = None) -> Rat
     fn is called once per evaluation, on an array with one more axis
     than y (the 16 quadrature nodes last), so it must act elementwise on
     arrays of any shape.  The weighted node values are summed in node
-    order, one after the other."""
+    order, one after the other.  A ConstantRate's value is smoothed
+    once, the same way, into a ConstantRate."""
     if not width > 0:
         raise ValueError("width must be > 0")
+    if isinstance(fn, ConstantRate):
+        value = np.add.accumulate(_MOLLIFY_W * fn.value)[-1]
+        return ConstantRate(value if floor is None else np.maximum(value, floor))
     offsets = width * _MOLLIFY_X
 
     def smooth_fn(y):
@@ -239,11 +244,11 @@ def mollify_rate(fn: RateFn, width: float, floor: Optional[float] = None) -> Rat
 
 @dataclass(frozen=True)
 class ConstantRate:
-    """A rate with one value at every size, declared as such: transport
-    inverts its characteristic map without Newton passes and the support
-    envelope reads the value without a call (operators.theta_inverse,
-    diagnostics.LedgerAccumulator).  A closure returning a constant is an
-    ordinary rate."""
+    """A rate with one value at every size, declared as such (mollify_rate
+    keeps it so): transport inverts its characteristic map without
+    passes and the support envelope reads the value without a call
+    (operators.theta_inverse, diagnostics.LedgerAccumulator).  A closure
+    returning a constant is an ordinary rate."""
 
     value: float
 

@@ -8,15 +8,12 @@ Discretization notes, load-bearing for the conservation tests:
   masses along exact characteristics and re-deposits each parcel onto
   the two bracketing cell centers with a first-moment-preserving split,
   so it conserves the zeroth and first discrete moments to rounding
-  while the parcel stays inside the grid.  It inverts the
-  characteristic map with ``theta_inverse``: one search of the
-  tabulated edge times finds the cell that brackets each root.  For a
-  ``kernels.ConstantRate`` growth, declared, not detected, the map is
-  linear in the cell and its estimate is the root; for any other growth
-  every Newton pass evaluates ``theta_map`` inside that cell from one
-  growth call, with no search and no domain check, giving
-  ``theta_map``'s floats.  The cell also gives each parcel its lower
-  bracketing center, so the split makes no second search.  The
+  while the parcel stays inside the grid.  ``theta_inverse`` finds the
+  cell of each root in one search of the tabulated edge times, and the
+  root in closed form for a ``kernels.ConstantRate`` growth (declared,
+  not detected), by a bracketed root finder in the cell otherwise.  The
+  cell also gives each parcel its lower bracketing center, so the
+  split makes no second search.  The
   surviving parcels are a prefix of the cells, as the characteristic
   time increases along the grid, and one bincount deposits both shares
   of every parcel.
@@ -155,6 +152,7 @@ def characteristic_map(growth: RateFn, grid: SizeGrid) -> CharacteristicMap:
                              growth_at_edges=g_edges, growth=growth)
 
 
+ROOT_PASSES = 40   # the most passes theta_inverse's root finder makes
 _GAUSS3_STEPS = (1.0 + GAUSS3_NODES)[:, None]   # node offsets over half a span
 _GAUSS3_WEIGHTS = GAUSS3_WEIGHTS[:, None]
 
@@ -194,17 +192,14 @@ def theta_inverse(cm: CharacteristicMap, theta, return_cells: bool = False):
 
     One search of theta_at_edges finds each target's cell, which brackets
     its root, and the cell's linear estimate starts the iteration.  For a
-    declared kernels.ConstantRate growth the map is linear in every cell,
-    so that estimate, clipped to the cell, is the inverse: no Newton pass
-    and no growth call.  Any other growth is inverted by bracketed Newton
-    iteration (the derivative of the map is the reciprocal growth), every
-    pass in the cell.  A pass evaluates theta_map inside the bracket, so
-    it makes one growth call, on the Gauss nodes of the partial cell and
-    the iterate together, and no search and no domain check; its floats
-    are theta_map's.  The targets eight passes leave with a residual
-    above 1e-14 * max(1, theta_max) are bisected in their cells.  Raises
-    OutOfDomain for a time outside [0, theta_max] or NaN, and if a
-    residual above that tolerance remains."""
+    declared kernels.ConstantRate growth, mollified ones included, the
+    map is linear in every cell, so that estimate, clipped to the cell,
+    is the inverse: no pass and no growth call.  Any other growth is
+    inverted by _root_in_cells in at most ROOT_PASSES passes, each one
+    growth call on the Gauss nodes of the partial cell and the iterate
+    together, with no search and no domain check; its floats are
+    theta_map's.  Raises OutOfDomain for a time outside [0, theta_max]
+    or NaN, and if a residual above 1e-14 * max(1, theta_max) remains."""
     shape = np.shape(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     g = cm.grid
@@ -224,55 +219,60 @@ def theta_inverse(cm: CharacteristicMap, theta, return_cells: bool = False):
     np.maximum(y, lo, out=y)
     np.minimum(y, hi, out=y)
     if not isinstance(cm.growth, ConstantRate):
-        y = _newton_in_cells(cm, th, idx, lo, hi, base, y)
+        y = _root_in_cells(cm, th, idx, lo, hi, base, y)
     if not shape:
         return (float(y[0]), int(idx[0])) if return_cells else float(y[0])
     y = y.reshape(shape)
     return (y, idx.reshape(shape)) if return_cells else y
 
 
-def _newton_in_cells(cm: CharacteristicMap, th: np.ndarray, idx: np.ndarray,
-                     lo: np.ndarray, hi: np.ndarray, base: np.ndarray,
-                     y: np.ndarray) -> np.ndarray:
-    """theta_inverse's bracketed Newton passes and bisection from the
-    in-cell estimates y, for targets th in cells idx with edges lo and
-    hi and the times base tabulated at lo."""
+def _root_in_cells(cm: CharacteristicMap, th: np.ndarray, idx: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray, base: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """theta_inverse's root finder from the in-cell estimates y, for
+    targets th in cells idx with edges lo and hi and the times base
+    tabulated at lo.  Every pass moves one end of each target's bracket,
+    its cell at first, to y by the residual's sign.  Newton steps are
+    kept while they land in the bracket and the residual falls fourfold:
+    they divide by the exact map's slope, not the quadrature's, which on
+    a wide cell makes them crawl or overshoot.  From its first miss on,
+    a target takes Illinois steps (regula falsi halving the residual of
+    an end kept twice running) and stays put once converged."""
     top = np.where(idx < cm.grid.n - 1, hi, np.inf)
     above = cm.theta_at_edges[1:][idx]
     tol = 1e-14 * max(1.0, cm.theta_max)
-    for _ in range(8):
+    a, b, fa, fb = lo.copy(), hi.copy(), base - th, above - th
+    last, prev = np.zeros(th.shape), np.full(th.shape, np.inf)
+    newton = np.ones(th.shape, dtype=bool)
+    for _ in range(ROOT_PASSES):
         resid, rate = _partial_theta(cm, lo, base, y)
         # theta_map measures a size on an inner upper edge from that edge
         np.copyto(resid, above, where=y == top)
         resid -= th
-        y = y - resid * rate
-        np.maximum(y, lo, out=y)
-        np.minimum(y, hi, out=y)
-        if np.abs(resid, out=resid).max() < tol:
+        below, over = resid < 0.0, resid > 0.0
+        same = resid * last > 0.0
+        np.multiply(fa, 0.5, out=fa, where=same & over)
+        np.multiply(fb, 0.5, out=fb, where=same & below)
+        for end, f, side in ((a, fa, below), (b, fb, over)):
+            np.copyto(end, y, where=side)
+            np.copyto(f, resid, where=side)
+        step = y - resid * rate
+        np.maximum(step, lo, out=step)
+        np.minimum(step, hi, out=step)
+        size = np.abs(resid)
+        done = size < tol
+        # an end counts as in: the clip puts a step onto its cell's edge
+        newton &= done | ((a <= step) & (step <= b) & (size <= 0.25 * prev))
+        if not newton.all():
+            falsi = np.clip(b - (b - a) * (fb / (fb - fa)), a, b)
+            step = np.where(newton, step, np.where(done, y, falsi))
+        y = step
+        if size.max() < tol:
             return y
-    # a step divides by the exact map's slope, not the quadrature's: on
-    # a wide cell they differ enough that Newton crawls or stalls, so the
-    # targets still off are bisected in their cells
-    def miss(at):
-        final = _partial_theta(cm, lo[at], base[at], y[at])[0]
-        np.copyto(final, above[at], where=y[at] == top[at])
-        return np.abs(final - th[at])
-
-    off = np.flatnonzero(~(miss(slice(None)) < tol))
-    left, start, goal = lo[off], base[off], th[off]
-    a, b = left, hi[off]
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        low = _partial_theta(cm, left, start, mid)[0] < goal
-        a = np.where(low, mid, a)
-        b = np.where(low, b, mid)
-    y[off] = 0.5 * (a + b)
-    worst = float(np.max(miss(off), initial=0.0))
-    if not worst < tol:
-        raise OutOfDomain(
-            f"characteristic inverse did not converge: residual "
-            f"{worst:.3g} above the tolerance {tol:.3g}")
-    return y
+        last, prev = resid, size
+    raise OutOfDomain(
+        f"characteristic inverse did not converge in {ROOT_PASSES} passes: "
+        f"residual {size.max():.3g} above the tolerance {tol:.3g}")
 
 
 def split_targets(centers: np.ndarray, positions: np.ndarray,
@@ -663,6 +663,7 @@ class GridTables:
 
     @classmethod
     def build(cls, daughter: PairFn, grid: SizeGrid, joining: bool = True) -> "GridTables":
+        join = JoinLayout.build(grid) if joining else None   # refuses first
         closed_form = daughter is uniform_daughter
         if closed_form:
             deposit, monomer_coeff = _uniform_deposit(grid)
@@ -670,8 +671,7 @@ class GridTables:
             deposit = _frag_deposit(daughter, grid)
             monomer_coeff = 0.5 * grid.centers - deposit @ grid.centers
         return cls(grid=grid, daughter=daughter, closed_form=closed_form,
-                   deposit=deposit, monomer_coeff=monomer_coeff,
-                   join=JoinLayout.build(grid) if joining else None)
+                   deposit=deposit, monomer_coeff=monomer_coeff, join=join)
 
     def check(self, k: KernelSet, grid: SizeGrid) -> None:
         """ValueError unless built for k's daughter on grid."""

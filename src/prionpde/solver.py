@@ -4,7 +4,8 @@ One step is a symmetric splitting: half a reaction interval, the full
 transport interval, half a reaction interval.  The reaction part evolves
 the density by degradation, splitting, and joining with an explicit
 Heun rule (sub-stepped so no cell loses more than half its content per
-substep) and the monomer by the exact solution of its linear equation
+substep; an interval needing more than MAX_SUBSTEPS raises BlowUp) and
+the monomer by the exact solution of its linear equation
 with coefficients frozen to the average of the interval's endpoint
 states.  Transport moves cell masses along exact characteristics with an
 effective time speed * dt, the speed taken from the splitting midpoint.
@@ -78,6 +79,8 @@ __all__ = [
 
 SPLITTINGS = ("lie", "strang")
 REACTION_INTEGRATORS = ("euler", "rk2")
+MAX_STEPS = 10**7       # a longer run is refused as configured
+MAX_SUBSTEPS = 10**4    # a reaction interval needing more raises BlowUp
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,9 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError("t_end must be non-negative and finite")
-        if not math.isfinite(self.t_end / self.dt):
+        if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(f"t_end / dt = {self.t_end}/{self.dt} is not a "
-                             "finite step count")
+                             f"finite step count of at most {MAX_STEPS}")
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"splitting must be one of {SPLITTINGS}")
         if self.reaction_integrator not in REACTION_INTEGRATORS:
@@ -172,9 +175,13 @@ def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig
     density, and the drain and gain at that density."""
     r = mach.reaction
     f0, scale, monomer = start
+    want = h * scale / 0.5
+    if not want <= MAX_SUBSTEPS:
+        raise BlowUp(f"loss rate {scale:g} needs {want:g} reaction substeps, "
+                     f"more than {MAX_SUBSTEPS}; shrink dt")
     drain0, gain0 = monomer if monomer is not None else (r.drain(u),
                                                          r.frag.monomer_gain(u))
-    substeps = max(1, int(math.ceil(h * scale / 0.5)))
+    substeps = max(1, int(math.ceil(want)))
     hs = h / substeps
     for i in range(substeps):
         if i > 0:

@@ -2,6 +2,7 @@
 manifest reproducibility."""
 
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,38 @@ class TestConfigParsing:
         assert "finite step count" in err
         assert not (tmp_path / "out").exists()
 
+    def test_step_count_beyond_the_bound_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("solved"))
+        cfg = write_cfg(tmp_path, BASE.replace("solver.dt = 0.01", "solver.dt = 1e-300")
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigParseError: bad solver settings")
+        assert f"at most {solver.MAX_STEPS}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["grid.ymax = 1e30", "grid.ymax = 1e300",
+                                      "model.min_size = 1e-300"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "validate", "oracle", "truncation"])
+    def test_grid_the_joining_layout_refuses_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, line):
+        for name in ("run", "truncate", "integrate_oracle",
+                     "validate_kernel_set"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("worked"))
+        key = line.split(" =")[0]
+        kept = [row for row in TestTruncation.TRUNC.splitlines()
+                if not row.startswith((key, "grid.n_cells"))]
+        kept += [line, "grid.n_cells = 24", f"output.dir = {tmp_path}/out"]
+        cfg = write_cfg(tmp_path, "\n".join(kept) + "\n")
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigParseError: bad grid settings: "
+                                       "joining pair targets")
+        assert captured.out == ""
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("names", ["one,nonsense", "one,one"])
     @pytest.mark.parametrize("command",
@@ -306,6 +339,20 @@ class TestSimulate:
                         + f"output.dir = {tmp_path}/out\n")
         assert main(["simulate", "--config", cfg]) == 4
         assert "NegativeMonomer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["kernel.death = 1e300",
+                                      "kernel.frag = 1e300"])
+    def test_rates_needing_too_many_substeps_exit_3_at_once(
+            self, tmp_path, capsys, line):
+        key = line.split(" =")[0]
+        kept = [row for row in BASE.splitlines() if not row.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        start = time.perf_counter()
+        assert main(["simulate", "--config", cfg]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "reaction substeps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_oracle_failure_leaves_no_outputs(self, tmp_path, capsys,

@@ -22,6 +22,7 @@ from prionpde.kernels import (
     graded_rule,
     _panel_rule,
     _truncated_start,
+    ConstantRate,
     HypothesisFamily,
     KernelSet,
     ModelParams,
@@ -339,6 +340,22 @@ class TestMollifyBitwise:
         assert np.array_equal(got, want)
 
 
+class TestMollifyDeclaredConstant:
+    @pytest.mark.parametrize("value", [1.0, 0.37, 3, 7.3])
+    @pytest.mark.parametrize("floor_share", [None, 0.5, 2.0])
+    def test_stays_declared_with_the_loop_values(self, value, floor_share):
+        """A declared constant is smoothed once, into a declared
+        constant with the per-node loop's values: the weighted sum, then
+        a floor below or above it."""
+        floor = None if floor_share is None else floor_share * value
+        got = mollify_rate(ConstantRate(value), 0.37, floor=floor)
+        assert isinstance(got, ConstantRate)
+        want = reference_mollify(ConstantRate(value), 0.37, floor=floor)
+        for y in TestMollifyBitwise.POINTS.values():
+            assert np.shape(got(y)) == np.shape(want(y))
+            assert np.array_equal(got(y), want(y))
+
+
 def counted(fn):
     """fn with a call counter in its `calls` attribute."""
 
@@ -551,6 +568,18 @@ class TestTruncation:
 
     def ladder(self, k=None):
         return plan_truncation_levels(k or self.k, self.u0, 2.0, 1.0, [1, 2, 4, 8])
+
+    @pytest.mark.parametrize("family", [
+        lambda: make_special_family(1.0, 0.1, 1.0, 0.2),
+        lambda: make_bounded_family(1.0, 0.1, 0.5, 0.2),
+        lambda: make_k0_family(lambda s: np.ones_like(np.asarray(s, dtype=float))),
+        lambda: make_powerlaw_family(death_value=0.1, frag_slope=1.0),
+    ], ids=["special", "bounded", "k0", "powerlaw"])
+    def test_every_level_has_declared_constant_growth(self, family):
+        k = family()
+        assert isinstance(k.growth, ConstantRate)
+        for kn, _ in truncate(k, self.ladder(k), 1.0, self.u0, 2.0):
+            assert isinstance(kn.growth, ConstantRate)
 
     def test_ladder_verifies_in_one_horizon_solve(self):
         levels = self.ladder()

@@ -85,7 +85,7 @@ class TestThetaMap:
     def test_inverse_converges_on_wide_cells(self, spacing, n):
         # Newton steps by the growth rate, not the quadrature's slope, so
         # on a cell spanning orders of magnitude it crawls or stalls; the
-        # targets it leaves unconverged are bisected in their cells
+        # targets it leaves unconverged take Illinois steps in their cells
         grid = build_grid(1.0, 1e5, n, spacing=spacing)
         cm = characteristic_map(lambda y: np.asarray(y, dtype=float), grid)
         th = np.linspace(0.0, cm.theta_max, 2001)
@@ -398,6 +398,59 @@ class TestBracketedNewton:
         assert new_shapes == [(4, th.size)] * passes
         if growth == "root":
             assert passes >= 2
+
+
+# -- coarse grids, where Newton alone crawls -------------------------------
+
+def reference_bisected_inverse(cm, theta):
+    """The inverse the safeguarded root finder replaced: eight bracketed
+    Newton passes, then 64 bisections in their cells of the targets
+    still off, all with reference_theta_map's floats."""
+    th = np.asarray(theta, dtype=float)
+    g = cm.grid
+    idx = np.clip(np.searchsorted(cm.theta_at_edges, th, side="right") - 1, 0, g.n - 1)
+    lo, hi = g.edges[idx], g.edges[idx + 1]
+    y = np.clip(lo + (th - cm.theta_at_edges[idx]) * cm.growth_at_edges[idx], lo, hi)
+    tol = 1e-14 * max(1.0, cm.theta_max)
+    for _ in range(8):
+        resid = reference_theta_map(cm, y) - th
+        y = np.clip(y - resid * cm.growth(y), lo, hi)
+        if np.max(np.abs(resid)) < tol:
+            return y
+    off = ~(np.abs(reference_theta_map(cm, y) - th) < tol)
+    a, b = lo[off], hi[off]
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        low = reference_theta_map(cm, mid) < th[off]
+        a, b = np.where(low, mid, a), np.where(low, b, mid)
+    y[off] = 0.5 * (a + b)
+    return y
+
+
+# growth, ymax and uniform cells of the grids where Newton's step, by the
+# exact map's slope, is far enough from the quadrature's that it crawls:
+# Newton with the bisection fallback made 74 growth calls on each
+COARSE = {
+    "linear-16": (lambda y: np.asarray(y, dtype=float), 1000.0, 16),
+    "quadratic-48": (lambda y: np.asarray(y, dtype=float) ** 2, 60.0, 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COARSE))
+def test_root_finder_converges_where_newton_crawls(case):
+    """Within the pass cap, with every residual under the tolerance, and
+    at the sizes the bisection reached to about 1e-13 relative."""
+    growth, ymax, n = COARSE[case]
+    cm = characteristic_map(growth, build_grid(1.0, ymax, n, "uniform"))
+    th = np.linspace(0.0, cm.theta_max, 2000)
+    counted, shapes = counting(cm)
+    ys = theta_inverse(counted, th)
+    # linear-16 takes 13 passes, quadratic-48 takes 9
+    assert len(shapes) <= 16 < operators.ROOT_PASSES
+    tol = 1e-14 * max(1.0, cm.theta_max)
+    assert np.max(np.abs(reference_theta_map(cm, ys) - th)) < tol
+    want = reference_bisected_inverse(cm, th)
+    assert np.max(np.abs(ys - want) / want) < 2e-13
 
 
 # -- the cell route and declared constant growth ---------------------------

@@ -101,6 +101,8 @@ class TestSolverConfig:
         ({"positivity_tolerance": math.inf}, "positivity_tolerance .* inf"),
         ({"tail_mass_bound": math.nan}, "tail_mass_bound must not be nan"),
         ({"dt": 1e-300, "t_end": 1e300}, "not a finite step count"),
+        ({"dt": 1.0, "t_end": np.nextafter(solver.MAX_STEPS, math.inf)},
+         f"finite step count of at most {solver.MAX_STEPS}"),
     ])
     def test_refuses_values_that_switch_checks_off(self, options, message):
         with pytest.raises(ValueError, match=message):
@@ -247,6 +249,32 @@ class TestSafetyRails:
                            tail_mass_bound=float("inf"))
         with pytest.raises(MassEscape, match="crossed the grid end"):
             run(u0, 2.0, k, cfg)
+
+    def test_reaction_work_bound(self, small_setup, monkeypatch):
+        """A reaction interval needing more than MAX_SUBSTEPS substeps,
+        or with a non-finite loss scale, raises BlowUp before its first
+        substep; one needing exactly MAX_SUBSTEPS takes them."""
+        k, _, u0 = small_setup
+        cfg = SolverConfig(dt=0.125, t_end=1.0)
+        mach = solver.build_machinery(k, u0, cfg)
+        f, _ = mach.reaction.rhs(u0.values)
+        calls = []
+        rhs = ReactionOperator.rhs
+        monkeypatch.setattr(ReactionOperator, "rhs",
+                            lambda self, u: calls.append(1) or rhs(self, u))
+        monkeypatch.setattr(solver, "MAX_SUBSTEPS", 4)
+
+        def react(scale):
+            calls.clear()
+            solver._react(2.0, u0.values, 0.125, mach, cfg,
+                          solver.Handover(f, scale, (0.0, 0.0)))
+
+        react(16.0)   # 0.125 * 16 / 0.5: four Heun substeps
+        assert len(calls) == 2 * 4 - 1
+        for scale in (np.nextafter(16.0, 17.0), 1e300, math.inf, math.nan):
+            with pytest.raises(BlowUp, match="reaction substeps"):
+                react(scale)
+            assert calls == []
 
     def test_clip_tolerance(self):
         floor = 1e-9
