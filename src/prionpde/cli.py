@@ -17,6 +17,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,7 +47,7 @@ from .oracle import (
     integrate_oracle,
     rates_from_kernel_set,
 )
-from .solver import run
+from .solver import MAX_STEPS, run
 
 __all__ = ["main", "EXIT_CODES", "exit_code_for"]
 
@@ -210,10 +211,17 @@ def _run_from_config(cfg: RunConfig):
 
 
 def _oracle_for(cfg: RunConfig, rates, u0, v0):
-    state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
+    """A call that integrates the closed moment system from the initial
+    state to a positive solver.t_end, in steps of oracle.dt, at most a
+    tenth of the horizon; more than MAX_STEPS steps are refused now."""
     t_end = cfg["solver.t_end"]
     dt = min(cfg["oracle.dt"], t_end / 10.0)
-    return integrate_oracle(state0, rates, t_end, dt)
+    if not t_end / dt <= MAX_STEPS:
+        raise ConfigParseError(
+            f"bad value for oracle.dt: {dt!r} takes more than {MAX_STEPS} "
+            f"steps to solver.t_end = {t_end!r}")
+    state0 = MomentOdeState(v=v0, U0=u0.moment(0), U1=u0.moment(1))
+    return partial(integrate_oracle, state0, rates, t_end, dt)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -221,10 +229,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _check_replaceable(out)  # again when the writes start; here to fail fast
     k, grid, u0, v0, scfg, tables = _run_from_config(cfg)
     oracle = cfg["oracle.enabled"] and cfg["solver.t_end"] > 0.0
-    rates = rates_from_kernel_set(k) if oracle else None  # refused before the solve
+    if oracle:  # refused before the solve
+        rates = rates_from_kernel_set(k)
+        integrate = _oracle_for(cfg, rates, u0, v0)
     result = run(u0, v0, k, scfg, tables)
     if oracle:  # it can fail, so it runs before the first file is written
-        traj = _oracle_for(cfg, rates, u0, v0)
+        traj = integrate()
         report = compare(result.ledger, traj, rates)
     sigmas = cfg["diagnostics.sigma"]
     with _replacing_dir(out, keep_run=False) as fresh:
@@ -265,7 +275,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         columns = {"t": [0.0], "v": [v0], "U0": [u0.moment(0)],
                    "U1": [u0.moment(1)]}
     else:
-        traj = _oracle_for(cfg, rates, u0, v0)
+        traj = _oracle_for(cfg, rates, u0, v0)()
         columns = traj.as_columns()
         ts_path = out / "timeseries.csv"
         # the comparison can fail, so it runs before the first file is written

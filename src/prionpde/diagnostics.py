@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from ._ode import rk4_step
 from .grid import GridFunction, SizeGrid, moment
 from .kernels import ConstantRate, HypothesisFamily, KernelSet
 from .operators import Evaluation, ReactionOperator, integrability_coefficients
+
+if TYPE_CHECKING:  # solver imports this module
+    from .solver import SolverConfig
 
 __all__ = [
     "TestFunction",
@@ -181,35 +184,24 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run, finished or cut short: the kept snapshots, the ledger and
+    the solver options it ran with, which are all a replay needs."""
+
     snapshots: Tuple[Snapshot, ...]
     ledger: "DiagnosticsLedger"
+    config: "SolverConfig"
 
 
 class DiagnosticsLedger:
-    """Column store of per-step run records with a fixed on-disk order:
-    the core columns, then one wf_<name> column per registered test
-    function, then the optional extra moment and the optional
-    uniform-integrability split."""
+    """Column store of per-step run records, the columns in their
+    on-disk order; LedgerAccumulator decides which columns a run has."""
 
-    def __init__(self, wf_names: Sequence[str] = (),
-                 extra_moment: Optional[float] = None,
-                 uniform_integrability: bool = False):
-        self.wf_names = tuple(wf_names)
-        self.extra_moment = extra_moment
-        self.uniform_integrability = bool(uniform_integrability)
-        self._columns: Dict[str, List[float]] = {
-            name: [] for name in self.column_order()}
+    def __init__(self, columns: Sequence[str]):
+        self._columns: Dict[str, List[float]] = {name: [] for name in columns}
         self._keys = frozenset(self._columns)
-        self.meta: Dict[str, object] = {}
 
     def column_order(self) -> Tuple[str, ...]:
-        order = list(CORE_COLUMNS)
-        order += [f"wf_{name}" for name in self.wf_names]
-        if self.extra_moment is not None:
-            order.append("M_sigma")
-        if self.uniform_integrability:
-            order += ["I1", "I2"]
-        return tuple(order)
+        return tuple(self._columns)
 
     def record(self, row: Mapping[str, float]) -> None:
         if row.keys() != self._keys:
@@ -257,7 +249,11 @@ class LedgerAccumulator:
     a replay passes none, and the accumulator evaluates it from the
     stored state with the same operator.  Either way the value is the
     same floats, so replay stays independent of the run and still
-    bit-identical to it."""
+    bit-identical to it.
+
+    The ledger's columns are the core columns, one wf_<name> per test
+    function, then M_sigma with an extra moment and I1, I2 with an
+    integrability weight."""
 
     def __init__(
         self,
@@ -282,14 +278,25 @@ class LedgerAccumulator:
                            None)
         self._phi_vals = [np.asarray(tf.value(c), dtype=float) for tf in self.tfs]
         self._phi_slopes = [np.asarray(tf.slope(c), dtype=float) for tf in self.tfs]
+        self._wf_columns = tuple(f"wf_{tf.name}" for tf in self.tfs)
+        columns = CORE_COLUMNS + self._wf_columns
+        if extra_moment is not None:
+            columns += ("M_sigma",)
         if self.weight is not None:
             self._i_coeffs = integrability_coefficients(k, grid, self.weight.value)
-        self.ledger = DiagnosticsLedger(
-            wf_names=[tf.name for tf in self.tfs],
-            extra_moment=extra_moment,
-            uniform_integrability=self.weight is not None,
-        )
+            columns += ("I1", "I2")
+        self.ledger = DiagnosticsLedger(columns)
         self._started = False
+
+    @classmethod
+    def for_run(cls, k: KernelSet, reaction: ReactionOperator,
+                u0: GridFunction, cfg: "SolverConfig") -> "LedgerAccumulator":
+        """The accumulator of a run of k from u0 under cfg, with the test
+        functions, extra moment and integrability weight cfg selects:
+        the one rule the solver and the replay share."""
+        weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
+        tfs = select_test_functions(u0.grid, k, cfg.test_functions)
+        return cls(k, reaction, tfs, cfg.extra_moment, weight)
 
     # per-state quantities -------------------------------------------------
 
@@ -417,9 +424,9 @@ class LedgerAccumulator:
             "support_bound": self._envelope,
         }
         wf_accum = self._integrals[2:]
-        for i, tf in enumerate(self.tfs):
+        for i, name in enumerate(self._wf_columns):
             lhs = float(np.dot(self._phi_vals[i], counts)) - self._phi0[i]
-            row[f"wf_{tf.name}"] = (lhs - wf_accum[i]) / max(1.0, abs(lhs))
+            row[name] = (lhs - wf_accum[i]) / max(1.0, abs(lhs))
         if self.extra_moment is not None:
             row["M_sigma"] = moment(g, arr, self.extra_moment)
         if self.weight is not None:
@@ -433,50 +440,32 @@ class LedgerAccumulator:
 def _replay(result: RunResult, k: KernelSet,
             envelope_start: Optional[float] = None,
             **options) -> LedgerAccumulator:
-    """An accumulator driven over the snapshots with the reaction operator
-    the run used: the solver options stored with the run
-    (ledger.meta["config"]) decide whether joining is on."""
+    """An accumulator driven over the snapshots, with joining on or off
+    as the run had it, and the run's ledger options unless options
+    (LedgerAccumulator keywords) are given."""
     snaps = result.snapshots
-    cfg = result.ledger.meta.get("config")
     reaction = ReactionOperator.build(k, snaps[0].u.grid,
-                                      cfg is not None and cfg.skip_joining)
-    acc = LedgerAccumulator(k, reaction, **options)
+                                      result.config.skip_joining)
+    acc = (LedgerAccumulator(k, reaction, **options) if options else
+           LedgerAccumulator.for_run(k, reaction, snaps[0].u, result.config))
     acc.start(snaps[0].t, snaps[0].v, snaps[0].u, envelope_start=envelope_start)
     for snap in snaps[1:]:
         acc.advance(snap.t, snap.v, snap.u)
     return acc
 
 
-def recompute_ledger(
-    result: RunResult,
-    k: KernelSet,
-    test_functions: Optional[Sequence[TestFunction]] = None,
-    extra_moment: Optional[float] = None,
-    integrability_weight: Optional[TestFunction] = None,
-) -> DiagnosticsLedger:
-    """Rebuild a ledger from a snapshot trajectory.  Over every-step
-    snapshots this reproduces the solver's ledger bit for bit, because
-    both paths drive the same accumulator with the same states.  Over
-    sparser snapshots the trapezoid integrals are taken between them, so
-    column("wf_<name>")[-1] is the off-line weak-form residual of each
-    test function.  The solver options stored with the run
-    (ledger.meta["config"]) decide whether joining is on and fill in any
-    ledger option left as None."""
+def recompute_ledger(result: RunResult, k: KernelSet) -> DiagnosticsLedger:
+    """Rebuild a ledger from a snapshot trajectory, with the ledger
+    options of the run's solver options.  Over every-step snapshots this
+    reproduces the solver's ledger bit for bit, because both paths drive
+    the same accumulator with the same states; that holds for a partial
+    result too.  Over sparser snapshots the trapezoid integrals are
+    taken between them, so column("wf_<name>")[-1] is the off-line
+    weak-form residual of each test function."""
     snaps = result.snapshots
     if len(snaps) < 1:
         raise InsufficientSnapshots("need at least one snapshot")
-    grid = snaps[0].u.grid
-    cfg = result.ledger.meta.get("config")
-    if cfg is not None:
-        if test_functions is None:
-            test_functions = select_test_functions(grid, k, cfg.test_functions)
-        if extra_moment is None:
-            extra_moment = cfg.extra_moment
-        if integrability_weight is None and cfg.uniform_integrability:
-            integrability_weight = vallee_poussin_weight(snaps[0].u)
-    return _replay(result, k, test_functions=test_functions,
-                   extra_moment=extra_moment,
-                   integrability_weight=integrability_weight).ledger
+    return _replay(result, k).ledger
 
 
 # -- standalone functionals ------------------------------------------------
@@ -602,8 +591,8 @@ def uniform_integrability_report(
     snaps = result.snapshots
     grid = snaps[0].u.grid
     weight = weight if weight is not None else vallee_poussin_weight(snaps[0].u)
-    ledger = recompute_ledger(result, k, test_functions=(),
-                              integrability_weight=weight)
+    ledger = _replay(result, k, test_functions=(),
+                     integrability_weight=weight).ledger
     report = {name: ledger.column(name) for name in ("t", "I1", "I2")}
     phi_c = np.asarray(weight.value(grid.centers), dtype=float)
     report["weighted_moment"] = np.array(

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import BlowUp, MismatchedRates
 from .kernels import KernelSet
+from .solver import MAX_STEPS
 
 __all__ = [
     "MomentOdeState",
@@ -157,6 +158,9 @@ def integrate_oracle(
         raise ValueError("t_end must be positive")
     if dt <= 0.0 or dt > t_end / 10.0:
         raise ValueError("dt must be positive and at most t_end/10")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(
+            f"t_end / dt = {t_end}/{dt} is more than {MAX_STEPS} steps")
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     r = MomentRates(*map(float, astuple(rates)))

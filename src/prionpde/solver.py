@@ -45,20 +45,14 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .diagnostics import (
-    LedgerAccumulator,
-    RunResult,
-    Snapshot,
-    select_test_functions,
-    vallee_poussin_weight,
-)
+from .diagnostics import LedgerAccumulator, RunResult, Snapshot
 from .errors import (
     BlowUp,
     MassEscape,
     NegativeMonomer,
     PositivityError,
 )
-from .grid import GridFunction, moment
+from .grid import GridFunction
 from .kernels import KernelSet
 from .operators import (
     CharacteristicMap,
@@ -238,6 +232,18 @@ def step(state: Snapshot, cfg: SolverConfig, mach: Machinery,
     return new, Handover(*mach.reaction.rhs(new.u.values), monomer)
 
 
+def _step_count(cfg: SolverConfig) -> int:
+    """Steps to t_end: steps of dt, the last one t_end less the time
+    reached, so the clock ends on t_end exactly.  A remainder under the
+    clock's worst rounding drift (a half ulp of t_end per step) or under
+    1e-9 dt goes into the step before, which keeps the last step
+    positive."""
+    if cfg.t_end == 0.0:
+        return 0
+    ratio = cfg.t_end / cfg.dt
+    return max(1, int(math.ceil(ratio - max(1e-9, 2.3e-16 * ratio * ratio))))
+
+
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> set:
     wanted = {0, n_steps}
     for ts in cfg.snapshot_times:
@@ -260,36 +266,26 @@ def run(
     once for runs that share them (the levels of a truncation ladder);
     the run builds its own otherwise.
 
-    On a solver error the exception carries the work so far in its
-    partial_result attribute."""
-    grid = u0.grid
+    On a solver error the exception carries the work so far, a RunResult
+    like the one a finished run returns, in its partial_result
+    attribute."""
     if not math.isfinite(v0):
         raise BlowUp(f"initial monomer count {v0} is not finite")
     if v0 < 0.0:
         raise NegativeMonomer(f"initial monomer count {v0} is negative")
     mach = build_machinery(k, u0, cfg, shared)
-    weight = None
-    if cfg.uniform_integrability:
-        weight = vallee_poussin_weight(u0)
-    acc = LedgerAccumulator(
-        k, mach.reaction,
-        test_functions=select_test_functions(grid, k, cfg.test_functions),
-        extra_moment=cfg.extra_moment,
-        integrability_weight=weight,
-    )
+    acc = LedgerAccumulator.for_run(k, mach.reaction, u0, cfg)
     state = Snapshot(t=0.0, v=float(v0), u=u0.copy())
-    u1_init = moment(grid, u0.values, 1)
     tail_bound = (cfg.tail_mass_bound if cfg.tail_mass_bound is not None
-                  else 1e-8 * max(1.0, u1_init))
-    n_steps = (0 if cfg.t_end == 0.0
-               else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
+                  else 1e-8 * max(1.0, u0.moment(1)))
+    n_steps = _step_count(cfg)
     snap_steps = _snapshot_steps(cfg, n_steps)
     snapshots = [state]
     try:
         f = mach.reaction.rhs(state.u.values)  # the current state's evaluation
         acc.start(state.t, state.v, state.u, rhs=f)
         for i in range(1, n_steps + 1):
-            h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
+            h = cfg.dt if i < n_steps else cfg.t_end - state.t
             state, f = step(state, cfg, mach, f, h)
             row = acc.advance(state.t, state.v, state.u, rhs=f)
             if row["tail_mass"] > tail_bound:
@@ -299,8 +295,6 @@ def run(
             if i in snap_steps:
                 snapshots.append(state)
     except Exception as err:
-        err.partial_result = RunResult(snapshots=tuple(snapshots),
-                                       ledger=acc.ledger)
+        err.partial_result = RunResult(tuple(snapshots), acc.ledger, cfg)
         raise
-    acc.ledger.meta["config"] = cfg
-    return RunResult(snapshots=tuple(snapshots), ledger=acc.ledger)
+    return RunResult(tuple(snapshots), acc.ledger, cfg)

@@ -246,6 +246,28 @@ class TestConfigParsing:
         assert f"at most {solver.MAX_STEPS}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_oracle_step_count_beyond_the_bound_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        for name in ("run", "integrate_oracle"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("worked"))
+        cfg = write_cfg(tmp_path, BASE + "oracle.enabled = true\n"
+                        "oracle.dt = 1e-300\n" + f"output.dir = {tmp_path}/out\n")
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigParseError: bad value for oracle.dt")
+        assert f"more than {solver.MAX_STEPS} steps" in captured.err
+        assert captured.out == ""
+        assert tree(tmp_path) == before
+
+    def test_oracle_step_is_not_read_with_the_oracle_off(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + "oracle.dt = 1e-300\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "timeseries.csv").exists()
+        assert not (tmp_path / "out" / "oracle.csv").exists()
+
     @pytest.mark.parametrize("line", ["grid.ymax = 1e30", "grid.ymax = 1e300",
                                       "model.min_size = 1e-300"])
     @pytest.mark.parametrize("command",

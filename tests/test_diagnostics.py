@@ -23,6 +23,7 @@ from prionpde.diagnostics import (
 )
 from prionpde.errors import (
     EtaCutoffViolated,
+    MassEscape,
     WrongFamily,
     ZeroMass,
 )
@@ -99,13 +100,20 @@ class TestWeights:
 
 class TestLedger:
     def test_column_layout(self):
-        led = DiagnosticsLedger(wf_names=("one", "size"), extra_moment=1.5,
-                                uniform_integrability=True)
-        assert led.column_order() == CORE_COLUMNS + (
-            "wf_one", "wf_size", "M_sigma", "I1", "I2")
+        k = closed_family()
+        grid = build_grid(1.0, 60.0, 64, "geometric")
+        u0 = gaussian_start(grid)
+        cfg = SolverConfig(dt=1e-2, t_end=0.1, extra_moment=1.5,
+                           uniform_integrability=True,
+                           test_functions=("one", "size"))
+        acc = LedgerAccumulator.for_run(
+            k, ReactionOperator.build(k, grid, True), u0, cfg)
+        columns = CORE_COLUMNS + ("wf_one", "wf_size", "M_sigma", "I1", "I2")
+        assert acc.ledger.column_order() == columns
+        assert tuple(acc.start(0.0, 2.0, u0)) == columns
 
     def test_record_rejects_wrong_keys(self):
-        led = DiagnosticsLedger()
+        led = DiagnosticsLedger(CORE_COLUMNS)
         with pytest.raises(ValueError, match="row keys mismatch"):
             led.record({name: 0.0 for name in CORE_COLUMNS[:-1]})
         bad = {name: 0.0 for name in CORE_COLUMNS}
@@ -151,6 +159,7 @@ class TestReplay:
                            snapshot_times=tuple(dt * i for i in range(1, n + 1)),
                            **options)
         res = run(gaussian_start(grid), 2.0, k, cfg)
+        assert res.config is cfg
         redone = recompute_ledger(res, k)
         assert redone.column_order() == res.ledger.column_order()
         for name in res.ledger.column_order():
@@ -158,6 +167,33 @@ class TestReplay:
                                   res.ledger.column(name)), name
         if cfg.skip_joining:
             assert np.all(np.isfinite(redone.column("support_bound")))
+
+    def test_partial_result_replays(self):
+        """A run that the tail gate stops, without joining and with two
+        test functions, replays from the snapshots it kept: the same
+        columns and the same floats in every row they cover."""
+        k = closed_family()
+        grid = build_grid(1.0, 60.0, 64, "geometric")
+        u0 = gaussian_start(grid, center=45.0, width=1.0)
+        dt, n = 0.05, 20
+        options = dict(dt=dt, t_end=n * dt, skip_joining=True,
+                       test_functions=("one", "size"),
+                       snapshot_times=tuple(dt * i for i in range(1, n + 1)))
+        free = run(u0, 2.0, k, SolverConfig(tail_mass_bound=math.inf, **options))
+        cfg = SolverConfig(tail_mass_bound=free.ledger.column("tail_mass")[8],
+                           **options)
+        with pytest.raises(MassEscape) as exc:
+            run(u0, 2.0, k, cfg)
+        partial = exc.value.partial_result
+        assert partial.config is cfg
+        assert len(partial.snapshots) == 2
+        redone = recompute_ledger(partial, k)
+        assert redone.column_order() == partial.ledger.column_order()
+        assert "wf_soft_exp" not in redone.column_order()
+        assert len(redone) == len(partial.snapshots)
+        for name in redone.column_order():
+            assert np.array_equal(redone.column(name),
+                                  partial.ledger.column(name)[:len(redone)]), name
 
 
 class TestWeakForm:
@@ -293,7 +329,8 @@ class TestMomentBarriers:
         grid = res.snapshots[0].u.grid
         empty = RunResult(
             snapshots=(Snapshot(0.0, 1.0, GridFunction(grid, np.zeros(grid.n))),),
-            ledger=DiagnosticsLedger(),
+            ledger=DiagnosticsLedger(CORE_COLUMNS),
+            config=SolverConfig(dt=1.0, t_end=0.0),
         )
         with pytest.raises(ZeroMass):
             higher_moment_series(empty, sigma=1.5)

@@ -20,6 +20,7 @@ from prionpde.oracle import (
     moment_ode_rhs,
     rates_from_kernel_set,
 )
+from prionpde.solver import MAX_STEPS
 from reference_ode import rk4_solve
 
 
@@ -189,6 +190,16 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_oracle(MomentOdeState(1.0, 1.0, 1.0), r,
                              t_end=1.0, dt=0.2)
+
+    @pytest.mark.parametrize("dt", [1e-300, 0.99 / MAX_STEPS])
+    def test_refuses_more_than_max_steps_before_allocating(self, dt,
+                                                           monkeypatch):
+        for name in ("linspace", "empty"):
+            monkeypatch.setattr(np, name,
+                                lambda *args, **kw: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match=f"more than {MAX_STEPS} steps"):
+            integrate_oracle(MomentOdeState(1.0, 1.0, 1.0),
+                             MomentRates(growth=1.0), t_end=1.0, dt=dt)
 
     def test_blowup_detected(self):
         # drive U0 negative fast enough for U1 to follow through zero:

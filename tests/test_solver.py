@@ -8,7 +8,6 @@ from prionpde.diagnostics import (
     RunResult,
     Snapshot,
     select_test_functions,
-    vallee_poussin_weight,
 )
 from prionpde import solver
 from prionpde.errors import (
@@ -30,6 +29,7 @@ from prionpde.solver import (
     SolverConfig,
     _clip_positive,
     _snapshot_steps,
+    _step_count,
     build_machinery,
     run,
     step,
@@ -177,6 +177,34 @@ class TestStepping:
         assert len(times) == 5
         assert times[-1] == pytest.approx(0.35, abs=1e-14)
         assert np.all(np.diff(times) > 0)
+
+    @pytest.mark.parametrize("dt,t_end", [(1e-3, 0.05), (2.5e-4, 1.0),
+                                          (0.03, 1.0), (7e-3, 0.5)])
+    def test_clock_ends_exactly_on_t_end(self, dt, t_end):
+        """The last step is t_end less the time reached, so the sum of
+        the steps' rounded times lands on t_end itself."""
+        k = closed_family()
+        u0 = gaussian_start(build_grid(1.0, 40.0, 24, "geometric"))
+        res = run(u0, 2.0, k, SolverConfig(dt=dt, t_end=t_end, skip_joining=True,
+                                           test_functions=()))
+        assert res.ledger.column("t")[-1] == t_end
+        assert res.snapshots[-1].t == t_end
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (1e-4, 3.0), (1e-4, 3.0000000000003), (1e-3, 1.000000002),
+        (0.1, 0.35), (3e-5, 3.0000000000003), (1.0, 1.0)])
+    def test_last_step_is_positive(self, dt, t_end):
+        """The clock of run, step by step: every step is positive, and
+        a remainder inside the clock's rounding drift (1e-4 to
+        3.0000000000003 accumulates 1.9e-12 of it) is not left for a
+        last step of its own."""
+        n = _step_count(SolverConfig(dt=dt, t_end=t_end))
+        t = 0.0
+        for i in range(1, n + 1):
+            h = dt if i < n else t_end - t
+            assert h > 0.0
+            t += h
+        assert t == t_end
 
     def test_rerun_is_bit_identical(self, small_setup):
         k, _, u0 = small_setup
@@ -348,24 +376,17 @@ def reference_run(u0, v0, k, cfg):
     evaluates each state's right-hand side by itself."""
     grid = u0.grid
     mach = build_machinery(k, u0, cfg)
-    weight = vallee_poussin_weight(u0) if cfg.uniform_integrability else None
-    acc = LedgerAccumulator(
-        k, mach.reaction,
-        test_functions=select_test_functions(grid, k, cfg.test_functions),
-        extra_moment=cfg.extra_moment,
-        integrability_weight=weight,
-    )
+    acc = LedgerAccumulator.for_run(k, mach.reaction, u0, cfg)
     state = Snapshot(t=0.0, v=float(v0), u=u0.copy())
     tail_bound = (cfg.tail_mass_bound if cfg.tail_mass_bound is not None
                   else 1e-8 * max(1.0, moment(grid, u0.values, 1)))
-    n_steps = (0 if cfg.t_end == 0.0
-               else max(1, int(math.ceil(cfg.t_end / cfg.dt - 1e-9))))
+    n_steps = _step_count(cfg)
     snap_steps = _snapshot_steps(cfg, n_steps)
     snapshots = [state]
     acc.start(state.t, state.v, state.u)
     try:
         for i in range(1, n_steps + 1):
-            h = cfg.dt if i < n_steps else cfg.t_end - cfg.dt * (n_steps - 1)
+            h = cfg.dt if i < n_steps else cfg.t_end - state.t
             start = mach.reaction.rhs(state.u.values)
             state, _ = step(state, cfg, mach, start, h)
             row = acc.advance(state.t, state.v, state.u)
@@ -374,11 +395,9 @@ def reference_run(u0, v0, k, cfg):
             if i in snap_steps:
                 snapshots.append(state)
     except Exception as err:
-        err.partial_result = RunResult(snapshots=tuple(snapshots),
-                                       ledger=acc.ledger)
+        err.partial_result = RunResult(tuple(snapshots), acc.ledger, cfg)
         raise
-    acc.ledger.meta["config"] = cfg
-    return RunResult(snapshots=tuple(snapshots), ledger=acc.ledger)
+    return RunResult(tuple(snapshots), acc.ledger, cfg)
 
 
 def assert_same_run(a, b, columns=None):
