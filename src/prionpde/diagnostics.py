@@ -226,11 +226,13 @@ class DiagnosticsLedger:
 def write_csv(path, header: Sequence[str],
               rows: Iterable[Sequence[float]]) -> None:
     """The header line, then one line per row with every value at 17
-    significant digits, enough to round-trip a double."""
+    significant digits, enough to round-trip a double.  A row of another
+    length than the header raises TypeError."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 # -- incremental accumulator ----------------------------------------------

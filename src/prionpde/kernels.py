@@ -193,11 +193,17 @@ def _half_bump(x: np.ndarray) -> np.ndarray:
 
 def smoothstep(s):
     """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly increasing
-    between."""
+    between.  Only the ramp 0 < s < 1 (and NaN) evaluates the half
+    bumps; elsewhere the exact 0.0 or 1.0 of their ratio is written.  A
+    scalar s gives a numpy scalar."""
     s = np.asarray(s, dtype=float)
-    a = _half_bump(s)
-    b = _half_bump(1.0 - s)
-    return a / (a + b)
+    top = s >= 1.0
+    out = np.where(top, 1.0, 0.0)
+    ramp = ~(top | (s <= 0.0))
+    r = s[ramp]
+    a, b = _half_bump(r), _half_bump(1.0 - r)
+    out[ramp] = a / (a + b)
+    return out[()]
 
 
 def smooth_cut(x, hi: float, width: float):
@@ -780,7 +786,9 @@ def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
     along that growth under the a priori speed bound.
 
     Every level's horizon ODE is integrated in one RK4 over a vector
-    state, 256 rk4_step calls of travel / 256 each.  Levels that travel
+    state, 256 steps of travel / 256 each: 256 rk4_step calls, or, for
+    a ConstantRate growth, whose four stages are equal, rk4_step's
+    increment formed once and added 256 times.  Levels that travel
     nowhere keep their start."""
     floor = k.growth_constants.speed_floor
     growth_n = mollify_rate(k.growth, width,
@@ -802,13 +810,19 @@ def _truncated_start(k: KernelSet, u0: GridFunction, v0: float,
     reach, travels = np.array(starts, dtype=float), np.array(travels)
     moving = travels > 0.0
     if np.any(moving):
-        def speed(t, y):
-            return growth_n(y)
-
         dt = travels[moving] / 256
         y = reach[moving]
-        for j in range(256):
-            y = rk4_step(speed, j * dt, y, dt)
+        if isinstance(growth_n, ConstantRate):
+            k1 = growth_n(y)
+            step = (dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
+            for _ in range(256):
+                y += step
+        else:
+            def speed(t, y):
+                return growth_n(y)
+
+            for j in range(256):
+                y = rk4_step(speed, j * dt, y, dt)
         reach[moving] = y
     return growth_n, u0n, reach
 

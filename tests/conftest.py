@@ -1,7 +1,13 @@
-"""Suite-wide test settings: every Hypothesis property test draws the
-same examples on every run and keeps no example database, so a run
-passes or fails the same way each time.  Each test keeps its own
-max_examples and deadline."""
+"""Suite-wide test settings: Hypothesis property tests are derandomized
+and keep no example database.  Each test keeps its own max_examples and
+deadline.
+
+Derandomized draws are not fixed by the test alone.  Hypothesis (6.155)
+also draws constants it collects from the local modules imported so far
+(hypothesis/internal/conjecture/providers.py, _get_local_constants), so a
+module run on its own can draw other examples than it does inside the
+whole suite.  One command on one checkout draws the same examples each
+time; a failure seen in one is pinned with @example."""
 
 from hypothesis import settings
 

@@ -20,6 +20,7 @@ from prionpde.diagnostics import (
     support_bound,
     uniform_integrability_report,
     vallee_poussin_weight,
+    write_csv,
 )
 from prionpde.errors import (
     EtaCutoffViolated,
@@ -133,6 +134,45 @@ class TestLedger:
         col = res.ledger.column_order().index("balance_residual")
         assert np.array_equal(data[:, col],
                               res.ledger.column("balance_residual"))
+
+
+def reference_csv(header, rows):
+    """The bytes of the per-value f-string writer write_csv replaced."""
+    lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestWriteCsv:
+    VALUES = [1.5, 0.1, np.float64(0.1), np.float64(-2.5e-7), 7, np.int64(-3),
+              0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              1e308, np.float64(1.7976931348623157e308), 10**20]
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_bytes_match_the_f_string_form(self, width, tmp_path):
+        header = [f"c{i}" for i in range(width)]
+        vals = self.VALUES * width
+        rows = [vals[i:i + width] for i in range(0, len(vals), width)]
+        path = tmp_path / "out.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == reference_csv(header, rows).encode()
+
+    def test_columns_zipped_from_arrays(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 2501)
+        cols = (t, np.exp(-t), -t * 1e-300, np.sqrt(t) * 1e300)
+        path = tmp_path / "out.csv"
+        write_csv(path, ("t", "a", "b", "c"), zip(*cols))
+        assert path.read_bytes() == reference_csv(("t", "a", "b", "c"),
+                                                  zip(*cols)).encode()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("t", "u"), [])
+        assert path.read_text() == "t,u\n"
+
+    @pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0), ()])
+    def test_row_of_another_length_raises(self, row, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "out.csv", ("t", "u"), [(0.0, 1.0), row])
 
 
 class TestReplay:

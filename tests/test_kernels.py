@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prionpde import kernels
+from prionpde._ode import rk4_step
 from prionpde.errors import (
     AsymmetricK0,
     LevelInconsistent,
@@ -302,6 +304,54 @@ class TestCutoffs:
         assert np.all(fn(np.array([1.0, 2.0])) == 0.5)
 
 
+def reference_smoothstep(s):
+    """The full-array formula smoothstep replaced: both half bumps at
+    every s, then their ratio."""
+    s = np.asarray(s, dtype=float)
+
+    def half_bump(x):
+        return np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-12)), 0.0)
+
+    a, b = half_bump(s), half_bump(1.0 - s)
+    return a / (a + b)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestSmoothstepOnTheRamp:
+    EDGES = [0.0, -0.0, 1.0, 1e-300, -1e-300, np.nextafter(1.0, 0.0),
+             np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan,
+             1e-3, 0.5, 0.999, 0.9999, -3.0, 7.5]
+
+    @pytest.mark.parametrize("s", EDGES + [np.float64(0.25), np.array(0.75),
+                                           np.array(np.nan), 2])
+    def test_scalar_matches_the_full_formula(self, s):
+        with np.errstate(invalid="ignore"):
+            got, want = smoothstep(s), reference_smoothstep(s)
+        assert type(got) is type(want) is np.float64
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 4), (2, 8, 1), (0,), (0, 3)])
+    def test_array_matches_the_full_formula(self, shape):
+        s = np.resize(np.array(self.EDGES), shape)
+        with np.errstate(invalid="ignore"):
+            got, want = smoothstep(s), reference_smoothstep(s)
+        assert type(got) is np.ndarray and got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == shape
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_join_cut_table_matches_the_full_formula(self):
+        # pair sizes of a 192-cell ladder grid, cut low, mid and high
+        c = build_grid(1.0, 200.0, 192, "geometric").centers
+        x = c[:, None] + c[None, :]
+        for hi, width in ((6.0, 1.3), (20.0, 1.3), (150.0, 19.0)):
+            s = (hi - x) / width
+            assert np.array_equal(bits(smooth_cut(x, hi, width)),
+                                  bits(reference_smoothstep(s)))
+
+
 def reference_mollify(fn, width, floor=None):
     """The per-node loop mollify_rate replaced: one call of fn per node,
     the weighted values summed in node order."""
@@ -473,6 +523,69 @@ class TestTruncation:
         levels = plan_truncation_levels(k, self.u0, 2.0, horizon_T, [1, 2, 4, 8])
         got = [lv.rate_cutoff for lv in levels]
         assert got == self.reference_rate_cutoffs(k, horizon_T, [1, 2, 4, 8])
+
+    def reference_reaches(self, k, v0, horizon_T, pair_cuts, width):
+        """Horizon reaches from 256 rk4_step calls on the mollified
+        growth, whatever it is: _truncated_start's loop before a declared
+        constant growth took one increment."""
+        growth = mollify_rate(k.growth, width,
+                              floor=0.5 * k.growth_constants.speed_floor)
+        c, w = self.grid.centers, self.grid.widths
+        tm = (np.arange(64) + 0.5) * horizon_T / 64.0
+        starts, travels = [], []
+        for pair_cut in pair_cuts:
+            vals = self.u0.values * smooth_cut(c, pair_cut, width)
+            supp = np.flatnonzero(vals > 0.0)
+            s0 = float(c[supp[-1]]) if len(supp) else k.params.min_size
+            bound_mass = float(np.dot(vals, w * c))
+            starts.append(max(s0, pair_cut))
+            travels.append(float(np.sum(v0 + bound_mass + k.params.production * tm)
+                                 * horizon_T / 64.0))
+        reach, travels = np.array(starts), np.array(travels)
+        moving = travels > 0.0
+        if np.any(moving):
+            dt = travels[moving] / 256
+            y = reach[moving]
+            for j in range(256):
+                y = rk4_step(lambda t, y: growth(y), j * dt, y, dt)
+            reach[moving] = y
+        return reach
+
+    # A one-ulp change of the increment rarely survives 256 additions to
+    # a much larger reach, so several constants and a long travel (v0
+    # 1e4) are compared; growth None is the special family's 1.0.
+    @pytest.mark.parametrize("growth", [None, 0.3, 0.7, 3.7])
+    @pytest.mark.parametrize("horizon_T", [1.0, 0.37, 0.0])
+    @pytest.mark.parametrize("v0", [2.0, 0.0, 1e4])
+    def test_constant_growth_reaches_match_the_rk4_loop(self, growth, horizon_T, v0):
+        k = (self.k if growth is None
+             else make_bounded_family(growth_value=growth, frag_value=0.3))
+        width = float(np.median(self.grid.widths))
+        pair_cuts = [4.0 + 2.0 * n for n in range(9)] + [2.5, 150.0]
+        growth_n, _, reaches = _truncated_start(k, self.u0, v0, horizon_T,
+                                                pair_cuts, width)
+        assert isinstance(growth_n, ConstantRate)
+        want = self.reference_reaches(k, v0, horizon_T, pair_cuts, width)
+        assert np.array_equal(reaches, want)
+
+    def test_only_closure_growth_takes_rk4_steps(self, monkeypatch):
+        steps = []
+
+        def counting_rk4_step(f, t, y, dt):
+            steps.append(t)
+            return rk4_step(f, t, y, dt)
+
+        monkeypatch.setattr(kernels, "rk4_step", counting_rk4_step)
+        width = float(np.median(self.grid.widths))
+        closure = dataclasses.replace(self.k, growth=counted(self.k.growth))
+        for k, want_steps in ((self.k, 0), (closure, 256)):
+            steps.clear()
+            _, _, reaches = _truncated_start(k, self.u0, 2.0, 1.0, [4.0, 6.0], width)
+            assert len(steps) == want_steps
+            assert np.array_equal(
+                reaches, self.reference_reaches(self.k, 2.0, 1.0, [4.0, 6.0], width))
+        # four stages per step, each one call on the whole vector state
+        assert closure.growth.calls == 1024
 
     def test_zero_horizon_reach_is_the_start(self):
         # pair cutoffs 4 + 2n sit above the cut density's support, so a

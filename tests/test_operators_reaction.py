@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prionpde import kernels, operators
@@ -327,7 +327,11 @@ def assert_closed_form_matches_dense(k, grid, seed):
     """The closed-form tables of k's uniform daughter against the dense
     quadrature of its twin: apply, monomer_coeff and monomer_gain to
     1e-13 of their scale, and the closed form's first-moment balance
-    with the monomer to 1e-12."""
+    with the monomer to 1e-14 of the gross first moment of loss and
+    gain.  The balance cancels loss and gain terms of size frag * y * u,
+    so its rounding scales with them, not with the net moment u1: on
+    random grids it stays under 5e-16 of the gross moment and reaches
+    1.7e-12 of u1."""
     closed, dense = FragTables.build(k, grid), FragTables.build(dense_twin(k), grid)
     assert closed.closed_form and not dense.closed_form
     c, w = grid.centers, grid.widths
@@ -341,7 +345,7 @@ def assert_closed_form_matches_dense(k, grid, seed):
     u1 = moment(grid, u, 1)
     balance = moment(grid, closed.apply(u), 1) + closed.monomer_gain(u)
     death = closed.death_at_centers[0]
-    assert abs(balance + death * u1) <= 1e-12 * u1
+    assert abs(balance + death * u1) <= 1e-14 * moment(grid, scale, 1)
 
 
 def special_family():
@@ -360,6 +364,9 @@ class TestClosedFormFragmentation:
     @settings(max_examples=25, deadline=None)
     @given(ymax=st.floats(2.5, 1e4), n=st.integers(4, 300),
            spacing=st.sampled_from(["uniform", "geometric"]))
+    # balance residual 7.0e-6 against u1 = 6.8e6 (1.03e-12 of it), but
+    # 3.0e-16 of the gross moment
+    @example(ymax=5130.451469707315, n=166, spacing="uniform")
     def test_matches_the_dense_quadrature_fuzzed(self, ymax, n, spacing):
         assert_closed_form_matches_dense(special_family(), build_grid(1.0, ymax, n, spacing), 7)
 
