@@ -12,11 +12,10 @@ Discretization notes, load-bearing for the conservation tests:
   cell of each root in one search of the tabulated edge times, and the
   root in closed form for a ``kernels.ConstantRate`` growth (declared,
   not detected), by a bracketed root finder in the cell otherwise.  The
-  cell also gives each parcel its lower bracketing center, so the
-  split makes no second search.  The
-  surviving parcels are a prefix of the cells, as the characteristic
-  time increases along the grid, and one bincount deposits both shares
-  of every parcel.
+  cell also gives each parcel its lower bracketing center, so the split
+  makes no second search.  The surviving parcels are a prefix of the
+  cells, as the characteristic time increases along the grid, and one
+  bincount deposits both shares of every parcel.
 
 * The joining gain deposits each ordered pair's mass flux at the exact
   pair size with the same bracketing split, so the discrete first
@@ -24,27 +23,24 @@ Discretization notes, load-bearing for the conservation tests:
   built-in grids the split is shift-invariant: on a geometric grid the
   pair (m, m-d) lands at cell m + idx[d] with lower share frac[d], and
   on a uniform grid the pair (i, j) lands at i + j + idx[0] with one
-  share.  The rate must be symmetric up to rounding.  It is sheared,
-  one row per diagonal d (geometric) or per first partner i (uniform),
-  into a table that is zero below its diagonal, and stored as
-  staircase tiles: row bands that keep only the columns from their
-  first row on, the triangle plus a small overhang, and none beyond
-  the last column that holds a non-zero rate, so a rate cut at a pair
-  size (a truncation level) stores and multiplies only its support;
-  the loss GEMV likewise runs over the rate's support.  A zero-copy
-  sheared view of the cell counts lines up with each tile.  On the
-  geometric grid one GEMM per tile, against a share matrix with a row
-  per target offset, sums the fluxes of all the tile's diagonals; on
-  the uniform grid a GEMV reduces each band by the first partner's
-  counts.  One bincount adds the sums at their targets.  ``build``
+  share.  The rate, symmetric up to rounding, is read through zero-copy
+  views, sheared one row per diagonal d (geometric) or per first
+  partner i (uniform), into staircase tiles: row bands that keep the
+  triangle plus a small overhang and no column past the rate's last
+  non-zero one, so a cut rate (a truncation level) stores and
+  multiplies only its support.  One GEMM per geometric tile, against a
+  share matrix with a row per target offset, sums the fluxes of all its
+  diagonals; a GEMV reduces each uniform band by the first partner's
+  counts; one bincount adds the sums at their targets.  ``build``
   checks every pair's deposit against the bracketing split of its
-  exact size, and a grid without the structure is refused there.
-  Pairs between the last center and the domain end are clamped: their
-  whole flux stays in the last cell.  Pairs beyond the domain end are
-  stray.  They have no entry in the sheared rates, so their flux is
-  dropped, and ``apply`` raises PairOutOfRange when the largest stray
-  flux exceeds 1e-12 of the largest pair flux; tables whose rate
-  vanishes on every stray pair skip that check.
+  exact size, one run of rows with one target offset at a time, and
+  refuses a grid without the structure.  Pairs between the last center
+  and the domain end are clamped onto the last cell.  Pairs beyond it
+  are stray: cell i's partners from beyond_domain[i] on, one sorted
+  search.  Their flux is dropped, and ``apply`` raises PairOutOfRange
+  when the largest stray flux exceeds 1e-12 of the largest pair flux,
+  unless the rate vanishes on every stray pair.  For a symmetric rate
+  the build forms no n x n array but the rate.
 
 * The fragmentation gain follows the fixed-pivot rule: each destination
   sub-interval's deposit lands at its own centroid, moment-split between
@@ -87,7 +83,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTime, OutOfDomain, PairOutOfRange
 from .grid import GAUSS3_NODES, GAUSS3_WEIGHTS, GridFunction, SizeGrid
@@ -511,50 +506,52 @@ def _skew(x: np.ndarray, pad: float = 0.0) -> np.ndarray:
     return np.ndarray((n, n), padded.dtype, padded, (n - 1) * step, (-step, step))
 
 
-def _sheared(a: np.ndarray, by_diagonal: bool) -> np.ndarray:
-    """A square table in sheared coordinates, as a view (of a
-    column-reversed copy for by_diagonal).  Entries below the diagonal
-    are unrelated values.
-
-    by_diagonal: out[d, m] = a[m, m - d], one row per diagonal.
-    otherwise:   out[i, s] = a[i, s - i], one column per anti-diagonal.
-    """
-    n = a.shape[0]
-    if by_diagonal:
-        flat, start, row_step, col_step = a[:, ::-1].ravel(), n - 1, 1, n - 1
-    else:
-        flat, start, row_step, col_step = a.ravel(), 0, n - 1, 1
-    view = sliding_window_view(flat[start:], (n - 1) * col_step + 1)
-    return view[::row_step, ::col_step][:n]
+def _sheared(a: np.ndarray, by_diagonal: bool, g0: int, g1: int, end: int) -> np.ndarray:
+    """Rows g0:g1, columns g0:end of a C-contiguous square table in
+    sheared coordinates: by_diagonal out[d, m] = a[m, m - d], one row per
+    diagonal, else out[i, s] = a[i, s - i].  A view of a, but a copy for
+    by_diagonal at g0 = 0, whose column 0 holds a[0, 0] over zeros; the
+    other entries below the diagonal are unrelated values."""
+    n, step = a.shape[0], a.itemsize
+    if not by_diagonal:
+        return np.ndarray((g1 - g0, end - g0), a.dtype, a, g0 * n * step, ((n - 1) * step, step))
+    lo = max(g0, 1)
+    view = np.ndarray((g1 - g0, end - lo), a.dtype, a, (lo * (n + 1) - g0) * step,
+                      (-step, (n + 1) * step))
+    return view if lo == g0 else np.column_stack((np.append(a[0, 0], np.zeros(g1 - 1)), view))
 
 
 def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
-                           pair: np.ndarray, drop: np.ndarray,
-                           beyond_domain: np.ndarray, geometric: bool) -> None:
+                           ends: np.ndarray, bounds) -> None:
     """Compare the structured deposit of every pair inside the domain
     with the bracketing split of its exact size, through the first
-    moment of the deposit (pair holds the sizes in table coordinates).
-    A pair whose structured target is the last cell only needs to reach
-    the last center, where the bracketing split clamps it.  Also checks
-    what apply relies on: uniform pairs i + j >= n, which have no table
-    entry, are stray."""
+    moment of the deposit, one run of rows between bounds at a time:
+    one target offset, so one window of the extended centers and gaps,
+    to column ends[row].  A pair whose structured target is the last
+    cell only needs to reach the last center, where the split clamps it.
+    Also checks that uniform pairs i + j >= n (no table entry) stray."""
     c, n = grid.centers, grid.n
+    geometric = grid.spacing == "geometric"
     c_ext = np.concatenate((c, np.full(n, c[-1])))
     gap_ext = np.append(np.diff(c_ext), 0.0)
-    if geometric:
-        # table coordinates (d, m): pair (m, m - d) lands at m + idx[d]
-        deposit = sliding_window_view(gap_ext, n)[idx]
-        deposit *= (1.0 - frac)[:, None]
-        deposit += sliding_window_view(c_ext, n)[idx]
-    else:
-        # table coordinates (i, s): pair (i, s - i) lands at s + idx[0]
-        deposit = (c_ext + (1.0 - frac[0]) * gap_ext)[idx[0]:idx[0] + n]
-    err = np.minimum(pair, c[-1])
-    err -= deposit
-    np.copyto(err, 0.0, where=drop)
-    err /= c[None, :]
-    layout_ok = geometric or np.all(beyond_domain <= n - np.arange(n))
-    if not (layout_ok and err.max() <= SHIFT_RTOL and err.min() >= -SHIFT_RTOL):
+    partner = _skew(c, pad=np.inf)     # the second partner's center, inf below the diagonal
+    ok = bool(np.all(ends <= n))
+    for a, b, e in zip(bounds[:-1], bounds[1:], np.maximum.reduceat(ends, bounds[:-1])):
+        if e <= a or not ok:
+            continue
+        # offset -1 (a pair rounding onto its larger partner's center)
+        # takes the window past the last cell: only clamped pairs pass
+        o = (idx[a] if geometric else idx[0]) % (n + 1)
+        pair = (c[a:e] if geometric else c[a:b, None]) + partner[a:b, a:e]
+        deposit = (1.0 - (frac[a:b, None] if geometric else frac[0])) * gap_ext[o + a:o + e]
+        deposit += c_ext[o + a:o + e]
+        drop = pair > grid.ymax
+        err = np.minimum(pair, c[-1], out=pair)
+        err -= deposit
+        np.copyto(err, 0.0, where=drop)
+        err /= c[a:e]
+        ok = err.max() <= SHIFT_RTOL and err.min() >= -SHIFT_RTOL
+    if not ok:
         raise ValueError(
             f"joining pair targets on this {grid.spacing} grid are not "
             "shift-invariant; the structured joining operator needs the "
@@ -564,13 +561,15 @@ def _check_shift_structure(grid: SizeGrid, idx: np.ndarray, frac: np.ndarray,
 @dataclass(frozen=True)
 class JoinLayout:
     """Where the pairs of one grid land: the rate-free part of
-    JoiningTables, built from the grid alone.
+    JoiningTables, built from the grid alone; build checks its shift
+    structure one block (uniform: one band) of rows at a time.
 
     idx and frac give each diagonal's (geometric) or every pair's
-    (uniform) target offset and lower share; beyond_domain[i] is the
-    first partner of cell i whose pair lies beyond the domain end.
-    inside marks the entries of the sheared table, on or above its
-    diagonal, whose pair lies inside the domain.  bands holds the row
+    (uniform) target offset and lower share.  beyond_domain[i], the one
+    record of stray pairs, is cell i's first partner whose pair lies
+    beyond the domain end: a sheared entry on or above the diagonal is
+    inside the domain iff m - d < beyond_domain[m] at (d, m) geometric,
+    s - i < beyond_domain[i] at (i, s) uniform.  bands holds the row
     bands (g0, g1, shares) of the tiles, and targets the pairs (g0,
     cells): cells[r, m - g0] is the cell of the sum in row r and column
     m of one band's products on the geometric grid (one per band), of
@@ -581,22 +580,23 @@ class JoinLayout:
     idx: np.ndarray = field(repr=False)
     frac: np.ndarray = field(repr=False)
     beyond_domain: np.ndarray = field(repr=False)
-    inside: np.ndarray = field(repr=False)
     bands: Tuple[Tuple[int, int, Optional[np.ndarray]], ...] = field(repr=False)
     targets: Tuple[Tuple[int, np.ndarray], ...] = field(repr=False)
 
     @classmethod
     def build(cls, grid: SizeGrid) -> "JoinLayout":
         c, n = grid.centers, grid.n
-        beyond_domain = n - np.count_nonzero(np.add.outer(c, c) > grid.ymax, axis=1)
+        # the rounded sums c[i] + c[j] grow with j: a search of ymax - c
+        # finds where they pass ymax up to a rounding, and they correct it,
+        # up while the next partner's sum is inside, down while the last strays
+        edge, step = np.searchsorted(c, grid.ymax - c, side="right"), 1
+        while np.any(step):
+            step = ((edge < n) & (c + c[np.minimum(edge, n - 1)] <= grid.ymax)).astype(np.intp)
+            step -= (edge > 0) & (c + c[edge - 1] > grid.ymax)
+            edge += step
         geometric = grid.spacing == "geometric"
-        # pair sizes in table coordinates, infinite below the diagonal
-        pair = (c[None, :] if geometric else c[:, None]) + _skew(c, pad=np.inf)
-        drop = pair > grid.ymax
-        if geometric:
-            lowest = c + c[0]          # pair (d, 0), the lowest of diagonal d
-        else:
-            lowest = np.array([2.0 * c[0]])
+        # pair (d, 0), the lowest of diagonal d (geometric), or of all pairs
+        lowest = c + c[0] if geometric else np.array([2.0 * c[0]])
         idx, frac = split_targets(c, lowest)
         idx -= np.arange(lowest.size)
         clamped = np.flatnonzero(lowest > c[-1])
@@ -606,8 +606,6 @@ class JoinLayout:
             first = clamped[0]
             idx[first:] = idx[first - 1] if first > 0 else n - 1
             frac[first:] = 1.0
-        _check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric)
-        del pair
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
         # a band starts at the first block start (any row on the uniform
         # grid) at least TILE_ROWS rows below the start of the last one
@@ -616,6 +614,10 @@ class JoinLayout:
             if a - cuts[-1] >= TILE_ROWS:
                 cuts.append(a)
         cuts.append(n)
+        # checked a block (geometric) or band (uniform) at a time, to each row's last inside pair
+        rows = np.arange(n)
+        ends = np.searchsorted(rows - edge, rows) if geometric else rows + edge
+        _check_shift_structure(grid, idx, frac, ends, np.append(starts, n) if geometric else cuts)
         bands, targets = [], []
         for g0, g1 in zip(cuts[:-1], cuts[1:]):
             shares = None
@@ -630,14 +632,12 @@ class JoinLayout:
                     shares[top - idx[a], a - g0:b - g0] = frac[a:b]
                     shares[top - idx[a] - 1, a - g0:b - g0] = 1.0 - frac[a:b]
                 offsets = top - np.arange(shares.shape[0])
-                targets.append((int(g0), np.minimum(np.arange(g0, n) + offsets[:, None],
-                                                    n - 1)))
+                targets.append((int(g0), np.minimum(np.arange(g0, n) + offsets[:, None], n - 1)))
             bands.append((int(g0), int(g1), shares))
         if not geometric:
-            targets.append((0, np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None],
-                                          n - 1)))
-        return cls(grid=grid, idx=idx, frac=frac, beyond_domain=beyond_domain,
-                   inside=~drop, bands=tuple(bands), targets=tuple(targets))
+            targets.append((0, np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None], n - 1)))
+        return cls(grid=grid, idx=idx, frac=frac, beyond_domain=edge,
+                   bands=tuple(bands), targets=tuple(targets))
 
 
 @dataclass(frozen=True)
@@ -694,11 +694,9 @@ class JoiningTables:
     exactly (special and bounded families), making the loss one dot
     product; else None (cut or power-law rates) and the loss is a GEMV.
     Each ordered pair deposits its mass flux at the exact pair size,
-    split between the bracketing centers.  The split only depends on
-    the diagonal (geometric grid) or the anti-diagonal (uniform grid);
-    layout holds it, with everything else the grid alone fixes.  The
-    rates of the pairs inside the domain are sheared so that rows share
-    their targets, into a table T that is zero below its diagonal:
+    split between the bracketing centers as layout says.  The rates of
+    the pairs inside the domain are sheared so that rows share their
+    targets, into a table T that is zero below its diagonal:
 
     * geometric: T[d, m] = rate[m, m - d], halved on d = 0 because the
       pair (m - d, m) is counted in the same row.  It lands frac[d] at
@@ -707,27 +705,21 @@ class JoiningTables:
     * uniform: T[i, s] = rate[i, s - i], landing frac[0] at cell
       s + idx[0] and the rest one cell up; all rows are one block.
 
-    tiles holds T cut into row bands (g0, table, shares), with table =
-    T[g0:g1, g0:columns]: the triangle plus the band's overhang below
-    it, trimmed to the rate's support.  columns is one past the last
-    column of T whose rate is not zero, counting pairs beyond the domain
-    end (n for a rate with full support, which keeps every column).
-    Bands that start at or beyond it are left out, so an identically
-    zero rate has no tiles.  A band starts at the first block start
-    (any row on the uniform grid) at least TILE_ROWS rows below the
-    last, so geometric bands hold whole blocks.  There shares has one
-    row per target offset r, the share of each of the band's diagonals
-    that lands at m + r, and shares @ (table * x[m - d]) sums all the
-    band's diagonals in one GEMM; on the uniform grid shares is None
-    and the band is reduced by the first partner's counts.  targets
-    holds the cell of every such sum, so the gain is one bincount.  Pairs landing at or beyond the
-    last center are clamped onto the last cell.  Pairs beyond the
-    domain end are stray; for row i they are the columns from
-    beyond_domain[i] on, and far_rate[i] is their largest rate.  Their
-    flux is dropped, which is legitimate while it is negligible
-    (rounding-level leakage from the support-doubling gain) and a hard
-    error once it carries real mass.  strays is False when every
-    far_rate is zero, and apply then skips the check."""
+    tiles holds T in the layout's row bands (g0, table, shares), table =
+    T[g0:g1, g0:columns] read through views of rate.  columns is one
+    past the last column of T whose rate is not zero, stray pairs
+    included (n for a rate with full support); bands from it on are left
+    out.  Geometric bands hold whole blocks, and shares has one row per
+    target offset r, the share of each diagonal that lands at m + r:
+    shares @ (table * x[m - d]) sums all the band's diagonals in one
+    GEMM.  On the uniform grid shares is None and the band is reduced by
+    the first partner's counts.  targets holds the cell of every such
+    sum, so the gain is one bincount.  Pairs at or beyond the last
+    center are clamped onto the last cell.  far_rate[i] is the largest
+    |rate| of row i's stray pairs, whose flux is dropped: legitimate
+    while negligible (rounding-level leakage from the support-doubling
+    gain), a hard error once it carries real mass.  strays is False when
+    every far_rate is zero, and apply then skips the check."""
 
     grid: SizeGrid
     rate: np.ndarray = field(repr=False)
@@ -768,39 +760,47 @@ class JoiningTables:
                 raise ValueError("shared tables were built without joining")
             layout = shared.join
         c, n = grid.centers, grid.n
-        rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
-        if not np.array_equal(rate, rate.T):   # refuse all but rounding
+        rate = np.ascontiguousarray(k.join(c[:, None], c[None, :]), dtype=float)
+        # refuse all but rounding asymmetry, compared 128 rows at a time
+        if not all(np.array_equal(rate[a:a + 128, a:], rate[a:, a:a + 128].T)
+                   for a in range(0, n, 128)):
             asym = float(np.max(np.abs(rate - rate.T)))
             if asym > 1e-8 * float(np.max(np.abs(rate))):
                 raise ValueError(
                     f"joining rate is not symmetric: max |rate - rate.T| {asym:.3g}")
             rate = 0.5 * (rate + rate.T)
-        nonzero = rate != 0.0
-        live = np.flatnonzero(np.any(nonzero, axis=1))
+        live = np.flatnonzero(np.any(rate, axis=1))
         support = int(live[-1]) + 1 if live.size else 0
         block = rate[:support, :support]
-        constant = support > 0 and bool(np.all(block == block[0, 0]))
-        far = np.arange(n)[None, :] >= layout.beyond_domain[:, None]
-        far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
-        del far
+        constant = support > 0 and block.min() == block.max()
+        # the rows from first on stray from column edge[i] on: their max and
+        # -min by reduceat over alternate stray and kept segments (+ 0.0: no -0.0)
+        edge, far_rate = layout.beyond_domain, np.zeros(n)
+        first = int(np.count_nonzero(edge == n))
+        at = np.arange(first, n) * n
+        segments = np.column_stack((at + edge[first:], at + n)).ravel()[:-1]
+        far_rate[first:] = np.maximum(np.maximum.reduceat(rate.ravel(), segments)[::2],
+                                      -np.minimum.reduceat(rate.ravel(), segments)[::2]) + 0.0
         geometric = grid.spacing == "geometric"
-        # columns: one past the last column of T with a non-zero rate on
-        # or above the diagonal, whether its pair strays or not, so a
-        # rate with full support keeps every column.  Geometric column m
-        # holds row m of the rate up to the diagonal, so for a symmetric
-        # rate it is the support; a uniform column is an anti-diagonal
-        if geometric:
-            columns = support
-        else:
-            live = np.flatnonzero(np.any(np.triu(_sheared(nonzero, False)), axis=0))
-            columns = int(live[-1]) + 1 if live.size else 0
-        del nonzero
-        sheared = _sheared(rate, geometric)
+        upper = _skew(np.ones(n, bool), pad=False)      # on or above the diagonal
+        # geometric column m of T holds row m of the rate up to the
+        # diagonal, so for a symmetric rate columns is the support; a
+        # uniform column is an anti-diagonal, found a band at a time
+        columns = support
+        if not geometric:
+            live = np.zeros(n, bool)
+            for g0, g1, _ in layout.bands:
+                live[g0:] |= np.any(upper[g0:g1, g0:] & (_sheared(rate, False, g0, g1, n) != 0),
+                                    axis=0)
+            columns = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
         tiles = []
         for g0, g1, shares in layout.bands:
             if g0 >= columns:
                 break
-            table = np.where(layout.inside[g0:g1, g0:columns], sheared[g0:g1, g0:columns], 0.0)
+            rows, cols = np.arange(g0, g1)[:, None], np.arange(g0, columns)
+            inside = upper[g0:g1, g0:columns] & (rows > cols - edge[g0:columns] if geometric
+                                                 else cols < rows + edge[g0:g1, None])
+            table = np.where(inside, _sheared(rate, geometric, g0, g1, columns), 0.0)
             if geometric and g0 == 0:
                 table[0] *= 0.5
             tiles.append((g0, table, shares))

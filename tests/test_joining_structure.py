@@ -10,9 +10,13 @@ stays below 1e-12 of the largest pair flux, and are fatal otherwise.
 
 import dataclasses
 import math
+import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prionpde.errors import PairOutOfRange
 from prionpde.grid import SizeGrid, build_grid, moment, project
@@ -23,7 +27,8 @@ from prionpde.kernels import (
     truncate,
     with_join_cutoff,
 )
-from prionpde.operators import JoiningTables, split_targets
+from prionpde.operators import (SHIFT_RTOL, TILE_ROWS, JoiningTables, JoinLayout,
+                                 split_targets)
 
 SIZES = (4, 5, 8, 64, 192, 400, 800)
 SPACINGS = ("geometric", "uniform")
@@ -396,3 +401,262 @@ def test_stray_check_runs_only_when_a_pair_can_stray(monkeypatch):
         tables = JoiningTables.build(RATES[rate], grid)
         tables.apply(u, u)
     assert calls == [True]
+
+
+# -- the former table build, kept as the reference of JoinLayout.build and
+# JoiningTables.build: it forms the n x n pair sizes, checks the shift
+# structure over every pair at once, and stores the n x n mask of the
+# sheared entries whose pair lies inside the domain.
+
+def reference_skew(x, pad=0.0):
+    n = len(x)
+    padded = np.concatenate((np.full(n - 1, pad), x))
+    step = padded.itemsize
+    return np.ndarray((n, n), padded.dtype, padded, (n - 1) * step, (-step, step))
+
+
+def reference_sheared(a, by_diagonal):
+    n = a.shape[0]
+    if by_diagonal:
+        flat, start, row_step, col_step = a[:, ::-1].ravel(), n - 1, 1, n - 1
+    else:
+        flat, start, row_step, col_step = a.ravel(), 0, n - 1, 1
+    view = sliding_window_view(flat[start:], (n - 1) * col_step + 1)
+    return view[::row_step, ::col_step][:n]
+
+
+def reference_check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric):
+    c, n = grid.centers, grid.n
+    c_ext = np.concatenate((c, np.full(n, c[-1])))
+    gap_ext = np.append(np.diff(c_ext), 0.0)
+    if geometric:
+        deposit = sliding_window_view(gap_ext, n)[idx]
+        deposit *= (1.0 - frac)[:, None]
+        deposit += sliding_window_view(c_ext, n)[idx]
+    else:
+        deposit = (c_ext + (1.0 - frac[0]) * gap_ext)[idx[0]:idx[0] + n]
+    err = np.minimum(pair, c[-1])
+    err -= deposit
+    np.copyto(err, 0.0, where=drop)
+    err /= c[None, :]
+    layout_ok = geometric or np.all(beyond_domain <= n - np.arange(n))
+    if not (layout_ok and err.max() <= SHIFT_RTOL and err.min() >= -SHIFT_RTOL):
+        raise ValueError("joining pair targets are not shift-invariant")
+
+
+def reference_layout(grid):
+    c, n = grid.centers, grid.n
+    beyond_domain = n - np.count_nonzero(np.add.outer(c, c) > grid.ymax, axis=1)
+    geometric = grid.spacing == "geometric"
+    pair = (c[None, :] if geometric else c[:, None]) + reference_skew(c, pad=np.inf)
+    drop = pair > grid.ymax
+    lowest = c + c[0] if geometric else np.array([2.0 * c[0]])
+    idx, frac = split_targets(c, lowest)
+    idx -= np.arange(lowest.size)
+    clamped = np.flatnonzero(lowest > c[-1])
+    if clamped.size:
+        first = clamped[0]
+        idx[first:] = idx[first - 1] if first > 0 else n - 1
+        frac[first:] = 1.0
+    reference_check_shift_structure(grid, idx, frac, pair, drop, beyond_domain, geometric)
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    cuts = [0]
+    for a in (starts if geometric else range(n)):
+        if a - cuts[-1] >= TILE_ROWS:
+            cuts.append(a)
+    cuts.append(n)
+    bands, targets = [], []
+    for g0, g1 in zip(cuts[:-1], cuts[1:]):
+        shares = None
+        if geometric:
+            firsts = starts[(starts >= g0) & (starts < g1)]
+            top = idx[firsts[0]] + 1
+            shares = np.zeros((top - idx[firsts[-1]] + 1, g1 - g0))
+            for a, b in zip(firsts, np.append(firsts[1:], g1)):
+                shares[top - idx[a], a - g0:b - g0] = frac[a:b]
+                shares[top - idx[a] - 1, a - g0:b - g0] = 1.0 - frac[a:b]
+            offsets = top - np.arange(shares.shape[0])
+            targets.append((int(g0), np.minimum(np.arange(g0, n) + offsets[:, None], n - 1)))
+        bands.append((int(g0), int(g1), shares))
+    if not geometric:
+        targets.append((0, np.minimum(np.arange(n) + idx[0] + np.arange(2)[:, None], n - 1)))
+    return SimpleNamespace(idx=idx, frac=frac, beyond_domain=beyond_domain, inside=~drop,
+                           bands=tuple(bands), targets=tuple(targets))
+
+
+def reference_tables(k, grid):
+    layout = reference_layout(grid)
+    c, n = grid.centers, grid.n
+    rate = np.asarray(k.join(c[:, None], c[None, :]), dtype=float)
+    if not np.array_equal(rate, rate.T):
+        rate = 0.5 * (rate + rate.T)
+    nonzero = rate != 0.0
+    live = np.flatnonzero(np.any(nonzero, axis=1))
+    support = int(live[-1]) + 1 if live.size else 0
+    block = rate[:support, :support]
+    constant = support > 0 and bool(np.all(block == block[0, 0]))
+    far = np.arange(n)[None, :] >= layout.beyond_domain[:, None]
+    far_rate = np.max(np.abs(rate), axis=1, where=far, initial=0.0)
+    geometric = grid.spacing == "geometric"
+    if geometric:
+        columns = support
+    else:
+        live = np.flatnonzero(np.any(np.triu(reference_sheared(nonzero, False)), axis=0))
+        columns = int(live[-1]) + 1 if live.size else 0
+    sheared = reference_sheared(rate, geometric)
+    tiles = []
+    for g0, g1, shares in layout.bands:
+        if g0 >= columns:
+            break
+        table = np.where(layout.inside[g0:g1, g0:columns], sheared[g0:g1, g0:columns], 0.0)
+        if geometric and g0 == 0:
+            table[0] *= 0.5
+        tiles.append((g0, table, shares))
+    targets = [cells[:, :columns - g0].ravel() for g0, cells in layout.targets if g0 < columns]
+    return SimpleNamespace(
+        layout=layout, rate=rate, far_rate=far_rate, strays=bool(np.any(far_rate != 0.0)),
+        support=support, constant_rate=float(block[0, 0]) if constant else None,
+        columns=columns, tiles=tuple(tiles),
+        targets=np.concatenate(targets) if targets else np.zeros(0, np.intp))
+
+
+def assert_same_bits(got, want, name):
+    """Equal arrays of one dtype and shape, byte for byte; tuples
+    element by element; floats by their bits; anything else by value
+    and type."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), name
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_bits(g, w, f"{name}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and struct.pack("d", got) == struct.pack("d", want), name
+    else:
+        assert type(got) is type(want) and got == want, name
+
+
+# rates only the build comparison takes: one of either sign, and one
+# that vanishes on every pair inside the domain
+BUILD_RATES = {
+    **RATES,
+    "signed": dataclasses.replace(
+        RATES["constant"], join=lambda y, z: 0.1 * np.cos(0.05 * (np.asarray(y) + z))),
+    "stray_only": dataclasses.replace(
+        RATES["constant"], join=lambda y, z: np.where(np.asarray(y) + z > 1.1 * YMAX, 0.1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rate", sorted(BUILD_RATES))
+@pytest.mark.parametrize("cutoff", (None,) + PAIR_CUTOFFS)
+def test_build_matches_the_reference_build(spacing, n, rate, cutoff):
+    """Every field of the layout and of the tables, bit for bit."""
+    k = BUILD_RATES[rate]
+    k = k if cutoff is None else with_join_cutoff(k, cutoff)
+    grid = build_grid(1.0, YMAX, n, spacing)
+    want = reference_tables(k, grid)
+    got = JoiningTables.build(k, grid)
+    layout_fields = {f.name for f in dataclasses.fields(got.layout)} - {"grid"}
+    assert layout_fields == {"idx", "frac", "beyond_domain", "bands", "targets"}
+    for name in sorted(layout_fields):
+        assert_same_bits(getattr(got.layout, name), getattr(want.layout, name), name)
+    table_fields = {f.name for f in dataclasses.fields(got)} - {"grid", "layout"}
+    assert table_fields == {"rate", "far_rate", "strays", "support", "constant_rate",
+                            "columns", "tiles", "targets"}
+    for name in sorted(table_fields):
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+
+
+def tie_grids(spacing):
+    """Grids with pairs of centers whose sum is ymax exactly, and the
+    same cells against ymax one ulp either side."""
+    for n in range(4, 40):
+        for s in range(n - 1):
+            grid = build_grid(1.0, 1.0 + n / (n - s - 1), n, spacing)
+            for ymax in (grid.ymax, np.nextafter(grid.ymax, 0.0),
+                         np.nextafter(grid.ymax, np.inf)):
+                yield dataclasses.replace(grid, ymax=float(ymax))
+
+
+def test_domain_edge_on_exact_ties(spacing):
+    """Uniform centers sum to ymax exactly on some pairs; geometric
+    ones come within rounding of it."""
+    ties = 0
+    for grid in tie_grids(spacing):
+        c, n = grid.centers, grid.n
+        sums = np.add.outer(c, c)
+        ties += np.count_nonzero(sums == grid.ymax)
+        want = n - np.count_nonzero(sums > grid.ymax, axis=1)
+        assert np.array_equal(JoinLayout.build(grid).beyond_domain, want), (n, grid.ymax)
+    assert ties > 0 or spacing == "geometric"
+
+
+def one_edge_scaled(ref, edge, factor):
+    edges = ref.edges.copy()
+    edges[edge] *= factor
+    return dataclasses.replace(ref, edges=edges, centers=0.5 * (edges[:-1] + edges[1:]),
+                               widths=np.diff(edges))
+
+
+@pytest.mark.parametrize("edge", (5, 31, 60))
+def test_one_edge_off_by_1e_11_is_refused(spacing, edge):
+    """The shift check sees one moved edge of 64 at 1e-11, and lets a
+    rounding-sized move of 1e-15 through."""
+    grid = build_grid(1.0, YMAX, 64, spacing)
+    with pytest.raises(ValueError, match="shift-invariant"):
+        JoiningTables.build(RATES["constant"], one_edge_scaled(grid, edge, 1.0 + 1e-11))
+    JoiningTables.build(RATES["constant"], one_edge_scaled(grid, edge, 1.0 + 1e-15))
+
+
+def wide_grids(spacing):
+    """Grids over up to 40 decades, some with one edge moved by up to
+    1e-8: on the widest, a pair can round onto its larger partner's
+    center (target offset -1), which the check accepts only for pairs
+    clamped onto the last center."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        y0 = 10.0 ** rng.uniform(-300.0, 2.0)
+        grid = build_grid(y0, y0 * 10.0 ** rng.uniform(0.01, 40.0),
+                          int(rng.integers(4, 120)), spacing)
+        if trial % 5 == 0:
+            grid = one_edge_scaled(grid, int(rng.integers(1, grid.n)),
+                                   1.0 + 10.0 ** rng.uniform(-16.0, -8.0))
+        yield grid
+
+
+def test_refuses_exactly_the_grids_the_reference_refuses(spacing):
+    grids = [build_grid(y0, ymax, n, spacing) for y0, ymax, n in (
+        (1.0, 1e30, 24), (5.58466683752439e-21, 0.2209259757066829, 9),
+        (6.757220695705723e-208, 2.42376905980873e-191, 96))]
+    refused = 0
+    for grid in grids + list(wide_grids(spacing)):
+        try:
+            want = reference_layout(grid)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="shift-invariant"):
+                JoinLayout.build(grid)
+            continue
+        got = JoinLayout.build(grid)
+        for name in ("idx", "frac", "beyond_domain"):
+            assert_same_bits(getattr(got, name), getattr(want, name), name)
+    assert refused > 0 or spacing == "uniform"
+
+
+@pytest.mark.parametrize("n", (400, 800))
+def test_layout_build_forms_no_n_by_n_array(spacing, n):
+    """The layout's allocations peak under 1 MB on 400 cells (the n^2
+    build: 4.1 MB geometric, 2.8 MB uniform) and under a quarter of one
+    n x n float table on 800."""
+    grid = build_grid(1.0, YMAX, n, spacing)
+    JoinLayout.build(grid)
+    tracemalloc.start()
+    try:
+        JoinLayout.build(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1e6 if n == 400 else 2 * n * n)

@@ -448,24 +448,29 @@ def reference_truncate(k, level, horizon_T, u0, v0):
     return kn, GridFunction(u0.grid, u0n_vals)
 
 
+def assert_fields_equal(x, y, name):
+    """x equals y: dataclasses field by field (through
+    dataclasses.fields, so a new field is compared too), tuples element
+    by element, arrays by np.array_equal, anything else by ==."""
+    assert type(x) is type(y), name
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            assert_fields_equal(getattr(x, f.name), getattr(y, f.name), f"{name}.{f.name}")
+    elif isinstance(x, tuple):
+        assert len(x) == len(y), name
+        for i, (xi, yi) in enumerate(zip(x, y)):
+            assert_fields_equal(xi, yi, f"{name}[{i}]")
+    elif isinstance(x, np.ndarray):
+        assert np.array_equal(x, y), name
+    else:
+        assert x == y, name
+
+
 def assert_tables_equal(a, b):
-    """Every array and scalar field of two table objects is equal."""
-    assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "tiles":
-            assert len(x) == len(y)
-            for (g0, table, shares), (h0, other, other_shares) in zip(x, y):
-                assert g0 == h0 and np.array_equal(table, other)
-                assert (shares is None and other_shares is None
-                        or np.array_equal(shares, other_shares))
-        elif f.name == "layout":
-            for name in ("idx", "frac", "beyond_domain", "inside"):
-                assert np.array_equal(getattr(x, name), getattr(y, name)), name
-        elif isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), f.name
-        else:
-            assert x == y, f.name
+    """Every field of two table objects is equal, and every field of the
+    dataclasses they hold: the grid, and the JoinLayout with its bands
+    and targets."""
+    assert_fields_equal(a, b, type(a).__name__)
 
 
 class TestTruncation:
