@@ -205,6 +205,11 @@ def _run_from_config(cfg: RunConfig):
         select_test_functions(grid, k, scfg.test_functions)
     except ValueError as exc:
         raise ConfigParseError(f"diagnostics.test_functions: {exc}") from exc
+    with np.errstate(over="ignore"):   # an overflow would write inf or nan moments
+        for sigma in cfg["diagnostics.sigma"]:
+            if not np.all(np.isfinite(grid.widths * grid.centers ** sigma)):
+                raise ConfigParseError(f"bad value for diagnostics.sigma: {sigma!r} "
+                                       "overflows the moment weights on the grid")
     tables = cfg.build_tables(k, grid)   # so every command refuses a bad grid
     u0 = cfg.build_initial(grid)
     return k, grid, u0, cfg["initial.monomer"], scfg, tables

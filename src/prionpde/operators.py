@@ -17,9 +17,10 @@ Discretization notes, load-bearing for the conservation tests:
   cells, as the characteristic time increases along the grid, and one
   bincount deposits both shares of every parcel.
 
-* The joining gain deposits each ordered pair's mass flux at the exact
-  pair size with the same bracketing split, so the discrete first
-  moment of the joining operator vanishes identically.  On both
+* Joining is the quadratic term Q(u), so its apply takes one density.
+  The gain deposits each ordered pair's mass flux at the exact pair
+  size with the same bracketing split, so the discrete first moment of
+  the joining operator vanishes identically.  On both
   built-in grids the split is shift-invariant: on a geometric grid the
   pair (m, m-d) lands at cell m + idx[d] with lower share frac[d], and
   on a uniform grid the pair (i, j) lands at i + j + idx[0] with one
@@ -102,7 +103,6 @@ __all__ = [
     "JoiningTables",
     "split_targets",
     "ReactionOperator",
-    "measure_operator_bounds",
 ]
 
 
@@ -686,7 +686,7 @@ class JoiningTables:
     """Shift-structured tables for the joining mechanism.
 
     rate[i, j] is the joining rate at the pair of cell centers (i, j),
-    symmetric as the loss 2 u (rate @ w) needs: build refuses an
+    symmetric as the loss 2 u (rate @ u) needs: build refuses an
     asymmetry above the validator's join_symmetry tolerance (1e-8 of the
     largest rate) and symmetrizes one below it.  Every non-zero rate
     lies in rate[:support, :support], the block the loss multiplies.
@@ -812,16 +812,16 @@ class JoiningTables:
                    columns=columns, tiles=tuple(tiles),
                    targets=np.concatenate(targets) if targets else np.zeros(0, np.intp))
 
-    def _check_stray(self, mu: np.ndarray, mw: np.ndarray) -> None:
+    def _check_stray(self, mu: np.ndarray) -> None:
         """PairOutOfRange if the largest stray pair flux exceeds
         STRAY_FLUX_RTOL times the largest pair flux.  An O(n) bound
         settles the usual case; the full maximum decides otherwise."""
-        tail = np.append(np.maximum.accumulate(np.abs(mw)[::-1])[::-1], 0.0)
+        tail = np.append(np.maximum.accumulate(np.abs(mu)[::-1])[::-1], 0.0)
         bound = float(np.max(np.abs(mu) * self.far_rate * tail[self.layout.beyond_domain]))
         if bound == 0.0 or bound <= STRAY_FLUX_RTOL * float(
-                np.max(np.abs(np.diagonal(self.rate) * mu * mw))):
+                np.max(np.abs(np.diagonal(self.rate) * mu * mu))):
             return
-        flux = np.abs(self.rate * np.outer(mu, mw))
+        flux = np.abs(self.rate * np.outer(mu, mu))
         far = np.arange(self.grid.n)[None, :] >= self.layout.beyond_domain[:, None]
         if np.max(flux, where=far, initial=0.0) > STRAY_FLUX_RTOL * np.max(flux):
             raise PairOutOfRange(
@@ -829,60 +829,51 @@ class JoiningTables:
                 "enlarge the grid or cut the joining rate"
             )
 
-    def _tile_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Geometric grid: per tile, shares @ (table * _skew(x)[g0:g1, g0:columns])
-        weighted by y over its columns, flattened in tile order."""
-        sheared_x = _skew(x)
-        end = self.columns
-        sums = np.empty(self.targets.size)
-        start = 0
-        for g0, table, shares in self.tiles:
-            out = sums[start:start + shares.shape[0] * table.shape[1]]
-            out = out.reshape(shares.shape[0], table.shape[1])
-            np.matmul(shares, table * sheared_x[g0:g0 + table.shape[0], g0:end], out=out)
-            out *= y[g0:end]
-            start += out.size
-        return sums
-
-    def loss_rate(self, w_values: np.ndarray) -> np.ndarray:
-        """Per-cell joining loss rate against partners w: over the rate's
+    def loss_rate(self, u_values: np.ndarray) -> np.ndarray:
+        """Per-cell joining loss rate against partners u: over the rate's
         support one dot product for a constant rate, else one GEMV; zero
         beyond it."""
         m = self.support
         out = np.zeros(self.grid.n)
         if self.constant_rate is not None:
             out[:m] = 2.0 * self.constant_rate * float(
-                np.dot(w_values[:m], self.grid.widths[:m]))
+                np.dot(u_values[:m], self.grid.widths[:m]))
             return out
-        np.matmul(self.rate[:m, :m], w_values[:m] * self.grid.widths[:m], out=out[:m])
+        np.matmul(self.rate[:m, :m], u_values[:m] * self.grid.widths[:m], out=out[:m])
         out[:m] *= 2.0
         return out
 
-    def apply(self, u_values: np.ndarray, w_values: np.ndarray,
+    def apply(self, u_values: np.ndarray, *,
               loss_rate: Optional[np.ndarray] = None) -> np.ndarray:
-        """Joining of u with w; loss_rate, when the caller has it, is
-        loss_rate(w_values), so it is not recomputed."""
+        """The quadratic joining term Q(u); loss_rate, when the caller has
+        it, is loss_rate(u_values), so it is not recomputed.  A geometric
+        tile's GEMM, shares @ (table * mu[m - d]), is weighed by 2 mu[m]."""
         g = self.grid
         mu = u_values * g.widths
-        mw = mu if w_values is u_values else w_values * g.widths
         if self.strays:
-            self._check_stray(mu, mw)
+            self._check_stray(mu)
+        sheared = _skew(mu)
+        end = self.columns
         if g.spacing != "geometric":
-            sheared_w = _skew(mw)
-            pairs = np.zeros(self.columns)
+            pairs = np.zeros(end)
             for g0, table, _ in self.tiles:
                 g1 = g0 + table.shape[0]
-                pairs[g0:] += mu[g0:g1] @ (table * sheared_w[g0:g1, g0:self.columns])
+                pairs[g0:] += mu[g0:g1] @ (table * sheared[g0:g1, g0:end])
             f = self.layout.frac[0]
             sums = np.multiply.outer((f, 1.0 - f), pairs)
-        elif mw is mu:
-            sums = self._tile_sums(mu, 2.0 * mu)
         else:
-            sums = self._tile_sums(mw, mu)
-            sums += self._tile_sums(mu, mw)
+            twice = 2.0 * mu
+            sums = np.empty(self.targets.size)
+            start = 0
+            for g0, table, shares in self.tiles:
+                out = sums[start:start + shares.shape[0] * table.shape[1]]
+                out = out.reshape(shares.shape[0], table.shape[1])
+                np.matmul(shares, table * sheared[g0:g0 + table.shape[0], g0:end], out=out)
+                out *= twice[g0:end]
+                start += out.size
         gain = np.bincount(self.targets, sums.ravel(), g.n)
         if loss_rate is None:
-            loss_rate = self.loss_rate(w_values)
+            loss_rate = self.loss_rate(u_values)
         return gain / g.widths - u_values * loss_rate
 
 
@@ -936,7 +927,7 @@ class ReactionOperator:
         if self.join is None:
             return out, self.frag.max_loss
         loss = self.join.loss_rate(u_values)
-        out = out + self.join.apply(u_values, u_values, loss_rate=loss)
+        out = out + self.join.apply(u_values, loss_rate=loss)
         return out, float(np.max(self.frag.loss_at_centers + loss))
 
     def _saturated(self, x: float, u_values: np.ndarray) -> float:
@@ -956,44 +947,3 @@ class ReactionOperator:
     def death_moment(self, u_values: np.ndarray) -> float:
         """Bound monomer count lost per unit time to degradation."""
         return float(np.dot(self.death_moment_weights, u_values))
-
-
-# -- measured operator bounds ---------------------------------------------
-
-def measure_operator_bounds(
-    k: KernelSet, grid: SizeGrid, trials: int = 16, seed: int = 0
-) -> dict:
-    """Empirical boundedness constants of the two mechanisms in the
-    weighted norm sum of the zeroth and first absolute moments: reports
-    the largest observed ratio of output norm to (rate sup times input
-    norm) over random non-negative densities."""
-    rng = np.random.default_rng(seed)
-    c, w = grid.centers, grid.widths
-
-    def norm1(vals):
-        return float(np.dot(np.abs(vals), (1.0 + c) * w))
-
-    death_sup = float(np.max(np.asarray(k.death(c), dtype=float)))
-    frag_sup = float(np.max(np.asarray(k.frag(c), dtype=float)))
-    join_sup = float(np.max(np.asarray(k.join(c[:, None], c[None, :]), dtype=float)))
-    ft = FragTables.build(k, grid)
-    jt = JoiningTables.build(k, grid)
-    c_lin, c_bil = 0.0, 0.0
-    for _ in range(trials):
-        u = rng.random(grid.n)
-        v = rng.random(grid.n)
-        lin = norm1(ft.apply(u))
-        denom = (death_sup + frag_sup) * norm1(u)
-        if denom > 0:
-            c_lin = max(c_lin, lin / denom)
-        bil = norm1(jt.apply(u, v))
-        denom = join_sup * norm1(u) * norm1(v)
-        if denom > 0:
-            c_bil = max(c_bil, bil / denom)
-    return {
-        "linear_bound_ratio": c_lin,
-        "bilinear_bound_ratio": c_bil,
-        "death_sup": death_sup,
-        "frag_sup": frag_sup,
-        "join_sup": join_sup,
-    }

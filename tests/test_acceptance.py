@@ -173,7 +173,7 @@ def test_03_joining_conservation():
         u = rng.uniform(0.0, 1.0, grid.n)
         if trial % 2:
             u *= rng.uniform(0.0, 1.0, grid.n) > 0.3
-        q = tab.apply(u, u)
+        q = tab.apply(u)
         resid = abs(float(np.dot(c, q * w)))
         scale = 2.0 * float(np.dot(c * u * (tab.rate @ (u * w)), w))
         worst = max(worst, resid / scale)
@@ -202,7 +202,7 @@ def test_03_joining_conservation():
                     gain[p + 1] += flux * (1.0 - frac)
         loss = 2.0 * u * (tab8.rate @ (u * w8))
         brute = gain / w8 - loss
-        q8 = tab8.apply(u, u)
+        q8 = tab8.apply(u)
         worst8 = max(worst8, float(np.max(np.abs(brute - q8)))
                      / float(np.max(np.abs(q8))))
 

@@ -310,6 +310,27 @@ class TestConfigParsing:
         assert captured.out == ""
         assert tree(tmp_path) == before
 
+    @pytest.mark.parametrize("lines", ["diagnostics.sigma = 1e300",
+                                       "diagnostics.sigma = 2,1e300",
+                                       "diagnostics.sigma = -200\nmodel.min_size = 1e-3"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "validate", "oracle", "truncation"])
+    def test_sigma_overflowing_the_moment_weights_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, lines):
+        """centers ** sigma overflows on the grid, so the sigma moments
+        would be inf or nan: the value is refused."""
+        for name in ("run", "truncate", "integrate_oracle",
+                     "validate_kernel_set"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("worked"))
+        cfg = write_cfg(tmp_path, TestTruncation.TRUNC + lines + "\n"
+                        + f"output.dir = {tmp_path}/out\n")
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigParseError: bad value for diagnostics.sigma")
+        assert captured.out == ""
+        assert tree(tmp_path) == before
+
     def test_readme_exit_code_table_matches_the_mapping(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]

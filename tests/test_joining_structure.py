@@ -57,6 +57,19 @@ def dense_reference_apply(k, grid, u_values, w_values):
     return gain[:n] / grid.widths - loss
 
 
+def apply_and_reference(k, tables, u, w):
+    """apply and the dense reference on one case: Q(u) when u is w,
+    else the symmetric bilinear form by polarization,
+    (Q(u + w) - Q(u - w)) / 4, against the symmetric part of the dense
+    reference of (u, w)."""
+    grid = tables.grid
+    if u is w:
+        return tables.apply(u), dense_reference_apply(k, grid, u, u)
+    got = 0.25 * (tables.apply(u + w) - tables.apply(u - w))
+    want = 0.5 * (dense_reference_apply(k, grid, u, w) + dense_reference_apply(k, grid, w, u))
+    return got, want
+
+
 def _truncated():
     base = make_special_family(1.0, 0.1, 1.0, 0.2)
     grid = build_grid(1.0, YMAX, 256, "geometric")
@@ -78,7 +91,8 @@ RATES = {
 def densities(grid, seed):
     """Named (u, w) pairs: mass low on the grid, mass whose pairs land
     between the last center and the domain end, and bilinear versions.
-    The quadratic pairs pass one array twice, as the solver does."""
+    The quadratic pairs hold one array twice; the bilinear ones are
+    checked by polarization (apply_and_reference)."""
     rng = np.random.default_rng(seed)
     c = grid.centers
     # pairs of these cells land at or below the last center
@@ -112,8 +126,7 @@ def test_matches_dense_reference(spacing, n, rate):
     grid = build_grid(1.0, YMAX, n, spacing)
     tables = JoiningTables.build(k, grid)
     for name, (u, w) in densities(grid, n).items():
-        got = tables.apply(u, w)
-        want = dense_reference_apply(k, grid, u, w)
+        got, want = apply_and_reference(k, tables, u, w)
         scale = max(np.max(np.abs(want)), 1e-300)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
         m_scale = first_moment_scale(grid, want)
@@ -151,8 +164,7 @@ def test_rate_symmetric_to_rounding_is_symmetrized(spacing, n):
     assert not np.array_equal(rate, rate.T)
     tables = JoiningTables.build(k, grid)
     for name, (u, w) in densities(grid, 7).items():
-        got = tables.apply(u, w)
-        want = dense_reference_apply(symmetric, grid, u, w)
+        got, want = apply_and_reference(symmetric, tables, u, w)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
         if name == "low":
             m_scale = first_moment_scale(grid, want)
@@ -163,8 +175,8 @@ def test_rate_symmetric_to_rounding_is_symmetrized(spacing, n):
 @pytest.mark.parametrize("rate", sorted(RATES))
 def test_out_of_range_raised_exactly_like_dense(spacing, n, rate):
     """Hot densities (mass near the grid end), cold ones, and a tiny
-    top-cell mass swept across the 1e-12 threshold, in the quadratic and
-    bilinear cases."""
+    top-cell mass swept across the 1e-12 threshold; of each former
+    bilinear pair (u, w), u, w and u + w each as a quadratic case."""
     k = RATES[rate]
     grid = build_grid(1.0, YMAX, n, spacing)
     tables = JoiningTables.build(k, grid)
@@ -177,17 +189,17 @@ def test_out_of_range_raised_exactly_like_dense(spacing, n, rate):
         top = low.copy()
         top[-1] += eps * np.max(low)
         cases += [(top, top), (low, top)]
-    for u, w in cases:
+    for x in (x for u, w in cases for x in (u, w, u + w)):
         expect_raise = False
         try:
-            want = dense_reference_apply(k, grid, u, w)
+            want = dense_reference_apply(k, grid, x, x)
         except PairOutOfRange:
             expect_raise = True
         if expect_raise:
             with pytest.raises(PairOutOfRange):
-                tables.apply(u, w)
+                tables.apply(x)
         else:
-            got = tables.apply(u, w)
+            got = tables.apply(x)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -253,8 +265,7 @@ def test_every_two_cell_density_lands_like_dense(spacing, rate):
     """u = one or two occupied cells, every pair i <= j, so each (d, m)
     entry of every tile carries the only flux of some density (n = 64
     holds one geometric tile and two uniform ones; the tile boundaries
-    of larger grids are covered by test_matches_dense_reference).  The
-    quadratic and bilinear branches agree on equal arrays."""
+    of larger grids are covered by test_matches_dense_reference)."""
     k = RATES[rate]
     grid = build_grid(1.0, YMAX, 64, spacing)
     tables = JoiningTables.build(k, grid)
@@ -267,13 +278,10 @@ def test_every_two_cell_density_lands_like_dense(spacing, rate):
                 want = dense_reference_apply(k, grid, u, u)
             except PairOutOfRange:
                 with pytest.raises(PairOutOfRange):
-                    tables.apply(u, u)
+                    tables.apply(u)
                 continue
-            got = tables.apply(u, u)
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (i, j)
-            bilinear = tables.apply(u, u.copy())
-            assert np.max(np.abs(bilinear - got)) <= 1e-15 * scale, (i, j)
+            got = tables.apply(u)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (i, j)
 
 
 def test_grid_without_shift_structure_is_refused():
@@ -329,8 +337,7 @@ def test_trimmed_tables_match_dense_reference(spacing, n, cutoff):
     assert tables.support == (live[-1] + 1 if live.size else 0)
     assert tables.strays == bool(np.any(tables.far_rate))
     for name, (u, w) in densities(grid, n).items():
-        got = tables.apply(u, w)
-        want = dense_reference_apply(k, grid, u, w)
+        got, want = apply_and_reference(k, tables, u, w)
         if not np.any(want):
             assert np.array_equal(got, np.zeros(n)), name
             continue
@@ -357,8 +364,8 @@ def test_truncated_ladder_tables_are_trimmed():
         assert tables.columns < grid.n // 2 + 50
         assert not tables.strays
         for name, (u, w) in densities(grid, 5).items():
-            want = dense_reference_apply(kn, grid, u, w)
-            assert np.max(np.abs(tables.apply(u, w) - want)) <= 1e-13 * np.max(np.abs(want))
+            got, want = apply_and_reference(kn, tables, u, w)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 @pytest.mark.parametrize("n", (5, 64, 192, 400))
@@ -390,16 +397,16 @@ def test_stray_check_runs_only_when_a_pair_can_stray(monkeypatch):
     calls = []
     check = JoiningTables._check_stray
 
-    def counted(self, mu, mw):
+    def counted(self, mu):
         calls.append(self.strays)
-        return check(self, mu, mw)
+        return check(self, mu)
 
     monkeypatch.setattr(JoiningTables, "_check_stray", counted)
     grid = build_grid(1.0, YMAX, 64, "geometric")
     u = (grid.centers <= 0.3 * YMAX).astype(float)
     for rate in ("constant", "cutoff", "truncated"):
         tables = JoiningTables.build(RATES[rate], grid)
-        tables.apply(u, u)
+        tables.apply(u)
     assert calls == [True]
 
 

@@ -797,9 +797,9 @@ class TestTruncation:
         assert tables.tiles == () and tables.targets.size == 0
         assert tables.columns == tables.support == 0 and not tables.strays
         u = np.linspace(2.0, 0.0, grid.n)
-        for w in (u, u[::-1].copy()):
-            assert np.array_equal(tables.apply(u, w), np.zeros(grid.n))
-            assert np.array_equal(tables.loss_rate(w), np.zeros(grid.n))
+        for x in (u, u[::-1].copy()):
+            assert np.array_equal(tables.apply(x), np.zeros(grid.n))
+            assert np.array_equal(tables.loss_rate(x), np.zeros(grid.n))
         assert not ReactionOperator.build(kn, grid, False).joins
 
 

@@ -27,7 +27,6 @@ from prionpde.operators import (
     split_targets,
     JoiningTables,
     ReactionOperator,
-    measure_operator_bounds,
 )
 
 
@@ -89,11 +88,25 @@ class TestJoining:
                                frag_slope=0.0, join_value=0.3),
             cutoff=6.0,
         )
-        u = random_density(grid, 11)
-        w = random_density(grid, 12)
-        expected = brute_force_joining(k, grid, u.values, w.values)
-        got = JoiningTables.build(k, grid).apply(u.values, w.values)
+        u = random_density(grid, 11).values
+        w = random_density(grid, 12).values
+        tables = JoiningTables.build(k, grid)
+        expected = brute_force_joining(k, grid, u, u)
+        got = tables.apply(u)
         assert np.max(np.abs(got - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
+        # the distinct pair by polarization, against the symmetric part
+        expected = 0.5 * (brute_force_joining(k, grid, u, w) + brute_force_joining(k, grid, w, u))
+        got = 0.25 * (tables.apply(u + w) - tables.apply(u - w))
+        assert np.max(np.abs(got - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+    def test_second_density_is_refused(self):
+        """apply is the quadratic Q(u): a stale apply(u, w) must not read w
+        as the loss rate."""
+        grid = build_grid(1.0, 200.0, 16, spacing="geometric")
+        tables = JoiningTables.build(make_special_family(1.0, 0.1, 0.5, 0.2), grid)
+        u, w = random_density(grid, 13).values, random_density(grid, 14).values
+        with pytest.raises(TypeError):
+            tables.apply(u, w)
 
     def test_first_moment_vanishes_identically(self):
         grid = build_grid(1.0, 200.0, 64, spacing="geometric")
@@ -106,7 +119,7 @@ class TestJoining:
         scale = moment(grid, np.ones(grid.n), 1)
         for seed in range(10):
             u = random_density(grid, seed)
-            q = tables.apply(u.values, u.values)
+            q = tables.apply(u.values)
             assert abs(moment(grid, q, 1)) < 1e-12 * scale
 
     def test_count_decreases_at_quadratic_rate(self):
@@ -120,7 +133,7 @@ class TestJoining:
         sel = grid.centers < 20.0
         vals[sel] = 1.0 / grid.centers[sel]
         u = GridFunction(grid, vals)
-        q = JoiningTables.build(k, grid).apply(u.values, u.values)
+        q = JoiningTables.build(k, grid).apply(u.values)
         u0 = moment(grid, u.values, 0)
         assert abs(moment(grid, q, 0) + 0.25 * u0 * u0) < 1e-12 * u0 * u0
 
@@ -129,7 +142,7 @@ class TestJoining:
         k = make_special_family(growth_value=1.0, death_value=0.2,
                                frag_slope=0.3, join_value=0.0)
         u = random_density(grid, 4)
-        q = JoiningTables.build(k, grid).apply(u.values, u.values)
+        q = JoiningTables.build(k, grid).apply(u.values)
         assert np.all(q == 0.0)
 
     def test_out_of_range_pairs_raise_only_with_flux(self):
@@ -141,11 +154,11 @@ class TestJoining:
         hot = np.zeros(grid.n)
         hot[-2:] = 1.0
         with pytest.raises(PairOutOfRange):
-            tables.apply(hot, hot)
+            tables.apply(hot)
         # same rate, mass confined low enough: pair sizes stay inside
         cold = np.zeros(grid.n)
         cold[:4] = 1.0
-        tables.apply(cold, cold)
+        tables.apply(cold)
 
     @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
     def test_shared_loss_rate_changes_nothing(self, spacing):
@@ -159,11 +172,11 @@ class TestJoining:
             cutoff=100.0,
         )
         r = ReactionOperator.build(k, grid, skip_joining=False)
-        u, w = random_density(grid, 31).values, random_density(grid, 32).values
-        assert np.array_equal(r.join.apply(u, w, loss_rate=r.join.loss_rate(w)),
-                              r.join.apply(u, w))
+        u = random_density(grid, 31).values
+        assert np.array_equal(r.join.apply(u, loss_rate=r.join.loss_rate(u)),
+                              r.join.apply(u))
         f, scale = r.rhs(u)
-        assert np.array_equal(f, r.frag.apply(u) + r.join.apply(u, u))
+        assert np.array_equal(f, r.frag.apply(u) + r.join.apply(u))
         linear = r.frag.death_at_centers + r.frag.frag_at_centers
         assert scale == float(np.max(
             linear + 2.0 * (r.join.rate @ (u * grid.widths))))
@@ -172,22 +185,35 @@ class TestJoining:
         assert np.array_equal(f, skip.frag.apply(u))
         assert scale == float(np.max(linear))
 
-    @settings(max_examples=25, deadline=None)
-    @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
-    def test_bilinearity_in_first_argument(self, a, b):
+    @staticmethod
+    def _quadratic_case():
         grid = build_grid(1.0, 40.0, 24, spacing="geometric")
         k = with_join_cutoff(
             make_special_family(growth_value=1.0, death_value=0.0,
                                frag_slope=0.0, join_value=0.4),
             cutoff=25.0,
         )
-        tables = JoiningTables.build(k, grid)
-        u1 = random_density(grid, 21).values
-        u2 = random_density(grid, 22).values
-        w = random_density(grid, 23).values
-        lhs = tables.apply(a * u1 + b * u2, w)
-        rhs = a * tables.apply(u1, w) + b * tables.apply(u2, w)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10 * (1.0 + np.max(np.abs(rhs)))
+        return (JoiningTables.build(k, grid), random_density(grid, 21).values,
+                random_density(grid, 22).values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(-3.0, 3.0))
+    def test_homogeneous_of_degree_two(self, a):
+        tables, u, _ = self._quadratic_case()
+        lhs = tables.apply(a * u)
+        rhs = a * a * tables.apply(u)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs)) + 1e-300
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+    def test_parallelogram_law(self, a, b):
+        """Q(u + w) + Q(u - w) = 2 Q(u) + 2 Q(w): Q is a quadratic form."""
+        tables, u, w = self._quadratic_case()
+        u, w = a * u, b * w
+        lhs = tables.apply(u + w) + tables.apply(u - w)
+        rhs = 2.0 * tables.apply(u) + 2.0 * tables.apply(w)
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale + 1e-300
 
 
 class TestFragmentation:
@@ -310,17 +336,6 @@ class TestFunctionals:
         reaction = ReactionOperator.build(k, grid, True)
         assert abs(reaction.drain(u.values) - expected) < 1e-12 * expected
         assert abs(reaction.speed(1.7, u.values) - 1.7 / (1.0 + 0.3 * u1)) < 1e-14
-
-    def test_measured_bounds_are_finite(self):
-        grid = build_grid(1.0, 60.0, 48, spacing="geometric")
-        k = with_join_cutoff(
-            make_special_family(growth_value=1.0, death_value=0.2,
-                               frag_slope=0.4, join_value=0.3),
-            cutoff=40.0,
-        )
-        report = measure_operator_bounds(k, grid, trials=8, seed=1)
-        assert 0.0 < report["linear_bound_ratio"] < 50.0
-        assert 0.0 < report["bilinear_bound_ratio"] < 50.0
 
 
 def assert_closed_form_matches_dense(k, grid, seed):
