@@ -31,7 +31,7 @@ from .kernels import (
     with_join_cutoff,
 )
 from .operators import GridTables
-from .solver import REACTION_INTEGRATORS, SPLITTINGS, SolverConfig
+from .solver import SolverConfig
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "DEFAULTS"]
 
@@ -113,8 +113,6 @@ DEFAULTS: Tuple[Tuple[str, str, Callable], ...] = (
     ("initial.cut_sigmas", "none", _optional(_positive)),
     ("solver.dt", "0.001", _finite),
     ("solver.t_end", "1.0", _finite),
-    ("solver.splitting", "strang", _choice(SPLITTINGS)),
-    ("solver.reaction_integrator", "rk2", _choice(REACTION_INTEGRATORS)),
     ("solver.snapshot_times", "", _comma_list(_finite)),
     ("solver.tail_mass_bound", "none",
      _optional(_finite_where("non-negative", lambda x: x >= 0))),
@@ -265,8 +263,6 @@ class RunConfig:
             return SolverConfig(
                 dt=self["solver.dt"],
                 t_end=self["solver.t_end"],
-                splitting=self["solver.splitting"],
-                reaction_integrator=self["solver.reaction_integrator"],
                 positivity_tolerance=self["solver.positivity_tolerance"],
                 snapshot_times=self["solver.snapshot_times"],
                 tail_mass_bound=self["solver.tail_mass_bound"],

@@ -27,14 +27,12 @@ after the step's checks.  The evaluation, ReactionOperator.rhs's
 right-hand side and largest loss rate, goes to the ledger's weak-form
 fluxes and to the next step as its first stage and substep scale.  It
 is passed explicitly, never cached; Snapshot stays a pure state record,
-and a replay of the ledger evaluates its own.  A Strang step's last
-reaction half ends on the new state, so the step also hands over the
-monomer drain and gain that half evaluated there, and the next step's
-first half starts from them (a Handover); a Lie step ends on a
-transported state, and the next step evaluates both.  Every accepted
-state is evaluated, with or without test functions, so the
-evaluation's checks (joining flux leaving the grid) read the same
-states in every run.
+and a replay of the ledger evaluates its own.  A step's last reaction
+half ends on the new state, so the step also hands over the monomer
+drain and gain that half evaluated there, and the next step's first
+half starts from them (a Handover).  Every accepted state is evaluated,
+with or without test functions, so the evaluation's checks (joining
+flux leaving the grid) read the same states in every run.
 """
 
 from __future__ import annotations
@@ -71,8 +69,6 @@ __all__ = [
     "run",
 ]
 
-SPLITTINGS = ("lie", "strang")
-REACTION_INTEGRATORS = ("euler", "rk2")
 MAX_STEPS = 10**7       # a longer run is refused as configured
 MAX_SUBSTEPS = 10**4    # a reaction interval needing more raises BlowUp
 
@@ -81,8 +77,6 @@ MAX_SUBSTEPS = 10**4    # a reaction interval needing more raises BlowUp
 class SolverConfig:
     dt: float
     t_end: float
-    splitting: str = "strang"
-    reaction_integrator: str = "rk2"
     positivity_tolerance: Optional[float] = None
     snapshot_times: Tuple[float, ...] = ()
     tail_mass_bound: Optional[float] = None
@@ -99,11 +93,6 @@ class SolverConfig:
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(f"t_end / dt = {self.t_end}/{self.dt} is not a "
                              f"finite step count of at most {MAX_STEPS}")
-        if self.splitting not in SPLITTINGS:
-            raise ValueError(f"splitting must be one of {SPLITTINGS}")
-        if self.reaction_integrator not in REACTION_INTEGRATORS:
-            raise ValueError(
-                f"reaction_integrator must be one of {REACTION_INTEGRATORS}")
         tol = self.positivity_tolerance
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise ValueError(
@@ -162,7 +151,7 @@ class Handover(NamedTuple):
     monomer: Optional[Tuple[float, float]] = None
 
 
-def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig,
+def _react(v: float, u: np.ndarray, h: float, mach: Machinery,
            start: Handover) -> Tuple[float, np.ndarray, Tuple[float, float]]:
     """Advance density and monomer over a reaction interval of length h
     from start, the Handover at u.  Returns the new monomer count and
@@ -180,12 +169,9 @@ def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig
     for i in range(substeps):
         if i > 0:
             f0, _ = r.rhs(u)
-        if cfg.reaction_integrator == "euler":
-            u = _clip_positive(u + hs * f0, mach.positivity_floor)
-        else:
-            pred = _clip_positive(u + hs * f0, mach.positivity_floor)
-            f1, _ = r.rhs(pred)
-            u = _clip_positive(u + 0.5 * hs * (f0 + f1), mach.positivity_floor)
+        pred = _clip_positive(u + hs * f0, mach.positivity_floor)
+        f1, _ = r.rhs(pred)
+        u = _clip_positive(u + 0.5 * hs * (f0 + f1), mach.positivity_floor)
     drain1 = r.drain(u)
     gain1 = r.frag.monomer_gain(u)
     a = r.params.degradation + 0.5 * (drain0 + drain1)
@@ -197,29 +183,23 @@ def _react(v: float, u: np.ndarray, h: float, mach: Machinery, cfg: SolverConfig
     return v_new, u, (drain1, gain1)
 
 
-def step(state: Snapshot, cfg: SolverConfig, mach: Machinery,
-         start: Union[Evaluation, Handover], dt: float) -> Tuple[Snapshot, Handover]:
-    """One splitting step of length dt from the given state.
+def step(state: Snapshot, mach: Machinery, start: Union[Evaluation, Handover],
+         dt: float) -> Tuple[Snapshot, Handover]:
+    """One Strang step of length dt from the given state: a reaction
+    half, the transport, a reaction half.
 
     start is mach.reaction.rhs(state.u.values), or the Handover the step
     that produced the state returned, and serves as the first stage.
     The step returns the new state and the Handover at its density, made
     after the step's checks, for the caller to hand to the ledger and to
-    the next step.  A Strang step's last reaction half ends on the new
-    state, so its Handover carries the drain and gain there; a Lie
-    step's carries None."""
+    the next step.  The last reaction half ends on the new state, so the
+    Handover carries the drain and gain there."""
     grid = state.u.grid
-    strang = cfg.splitting == "strang"
-    v, u, monomer = _react(state.v, state.u.values, 0.5 * dt if strang else dt,
-                           mach, cfg, Handover(*start))
+    v, u, _ = _react(state.v, state.u.values, 0.5 * dt, mach, Handover(*start))
     moved, esc_count, _esc_mass = transport_remap(
         mach.transport, GridFunction(grid, u), mach.reaction.speed(v, u) * dt)
     u = moved.values
-    if strang:
-        v, u, monomer = _react(v, u, 0.5 * dt, mach, cfg,
-                               Handover(*mach.reaction.rhs(u)))
-    else:
-        monomer = None
+    v, u, monomer = _react(v, u, 0.5 * dt, mach, Handover(*mach.reaction.rhs(u)))
     if esc_count > 0.0:
         raise MassEscape(
             f"{esc_count:g} polymers crossed the grid end during transport")
@@ -286,7 +266,7 @@ def run(
         acc.start(state.t, state.v, state.u, rhs=f)
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - state.t
-            state, f = step(state, cfg, mach, f, h)
+            state, f = step(state, mach, f, h)
             row = acc.advance(state.t, state.v, state.u, rhs=f)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape(

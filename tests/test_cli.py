@@ -69,8 +69,6 @@ NON_DEFAULT = {
     "initial.cut_sigmas": "6.0",
     "solver.dt": "0.0071",
     "solver.t_end": "0.5",
-    "solver.splitting": "lie",
-    "solver.reaction_integrator": "euler",
     "solver.snapshot_times": "0.1,0.2",
     "solver.tail_mass_bound": "1e-06",
     "solver.positivity_tolerance": "1e-12",
@@ -91,8 +89,6 @@ CHOICES = {
     "kernel.family": config.FAMILIES,
     "kernel.k0_profile": tuple(config.K0_PROFILES),
     "grid.spacing": grid.SPACINGS,
-    "solver.splitting": solver.SPLITTINGS,
-    "solver.reaction_integrator": solver.REACTION_INTEGRATORS,
 }
 
 
@@ -101,7 +97,6 @@ class TestConfigParsing:
         cfg = parse_config_text("kernel.join = 0.3\n")
         assert cfg["kernel.join"] == 0.3
         assert cfg["kernel.family"] == "special"
-        assert cfg["solver.splitting"] == "strang"
         assert cfg["truncation.levels"] == ()
 
     def test_comments_and_blank_lines(self):
@@ -328,6 +323,28 @@ class TestConfigParsing:
         assert main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("ConfigParseError: bad value for diagnostics.sigma")
+        assert captured.out == ""
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("line", ["solver.splitting = strang",
+                                      "solver.reaction_integrator = rk2"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "validate", "oracle", "truncation"])
+    def test_removed_scheme_keys_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, line):
+        """Every run is Strang splitting with Heun reactions; a file that
+        still names either scheme key, even with its one value, is
+        refused as any unknown key is."""
+        for name in ("run", "truncate", "integrate_oracle",
+                     "validate_kernel_set"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("worked"))
+        cfg = write_cfg(tmp_path, TestTruncation.TRUNC + line + "\n"
+                        + f"oracle.enabled = true\noutput.dir = {tmp_path}/out\n")
+        before = tree(tmp_path)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigParseError: ")
+        assert f"unknown key {line.split(' =')[0]!r}" in captured.err
         assert captured.out == ""
         assert tree(tmp_path) == before
 

@@ -186,8 +186,6 @@ class TestReplay:
 
     @pytest.mark.parametrize("options", [
         {"skip_joining": True},
-        {"reaction_integrator": "euler"},
-        {"splitting": "lie"},
         {"extra_moment": 1.5, "uniform_integrability": True,
          "test_functions": ("size", "one")},
     ])

@@ -25,7 +25,6 @@ from prionpde.oracle import (
     rates_from_kernel_set,
 )
 from prionpde.solver import (
-    SPLITTINGS,
     SolverConfig,
     _clip_positive,
     _snapshot_steps,
@@ -57,8 +56,7 @@ def small_setup():
 
 @pytest.fixture(scope="module")
 def error_ladder(small_setup):
-    """Final-state error against the moment oracle for both splittings
-with the rk2 reaction integrator, and for Strang with euler.
+    """Final-state error against the moment oracle at dt = 8e-3 and 4e-3.
 
     The special family closes exactly on the discrete level, so these
     errors are pure time discretization (plus a dt-independent floor
@@ -71,18 +69,13 @@ with the rk2 reaction integrator, and for Strang with euler.
         MomentOdeState(v0, u0.moment(0), u0.moment(1)), rates,
         t_end=t_end, dt=1e-4)
     ref_v, ref_u0, ref_u1 = orc.v[-1], orc.U0[-1], orc.U1[-1]
-    out = {}
-    for name, options in (("strang", {}), ("lie", {"splitting": "lie"}),
-                          ("euler", {"reaction_integrator": "euler"})):
-        errs = []
-        for dt in (8e-3, 4e-3):
-            res = run(u0, v0, k, SolverConfig(dt=dt, t_end=t_end, **options))
-            fin = res.snapshots[-1]
-            errs.append(max(abs(fin.v - ref_v),
-                            abs(fin.u.moment(0) - ref_u0),
-                            abs(fin.u.moment(1) - ref_u1)))
-        out[name] = errs
-    return out
+    errs = []
+    for dt in (8e-3, 4e-3):
+        fin = run(u0, v0, k, SolverConfig(dt=dt, t_end=t_end)).snapshots[-1]
+        errs.append(max(abs(fin.v - ref_v),
+                        abs(fin.u.moment(0) - ref_u0),
+                        abs(fin.u.moment(1) - ref_u1)))
+    return errs
 
 
 class TestSolverConfig:
@@ -125,8 +118,8 @@ class TestStepping:
         mach = build_machinery(k, u0, cfg)
         state = Snapshot(t=0.0, v=2.0, u=u0.copy())
         f = mach.reaction.rhs(u0.values)
-        state, f = step(state, cfg, mach, f, cfg.dt)
-        state, f = step(state, cfg, mach, f, cfg.dt)
+        state, f = step(state, mach, f, cfg.dt)
+        state, f = step(state, mach, f, cfg.dt)
         assert state.t == fin.t
         assert state.v == fin.v
         assert np.array_equal(state.u.values, fin.u.values)
@@ -137,7 +130,7 @@ class TestStepping:
         mach = build_machinery(k, u0, cfg)
         before = Snapshot(t=0.0, v=2.0, u=u0.copy())
         start = mach.reaction.rhs(u0.values)
-        after, _ = step(before, cfg, mach, start, cfg.dt)
+        after, _ = step(before, mach, start, cfg.dt)
         size = select_test_functions(grid, k, ("size",))
         acc = LedgerAccumulator(k, mach.reaction, test_functions=size)
         acc.start(before.t, before.v, before.u)
@@ -222,23 +215,9 @@ class TestStepping:
 
 class TestConvergenceOrders:
     def test_strang_is_second_order(self, error_ladder):
-        coarse, fine = error_ladder["strang"]
+        coarse, fine = error_ladder
         assert coarse / fine >= 3.2
         assert fine < 1e-6
-
-    def test_lie_is_first_order(self, error_ladder):
-        coarse, fine = error_ladder["lie"]
-        assert 1.7 <= coarse / fine <= 2.4
-
-    def test_strang_beats_lie(self, error_ladder):
-        assert error_ladder["strang"][1] < error_ladder["lie"][1] / 50.0
-
-    def test_euler_reaction_is_first_order(self, error_ladder):
-        coarse, fine = error_ladder["euler"]
-        assert 1.7 <= coarse / fine <= 2.4
-
-    def test_rk2_beats_euler(self, error_ladder):
-        assert error_ladder["strang"][1] < error_ladder["euler"][1] / 50.0
 
 
 class TestSafetyRails:
@@ -294,7 +273,7 @@ class TestSafetyRails:
 
         def react(scale):
             calls.clear()
-            solver._react(2.0, u0.values, 0.125, mach, cfg,
+            solver._react(2.0, u0.values, 0.125, mach,
                           solver.Handover(f, scale, (0.0, 0.0)))
 
         react(16.0)   # 0.125 * 16 / 0.5: four Heun substeps
@@ -316,10 +295,6 @@ class TestSafetyRails:
             SolverConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-2, t_end=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(dt=1e-2, t_end=1.0, splitting="godunov")
-        with pytest.raises(ValueError):
-            SolverConfig(dt=1e-2, t_end=1.0, reaction_integrator="rk9")
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-2, t_end=1.0, positivity_tolerance=-1.0)
 
@@ -388,7 +363,7 @@ def reference_run(u0, v0, k, cfg):
         for i in range(1, n_steps + 1):
             h = cfg.dt if i < n_steps else cfg.t_end - state.t
             start = mach.reaction.rhs(state.u.values)
-            state, _ = step(state, cfg, mach, start, h)
+            state, _ = step(state, mach, start, h)
             row = acc.advance(state.t, state.v, state.u)
             if row["tail_mass"] > tail_bound:
                 raise MassEscape("tail mass")
@@ -423,16 +398,10 @@ def outcome(fn, *args):
         return type(err), err.partial_result
 
 
-OPTIONS = {
-    "strang-rk2": {},
-    "lie-rk2": {"splitting": "lie"},
-    "strang-euler": {"reaction_integrator": "euler"},
-    "lie-euler": {"splitting": "lie", "reaction_integrator": "euler"},
-}
-# joining applies per step at one substep: one per stage, less the first
-# stage, which is the previous state's handed-over right-hand side
-APPLIES_PER_STEP = {"strang-rk2": 4, "lie-rk2": 2, "strang-euler": 2,
-                    "lie-euler": 1}
+# joining applies per step at one substep: one per Heun stage of the two
+# reaction halves, less the first stage, which is the previous state's
+# handed-over right-hand side
+APPLIES_PER_STEP = 4
 
 
 def count_join_applies(monkeypatch):
@@ -450,20 +419,22 @@ def count_join_applies(monkeypatch):
 EVERY_STEP = tuple(0.05 * i for i in range(21))  # dt = 0.05 up to t = 1
 
 
-def stray_setup():
+def stray_setup(final=False):
     """A closed family on a grid short enough that joining pushes real
-    flux past the grid end within a few steps."""
-    grid = build_grid(1.0, 26.0, 64, "geometric")
-    return closed_family(), gaussian_start(grid)
+    flux past the grid end within a few steps.  At dt = 0.05 the flux
+    first strays at a Heun stage inside a step or, with final, at the
+    state a step ends on, which no stage of the step evaluates."""
+    ymax, n = (30.5, 96) if final else (26.0, 64)
+    return closed_family(), gaussian_start(build_grid(1.0, ymax, n, "geometric"))
 
 
-def stray_case(setup, option):
+def stray_case(setup):
     """(k, u0, SolverConfig options) of a run on the stray_setup grid whose
     joining flux strays at the initial state, at a step in the middle of
     the run, or at the state the run ends on."""
-    k, u0 = stray_setup()
+    k, u0 = stray_setup(final=setup == "final")
     options = dict(dt=0.05, t_end=1.0, tail_mass_bound=float("inf"),
-                   snapshot_times=EVERY_STEP, **OPTIONS[option])
+                   snapshot_times=EVERY_STEP)
     if setup == "initial":
         u0 = gaussian_start(u0.grid, center=14.0, width=1.0)
     elif setup == "final":
@@ -475,44 +446,34 @@ def stray_case(setup, option):
 class TestRightHandSideHandover:
     @pytest.mark.parametrize("skip_joining", [False, True],
                              ids=["joining", "skip-joining"])
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_run_matches_reference(self, small_setup, option, skip_joining):
+    def test_run_matches_reference(self, small_setup, skip_joining):
         """Bit for bit, with several reaction substeps per interval."""
         k, _, u0 = small_setup
         dt = 2e-2
         cfg = SolverConfig(dt=dt, t_end=10 * dt, skip_joining=skip_joining,
-                           snapshot_times=tuple(dt * i for i in range(11)),
-                           **OPTIONS[option])
+                           snapshot_times=tuple(dt * i for i in range(11)))
         res = run(u0, 2.0, k, cfg)
         assert len(res.snapshots) == 11
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
 
-    @pytest.mark.parametrize("splitting", SPLITTINGS)
-    def test_step_hands_back_the_new_right_hand_side(self, small_setup,
-                                                     splitting):
-        """And, after a Strang step, the drain and gain at the new state."""
+    def test_step_hands_back_the_new_right_hand_side(self, small_setup):
+        """And the drain and gain at the new state."""
         k, grid, u0 = small_setup
-        cfg = SolverConfig(dt=5e-3, t_end=5e-3, splitting=splitting)
+        cfg = SolverConfig(dt=5e-3, t_end=5e-3)
         mach = build_machinery(k, u0, cfg)
         begin = Snapshot(t=0.0, v=2.0, u=u0.copy())
         new, (f_end, scale_end, monomer) = step(
-            begin, cfg, mach, mach.reaction.rhs(u0.values), cfg.dt)
+            begin, mach, mach.reaction.rhs(u0.values), cfg.dt)
         f_fresh, scale_fresh = mach.reaction.rhs(new.u.values)
         assert np.array_equal(f_end, f_fresh)
         assert scale_end == scale_fresh
-        if splitting == "lie":
-            assert monomer is None
-        else:
-            assert monomer == (mach.reaction.drain(new.u.values),
-                               mach.reaction.frag.monomer_gain(new.u.values))
+        assert monomer == (mach.reaction.drain(new.u.values),
+                           mach.reaction.frag.monomer_gain(new.u.values))
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_strang_carries_drain_and_gain(self, small_setup, monkeypatch,
-                                           option):
-        """After the first step a Strang step evaluates the drain and the
-        monomer gain 3 times, not 4: its first reaction half starts from
-        the values the previous step's last half ended on.  A Lie step
-        ends on a transported state, so it evaluates both twice."""
+    def test_strang_carries_drain_and_gain(self, small_setup, monkeypatch):
+        """After the first step a step evaluates the drain and the monomer
+        gain 3 times, not 4: its first reaction half starts from the
+        values the previous step's last half ended on."""
         k, _, u0 = small_setup
         n = 6
         counts = {"drain": 0, "monomer_gain": 0}
@@ -523,19 +484,17 @@ class TestRightHandSideHandover:
                 return _fn(self, u)
 
             monkeypatch.setattr(owner, name, counted)
-        run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3, **OPTIONS[option]))
-        want = 3 * n + 1 if option.startswith("strang") else 2 * n
+        run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
+        want = 3 * n + 1
         assert counts == {"drain": want, "monomer_gain": want}
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_each_state_is_evaluated_once(self, small_setup, monkeypatch,
-                                          option):
+    def test_each_state_is_evaluated_once(self, small_setup, monkeypatch):
         k, _, u0 = small_setup
         n = 6
-        cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, **OPTIONS[option])
+        cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3)
         calls = count_join_applies(monkeypatch)
         run(u0, 2.0, k, cfg)
-        assert len(calls) == APPLIES_PER_STEP[option] * n + 1
+        assert len(calls) == APPLIES_PER_STEP * n + 1
 
     def test_loss_gemv_is_shared(self, small_setup, monkeypatch):
         """Each evaluation makes one loss GEMV, which serves its joining
@@ -564,49 +523,48 @@ class TestRightHandSideHandover:
         cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, test_functions=())
         calls = count_join_applies(monkeypatch)
         res = run(u0, 2.0, k, cfg)
-        assert len(calls) == 4 * n + 1
+        assert len(calls) == APPLIES_PER_STEP * n + 1
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
 
     @pytest.mark.parametrize("test_functions", [None, ()],
                              ids=["all", "none"])
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_stray_flux_raises_at_the_same_step(self, option, test_functions):
+    def test_stray_flux_raises_at_the_same_step(self, test_functions):
         k, u0 = stray_setup()
         cfg = SolverConfig(dt=0.05, t_end=1.0, tail_mass_bound=float("inf"),
                            test_functions=test_functions,
-                           snapshot_times=EVERY_STEP, **OPTIONS[option])
+                           snapshot_times=EVERY_STEP)
         err, partial = outcome(run, u0, 2.0, k, cfg)
         ref_err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
         assert err is ref_err is PairOutOfRange
         assert len(ref_partial.ledger) > 2
         assert_same_run(partial, ref_partial)
 
-    def test_final_state_that_strays_is_refused(self):
-        """Lie with Euler evaluates nothing inside a step but its start
-        state, so the run's own evaluation of the state it ends on is
-        what refuses a final state whose joining flux strays, also
-        without test functions."""
-        k, u0 = stray_setup()
-        options = dict(dt=0.05, tail_mass_bound=float("inf"), test_functions=(),
-                       **OPTIONS["lie-euler"])
+    def test_final_state_that_strays_is_refused(self, monkeypatch):
+        """The run's own evaluation of the state it ends on, its last
+        joining apply, is what refuses a final state whose joining flux
+        strays, also without test functions."""
+        k, u0 = stray_setup(final=True)
+        options = dict(dt=0.05, tail_mass_bound=float("inf"), test_functions=())
         err, partial = outcome(
             run, u0, 2.0, k, SolverConfig(t_end=1.0, **options))
         assert err is PairOutOfRange
         n = len(partial.ledger)
+        assert n > 2
         cfg = SolverConfig(t_end=n * 0.05, **options)
+        calls = count_join_applies(monkeypatch)
         with pytest.raises(PairOutOfRange) as exc:
             run(u0, 2.0, k, cfg)
+        assert len(calls) == APPLIES_PER_STEP * n + 1
         assert len(exc.value.partial_result.ledger) == n
         err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
         assert err is PairOutOfRange
         assert_same_run(exc.value.partial_result, ref_partial)
 
     @pytest.mark.parametrize("setup", ["initial", "mid-run", "final"])
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_outcome_does_not_depend_on_test_functions(self, option, setup):
+    def test_outcome_does_not_depend_on_test_functions(self, setup):
         """Same error at the same step, same snapshots and the same
         floats in every ledger column both runs keep."""
-        k, u0, options = stray_case(setup, option)
+        k, u0, options = stray_case(setup)
         err, partial = outcome(run, u0, 2.0, k, SolverConfig(**options))
         bare_err, bare = outcome(
             run, u0, 2.0, k, SolverConfig(test_functions=(), **options))
@@ -619,7 +577,7 @@ class TestRightHandSideHandover:
                              ids=["all", "none"])
     def test_error_at_the_initial_evaluation_carries_partial_result(
             self, test_functions):
-        k, u0, options = stray_case("initial", "strang-rk2")
+        k, u0, options = stray_case("initial")
         with pytest.raises(PairOutOfRange) as exc:
             run(u0, 2.0, k, SolverConfig(test_functions=test_functions,
                                          **options))
@@ -629,15 +587,14 @@ class TestRightHandSideHandover:
         assert first.t == 0.0 and first.v == 2.0
         assert np.array_equal(first.u.values, u0.values)
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
-    def test_tail_gate_raises_at_the_same_step(self, option):
+    def test_tail_gate_raises_at_the_same_step(self):
         """Joining cut at the grid end carries mass into the outer tenth
         of the grid, and the gate trips after the first step."""
         k = with_join_cutoff(closed_family(), cutoff=60.0)
         grid = build_grid(1.0, 60.0, 64, "geometric")
         u0 = gaussian_start(grid, center=40.0, width=1.0)
         cfg = SolverConfig(dt=0.05, t_end=1.0, tail_mass_bound=1.5e-4,
-                           snapshot_times=EVERY_STEP, **OPTIONS[option])
+                           snapshot_times=EVERY_STEP)
         err, partial = outcome(run, u0, 2.0, k, cfg)
         ref_err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
         assert err is ref_err is MassEscape
