@@ -107,6 +107,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="unknown key"):
             parse_config_text("solver.dtt = 0.1\n")
 
+    @pytest.mark.parametrize("key", ["solver.splitting",
+                                     "solver.reaction_integrator"])
+    def test_removed_scheme_keys_are_unknown(self, key):
+        """Every run is Strang splitting with Heun reactions, so neither
+        scheme key has a default, and the unknown-key rule refuses it
+        whatever its value."""
+        assert key not in {name for name, _, _ in config.DEFAULTS}
+        for value in ("strang", "rk2", "lie", "euler"):
+            with pytest.raises(ConfigParseError, match=f"unknown key {key!r}"):
+                parse_config_text(f"{key} = {value}\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigParseError, match="duplicate"):
             parse_config_text("solver.dt = 0.1\nsolver.dt = 0.2\n")

@@ -186,6 +186,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("options", [
         {"skip_joining": True},
+        {"test_functions": ()},
+        {"extra_moment": 1.5},
+        {"uniform_integrability": True},
+        {"tail_mass_bound": math.inf, "positivity_tolerance": 1e-10},
         {"extra_moment": 1.5, "uniform_integrability": True,
          "test_functions": ("size", "one")},
     ])

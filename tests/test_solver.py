@@ -54,9 +54,13 @@ def small_setup():
     return k, grid, gaussian_start(grid)
 
 
+LADDER_DTS = (1.6e-2, 8e-3, 4e-3)
+
+
 @pytest.fixture(scope="module")
 def error_ladder(small_setup):
-    """Final-state error against the moment oracle at dt = 8e-3 and 4e-3.
+    """Final-state error against the moment oracle at dt = 1.6e-2, 8e-3
+    and 4e-3.
 
     The special family closes exactly on the discrete level, so these
     errors are pure time discretization (plus a dt-independent floor
@@ -70,7 +74,7 @@ def error_ladder(small_setup):
         t_end=t_end, dt=1e-4)
     ref_v, ref_u0, ref_u1 = orc.v[-1], orc.U0[-1], orc.U1[-1]
     errs = []
-    for dt in (8e-3, 4e-3):
+    for dt in LADDER_DTS:
         fin = run(u0, v0, k, SolverConfig(dt=dt, t_end=t_end)).snapshots[-1]
         errs.append(max(abs(fin.v - ref_v),
                         abs(fin.u.moment(0) - ref_u0),
@@ -109,9 +113,13 @@ class TestSolverConfig:
 
 
 class TestStepping:
-    def test_two_manual_steps_match_run(self, small_setup):
+    @pytest.mark.parametrize("dt, t_end", [(5e-3, 1e-2), (2e-2, 4e-2),
+                                           (5e-3, 8e-3)],
+                             ids=["one-substep", "several-substeps",
+                                  "short-last-step"])
+    def test_two_manual_steps_match_run(self, small_setup, dt, t_end):
         k, grid, u0 = small_setup
-        cfg = SolverConfig(dt=5e-3, t_end=1e-2)
+        cfg = SolverConfig(dt=dt, t_end=t_end)
         res = run(u0, 2.0, k, cfg)
         fin = res.snapshots[-1]
 
@@ -119,7 +127,7 @@ class TestStepping:
         state = Snapshot(t=0.0, v=2.0, u=u0.copy())
         f = mach.reaction.rhs(u0.values)
         state, f = step(state, mach, f, cfg.dt)
-        state, f = step(state, mach, f, cfg.dt)
+        state, f = step(state, mach, f, cfg.t_end - state.t)
         assert state.t == fin.t
         assert state.v == fin.v
         assert np.array_equal(state.u.values, fin.u.values)
@@ -215,9 +223,16 @@ class TestStepping:
 
 class TestConvergenceOrders:
     def test_strang_is_second_order(self, error_ladder):
-        coarse, fine = error_ladder
+        coarse, fine = error_ladder[-2:]
         assert coarse / fine >= 3.2
         assert fine < 1e-6
+
+    def test_halving_dt_quarters_the_error_on_every_rung(self, error_ladder):
+        """The dt^2 term leads the error from the coarsest rung on: each
+        halving of dt divides it by close to 4, neither less (a first-
+        order term) nor much more (cancelling terms)."""
+        for coarse, fine in zip(error_ladder, error_ladder[1:]):
+            assert 3.2 <= coarse / fine <= 4.8
 
 
 class TestSafetyRails:
@@ -289,6 +304,14 @@ class TestSafetyRails:
         assert clipped[1] == 0.0
         with pytest.raises(PositivityError):
             _clip_positive(np.array([1.0, -1e-6]), floor)
+
+    @pytest.mark.parametrize("field", ["splitting", "reaction_integrator"])
+    def test_config_has_no_scheme_fields(self, field):
+        """Every run is Strang splitting with Heun reactions; there is no
+        field to name another scheme, not even the one that is run."""
+        assert field not in SolverConfig.__dataclass_fields__
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(dt=1e-2, t_end=1.0, **{field: "strang"})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -446,20 +469,30 @@ def stray_case(setup):
 class TestRightHandSideHandover:
     @pytest.mark.parametrize("skip_joining", [False, True],
                              ids=["joining", "skip-joining"])
-    def test_run_matches_reference(self, small_setup, skip_joining):
-        """Bit for bit, with several reaction substeps per interval."""
-        k, _, u0 = small_setup
+    @pytest.mark.parametrize("spacing", ["geometric", "uniform"])
+    @pytest.mark.parametrize("steps", [10, 9.5], ids=["whole", "short-last"])
+    def test_run_matches_reference(self, small_setup, skip_joining, spacing,
+                                   steps):
+        """Bit for bit, with several reaction substeps per interval, on
+        either grid spacing, and with a last step shorter than dt."""
+        k, grid, _ = small_setup
+        u0 = gaussian_start(build_grid(1.0, grid.ymax, grid.n, spacing))
         dt = 2e-2
-        cfg = SolverConfig(dt=dt, t_end=10 * dt, skip_joining=skip_joining,
+        cfg = SolverConfig(dt=dt, t_end=steps * dt, skip_joining=skip_joining,
                            snapshot_times=tuple(dt * i for i in range(11)))
         res = run(u0, 2.0, k, cfg)
         assert len(res.snapshots) == 11
         assert_same_run(res, reference_run(u0, 2.0, k, cfg))
 
-    def test_step_hands_back_the_new_right_hand_side(self, small_setup):
+    @pytest.mark.parametrize("skip_joining", [False, True],
+                             ids=["joining", "skip-joining"])
+    @pytest.mark.parametrize("dt", [5e-3, 2e-2],
+                             ids=["one-substep", "several-substeps"])
+    def test_step_hands_back_the_new_right_hand_side(self, small_setup, dt,
+                                                     skip_joining):
         """And the drain and gain at the new state."""
         k, grid, u0 = small_setup
-        cfg = SolverConfig(dt=5e-3, t_end=5e-3)
+        cfg = SolverConfig(dt=dt, t_end=dt, skip_joining=skip_joining)
         mach = build_machinery(k, u0, cfg)
         begin = Snapshot(t=0.0, v=2.0, u=u0.copy())
         new, (f_end, scale_end, monomer) = step(
@@ -470,12 +503,16 @@ class TestRightHandSideHandover:
         assert monomer == (mach.reaction.drain(new.u.values),
                            mach.reaction.frag.monomer_gain(new.u.values))
 
-    def test_strang_carries_drain_and_gain(self, small_setup, monkeypatch):
+    @pytest.mark.parametrize("dt", [5e-3, 2e-2],
+                             ids=["one-substep", "several-substeps"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_strang_carries_drain_and_gain(self, small_setup, monkeypatch,
+                                           n, dt):
         """After the first step a step evaluates the drain and the monomer
         gain 3 times, not 4: its first reaction half starts from the
-        values the previous step's last half ended on."""
+        values the previous step's last half ended on.  Heun substeps
+        inside a half evaluate neither."""
         k, _, u0 = small_setup
-        n = 6
         counts = {"drain": 0, "monomer_gain": 0}
         for owner, name in ((ReactionOperator, "drain"),
                             (FragTables, "monomer_gain")):
@@ -484,25 +521,27 @@ class TestRightHandSideHandover:
                 return _fn(self, u)
 
             monkeypatch.setattr(owner, name, counted)
-        run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
+        run(u0, 2.0, k, SolverConfig(dt=dt, t_end=n * dt))
         want = 3 * n + 1
         assert counts == {"drain": want, "monomer_gain": want}
 
-    def test_each_state_is_evaluated_once(self, small_setup, monkeypatch):
+    @pytest.mark.parametrize("last", [1.0, 0.5], ids=["whole", "short-last"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_each_state_is_evaluated_once(self, small_setup, monkeypatch, n,
+                                          last):
         k, _, u0 = small_setup
-        n = 6
-        cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3)
+        cfg = SolverConfig(dt=5e-3, t_end=(n - 1 + last) * 5e-3)
         calls = count_join_applies(monkeypatch)
         run(u0, 2.0, k, cfg)
         assert len(calls) == APPLIES_PER_STEP * n + 1
 
-    def test_loss_gemv_is_shared(self, small_setup, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_loss_gemv_is_shared(self, small_setup, monkeypatch, n):
         """Each evaluation makes one loss GEMV, which serves its joining
         apply and the substep rule, and the handed-over start of a step
         carries its scale: 4 GEMVs per Strang step with Heun, one per
         joining apply."""
         k, _, u0 = small_setup
-        n = 6
         calls = []
         loss_rate = JoiningTables.loss_rate
 
@@ -514,12 +553,12 @@ class TestRightHandSideHandover:
         run(u0, 2.0, k, SolverConfig(dt=5e-3, t_end=n * 5e-3))
         assert len(calls) == 4 * n + 1
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
     def test_final_state_is_evaluated_without_test_functions(
-            self, small_setup, monkeypatch):
+            self, small_setup, monkeypatch, n):
         """No ledger reads the evaluations, and still each accepted state,
         the final one included, is evaluated once."""
         k, _, u0 = small_setup
-        n = 6
         cfg = SolverConfig(dt=5e-3, t_end=n * 5e-3, test_functions=())
         calls = count_join_applies(monkeypatch)
         res = run(u0, 2.0, k, cfg)
@@ -587,13 +626,16 @@ class TestRightHandSideHandover:
         assert first.t == 0.0 and first.v == 2.0
         assert np.array_equal(first.u.values, u0.values)
 
-    def test_tail_gate_raises_at_the_same_step(self):
+    @pytest.mark.parametrize("test_functions", [None, ()],
+                             ids=["all", "none"])
+    def test_tail_gate_raises_at_the_same_step(self, test_functions):
         """Joining cut at the grid end carries mass into the outer tenth
         of the grid, and the gate trips after the first step."""
         k = with_join_cutoff(closed_family(), cutoff=60.0)
         grid = build_grid(1.0, 60.0, 64, "geometric")
         u0 = gaussian_start(grid, center=40.0, width=1.0)
         cfg = SolverConfig(dt=0.05, t_end=1.0, tail_mass_bound=1.5e-4,
+                           test_functions=test_functions,
                            snapshot_times=EVERY_STEP)
         err, partial = outcome(run, u0, 2.0, k, cfg)
         ref_err, ref_partial = outcome(reference_run, u0, 2.0, k, cfg)
